@@ -71,7 +71,7 @@ class Context:
         """Compile an IL kernel for this device and wrap it as a module.
 
         When a :class:`repro.compiler.cache.CompileCache` is installed
-        (the jobs engine scopes one around its runs), the compile goes
+        (every suite run scopes one), the compile goes
         through it — repeated loads of content-identical kernels reuse
         the compiled program instead of recompiling per launch.
         """

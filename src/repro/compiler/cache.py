@@ -11,18 +11,21 @@ compilation, the last uncached stage.  A :class:`CompileCache` fronts
    result cache) holding the stable JSON serialization from
    :mod:`repro.isa.serialize` — warm-start across processes and runs.
 
-Keys hash everything compiled output depends on: the canonical IL text,
-the GPU spec fingerprint, the clause-size options, the resolved verify
-flag, :data:`~repro.jobs.units.CODE_VERSION` and the serialization
-schema.  A cache hit therefore *is* the verified compile it replaces —
-verification ran when the entry was created, under the same key — and
-the differential round-trip tests prove deserialized programs execute
-bitwise-identically.
+Keys hash exactly what the compiler reads: the canonical IL text, the
+clause-size options, the resolved verify flag,
+:data:`~repro.jobs.units.CODE_VERSION` and the serialization schema.
+The GPU is not in the key — ``compile_kernel`` reads only its clause
+limits, which the options already carry — so one kernel compiles once
+for every chip with the same limits.  A cache hit therefore *is* the
+verified compile it replaces — verification ran when the entry was
+created, under the same key — and the differential round-trip tests
+prove deserialized programs execute bitwise-identically.
 
-The cache is **scoped, never ambient-by-default**: plain
-``compile_kernel`` calls stay uncached (telemetry tests pin a ``compile``
-span per serial figure point).  The jobs engine installs one around its
-runs via :func:`compile_cache_scope`, and pool workers install a
+A cache takes effect only where installed with
+:func:`compile_cache_scope`; plain ``compile_kernel`` calls stay
+uncached.  Every suite path installs one: ``run_suite`` and
+``run_benchmark`` scope an in-memory cache around a serial run, the
+jobs engine scopes its own around each run, and pool workers install a
 process-local one at startup.  Traffic is observable through the
 ``compile.cache.hit{layer=memory|disk}`` / ``compile.cache.miss`` /
 ``compile.cache.serialize`` counters (docs/telemetry.md).
@@ -41,7 +44,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro import telemetry
 from repro.il.text import cached_il_text
 from repro.jobs.blobstore import BlobStore
-from repro.jobs.units import CODE_VERSION, gpu_fingerprint
+from repro.jobs.units import CODE_VERSION
 from repro.isa.serialize import (
     SCHEMA_VERSION,
     SerializationError,
@@ -55,14 +58,13 @@ if TYPE_CHECKING:
     from repro.il.module import ILKernel
     from repro.isa.program import ISAProgram
 
-#: in-process LRU capacity; the full suite compiles ~400 distinct
-#: programs, so the default holds a whole run without eviction.
+#: in-process LRU capacity; the default sweep has 240 distinct programs
+#: and ``--full`` 570, so the default holds either run without eviction.
 DEFAULT_CAPACITY = 512
 
 
 def compile_cache_key(
     il_text: str,
-    gpu: "GPUSpec | None",
     options: "CompileOptions",
     verify: bool,
 ) -> str:
@@ -71,8 +73,6 @@ def compile_cache_key(
         "version": CODE_VERSION,
         "schema": SCHEMA_VERSION,
         "il": hashlib.sha256(il_text.encode()).hexdigest(),
-        "gpu": gpu.chip if gpu is not None else None,
-        "gpu_fingerprint": gpu_fingerprint(gpu) if gpu is not None else None,
         "max_tex_per_clause": options.max_tex_per_clause,
         "max_alu_per_clause": options.max_alu_per_clause,
         "verify": bool(verify),
@@ -126,7 +126,7 @@ class ProgramStore(BlobStore):
 
 
 class CompileCache:
-    """Two-tier compile cache; one instance per engine run / pool worker."""
+    """Two-tier compile cache; one instance per run or pool worker."""
 
     def __init__(
         self,
@@ -175,7 +175,7 @@ class CompileCache:
                 CompileOptions.for_gpu(gpu) if gpu is not None
                 else CompileOptions()
             )
-        key = compile_cache_key(cached_il_text(kernel), gpu, options, verify)
+        key = compile_cache_key(cached_il_text(kernel), options, verify)
 
         program = self._memory.get(key)
         if program is not None:
@@ -235,7 +235,7 @@ def install_cache(cache: CompileCache | None) -> CompileCache | None:
 @contextmanager
 def compile_cache_scope(cache: CompileCache) -> Iterator[CompileCache]:
     """Route ``Context.load_module`` compiles through ``cache`` within the
-    block (the jobs engine wraps each run in this)."""
+    block (serial suite runs and each jobs-engine run are wrapped in this)."""
     previous = install_cache(cache)
     try:
         yield cache

@@ -91,8 +91,6 @@ def compile_kernel(
             # One seeded test vector serves every differential check of
             # this compile (DCE validation and the lowering check): the
             # inputs depend only on the kernel name, which DCE preserves.
-            # Built only when a check will actually execute — the memoized
-            # verify path below never touches it.
             case = seeded_case(original)
             drift = check_il_pass(
                 original, kernel, "eliminate_dead_code", case=case

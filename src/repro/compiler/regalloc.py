@@ -45,6 +45,7 @@ from repro.isa.clauses import (
     TEXClause,
     Value,
     ValueLocation,
+    interned_value,
 )
 from repro.il.types import MemorySpace
 
@@ -133,11 +134,11 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause]) -> AllocationResult:
     ) -> Value:
         """Resolve a register reference at a given use site."""
         if reg.file is RegisterFile.POSITION:
-            return Value(ValueLocation.POSITION, 0, negate)
+            return interned_value(ValueLocation.POSITION, 0, negate)
         if reg.file is RegisterFile.CONST:
-            return Value(ValueLocation.CONSTANT, reg.index, negate)
+            return interned_value(ValueLocation.CONSTANT, reg.index, negate)
         if reg.file is RegisterFile.LITERAL:
-            return Value(ValueLocation.LITERAL, reg.index, negate)
+            return interned_value(ValueLocation.LITERAL, reg.index, negate)
         info = defs.get(reg)
         if info is None:
             raise CompileError(f"use of undefined register {reg}")
@@ -148,16 +149,16 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause]) -> AllocationResult:
             and use.bundle == info.bundle + 1
         ):
             if info.slot == "t":
-                return Value(ValueLocation.PREVIOUS_SCALAR, 0, negate)
+                return interned_value(ValueLocation.PREVIOUS_SCALAR, 0, negate)
             slot_index = "xyzw".index(info.slot)
-            return Value(ValueLocation.PREVIOUS_VECTOR, slot_index, negate)
+            return interned_value(ValueLocation.PREVIOUS_VECTOR, slot_index, negate)
         kind = storage.get(reg)
         if kind is None:
             raise CompileError(
                 f"value {reg} has no storage but is used beyond PV range"
             )
         loc, index = kind
-        return Value(loc, index, negate)
+        return interned_value(loc, index, negate)
 
     clauses: list[Clause] = []
     for c_index, clause in enumerate(proto):
@@ -167,11 +168,11 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause]) -> AllocationResult:
                 loc, index = storage[fetch.dest]
                 if isinstance(fetch, SampleInstruction):
                     fetches.append(
-                        FetchInstr(Value(loc, index), fetch.resource, MemorySpace.TEXTURE)
+                        FetchInstr(interned_value(loc, index, False), fetch.resource, MemorySpace.TEXTURE)
                     )
                 else:
                     fetches.append(
-                        FetchInstr(Value(loc, index), fetch.offset, MemorySpace.GLOBAL)
+                        FetchInstr(interned_value(loc, index, False), fetch.offset, MemorySpace.GLOBAL)
                     )
             clauses.append(TEXClause(tuple(fetches)))
         elif isinstance(clause, ProtoALUClause):
@@ -181,7 +182,7 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause]) -> AllocationResult:
                 site = _UseInfo(0, c_index, b_index)
                 for slot, instr in bundle.ops:
                     dest_kind = storage.get(instr.dest)
-                    dest = Value(*dest_kind) if dest_kind is not None else None
+                    dest = interned_value(*dest_kind, False) if dest_kind is not None else None
                     sources = tuple(
                         locate(operand.register, site, operand.negate)
                         for operand in instr.sources

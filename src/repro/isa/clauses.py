@@ -16,6 +16,7 @@ instruction may read a value produced inside its own bundle.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from repro.il.opcodes import ILOp
@@ -59,6 +60,20 @@ class Value:
         if self.location is ValueLocation.POSITION:
             return f"{sign}R0"
         return f"{sign}{self.location.value}{self.index}"
+
+
+@functools.lru_cache(maxsize=None)
+def interned_value(location: ValueLocation, index: int, negate: bool) -> Value:
+    """The one shared :class:`Value` with these fields.
+
+    Values are frozen and compare by fields, so sharing instances is
+    observationally identical.  A program is mostly the same few dozen
+    operands referenced thousands of times, and compiled programs stay
+    alive in the compile cache for a whole run, so the compiler and the
+    deserializer build every operand through here.  The field space is
+    a few hundred registers per location, so the memo stays unbounded.
+    """
+    return Value(location, index, negate)
 
 
 _SLOT_NAMES = ("x", "y", "z", "w", "t")

@@ -17,12 +17,11 @@ properties make that hold:
 :data:`SCHEMA_VERSION` is baked into both the payload and the cache key:
 changing the encoding orphans old blobs rather than misreading them.
 :func:`program_digest` hashes the canonical encoding — the program's
-content identity, used to memoize verification.
+content identity.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 
@@ -40,6 +39,7 @@ from repro.isa.clauses import (
     TEXClause,
     Value,
     ValueLocation,
+    interned_value,
 )
 from repro.isa.program import ISAProgram
 
@@ -60,19 +60,11 @@ def _encode_value(value: Value | None) -> list | None:
     return [value.location.name, value.index, value.negate]
 
 
-@functools.lru_cache(maxsize=None)
-def _interned_value(location: str, index: int, negate: bool) -> Value:
-    return Value(ValueLocation[location], index, negate)
-
-
 def _decode_value(data: list | None) -> Value | None:
     if data is None:
         return None
     location, index, negate = data
-    # Values are frozen and compare by fields, so decoded programs share
-    # one instance per distinct operand — a program is mostly the same
-    # few dozen registers referenced thousands of times.
-    return _interned_value(location, int(index), bool(negate))
+    return interned_value(ValueLocation[location], int(index), bool(negate))
 
 
 _BUNDLE_CACHE: dict[tuple, Bundle] = {}
@@ -228,8 +220,8 @@ def program_from_json(data: dict, kernel=None) -> ISAProgram:
 def program_digest(program: ISAProgram) -> str:
     """Content hash of the canonical encoding (hex, 40 chars).
 
-    Memoized on the program instance — digests key the verification memo
-    and the disk blobs, so the same program is hashed once, not per use.
+    Memoized on the program instance, so the same program is hashed
+    once, not per use.
     """
     digest = program.__dict__.get("_digest")
     if digest is None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -67,9 +66,6 @@ class JobOptions:
     #: per-unit timeout in seconds (measured from when the scheduler
     #: starts waiting on the unit; ``None`` waits forever).
     timeout: float | None = None
-    #: compile each distinct (IL, GPU, options) once per run via the
-    #: in-process compiled-program cache (docs/compile-cache.md).
-    compile_cache: bool = True
     #: on-disk compiled-program store root; defaults to the result-cache
     #: root (the two tiers share ``results/cache/``), ``None`` with no
     #: cache_dir keeps compiled programs in memory only.
@@ -83,8 +79,6 @@ class JobOptions:
 
     def resolved_program_root(self) -> Path | None:
         """Where compiled programs persist (``None`` = memory tier only)."""
-        if not self.compile_cache:
-            return None
         if self.program_cache_dir is not None:
             return Path(self.program_cache_dir)
         if self.cache_dir is not None:
@@ -105,12 +99,8 @@ class JobEngine:
             else None
         )
         program_root = self.options.resolved_program_root()
-        self.programs = (
-            CompileCache(
-                ProgramStore(program_root) if program_root else None
-            )
-            if self.options.compile_cache
-            else None
+        self.programs = CompileCache(
+            ProgramStore(program_root) if program_root else None
         )
         self.ledger = RunLedger(self.options.resolved_ledger_path())
         self.resumed = 0
@@ -135,15 +125,10 @@ class JobEngine:
         uncacheable: list[WorkUnit] = []
 
         # Route every inline compile through the engine's program cache,
-        # so each distinct (IL, GPU, options) compiles exactly once per
+        # so each distinct (IL, clause options) compiles exactly once per
         # run.  Pool workers install their own process-local cache (see
         # ``worker.initialize_worker``).
-        scope = (
-            compile_cache_scope(self.programs)
-            if self.programs is not None
-            else nullcontext()
-        )
-        with scope, telemetry.span(
+        with compile_cache_scope(self.programs), telemetry.span(
             "scheduler",
             jobs=self.options.jobs,
             units=len(units),
@@ -189,10 +174,8 @@ class JobEngine:
                     cache_misses=self.cache.misses if self.cache else 0,
                     # Inline compile-cache traffic; pool workers keep
                     # their own process-local counters.
-                    compile_hits=self.programs.hits if self.programs else 0,
-                    compile_misses=(
-                        self.programs.misses if self.programs else 0
-                    ),
+                    compile_hits=self.programs.hits,
+                    compile_misses=self.programs.misses,
                 )
         return [results[unit.key] for unit in units]
 
@@ -258,12 +241,8 @@ class JobEngine:
         program_root = self.options.resolved_program_root()
         with ProcessPoolExecutor(
             max_workers=self.options.jobs,
-            initializer=initialize_worker if self.programs else None,
-            initargs=(
-                (str(program_root) if program_root else None,)
-                if self.programs
-                else ()
-            ),
+            initializer=initialize_worker,
+            initargs=(str(program_root) if program_root else None,),
         ) as pool:
             futures = [
                 (unit, pool.submit(run_payload, unit_payload(unit)))

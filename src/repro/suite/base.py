@@ -140,14 +140,7 @@ class MicroBenchmark(abc.ABC):
         built: dict[object, ILKernel] = {}
         for spec in self.series_specs(gpus):
             for value in self.sweep_values(fast):
-                key = self.kernel_key(value, spec)
-                if key is None:
-                    kernel = self.build_kernel(value, spec)
-                else:
-                    kernel = built.get(key)
-                    if kernel is None:
-                        kernel = self.build_kernel(value, spec)
-                        built[key] = kernel
+                kernel = self._shared_kernel(value, spec, built)
                 unit = WorkUnit(
                     figure=self.name,
                     series=spec.label,
@@ -166,6 +159,19 @@ class MicroBenchmark(abc.ABC):
                 planned.append((spec, value, kernel, unit))
         return planned
 
+    def _shared_kernel(
+        self, value: float, spec: SeriesSpec, built: dict[object, ILKernel]
+    ) -> ILKernel:
+        """``build_kernel(value, spec)``, reusing the object in ``built``
+        when an earlier point had the same :meth:`kernel_key`."""
+        key = self.kernel_key(value, spec)
+        if key is None:
+            return self.build_kernel(value, spec)
+        kernel = built.get(key)
+        if kernel is None:
+            kernel = built[key] = self.build_kernel(value, spec)
+        return kernel
+
     def run(
         self,
         gpus: tuple[GPUSpec, ...] | None = None,
@@ -177,7 +183,10 @@ class MicroBenchmark(abc.ABC):
         With an ``engine`` (:class:`repro.jobs.JobEngine`) the sweep is
         decomposed into work units and executed through the cache/ledger/
         scheduler pipeline; the reassembled figure is bit-identical to
-        the serial path, which remains the default.
+        the serial path, which remains the default.  The serial path
+        builds each distinct kernel once (see :meth:`kernel_key`); its
+        compiles go through whatever compile cache is active, which
+        ``run_benchmark``/``run_suite`` install.
         """
         gpus = gpus if gpus is not None else all_gpus()
         result = ResultSet(
@@ -198,6 +207,7 @@ class MicroBenchmark(abc.ABC):
         # silently corrupt the measurement, so fail loudly instead.
         from repro.verify import verification
 
+        built: dict[object, ILKernel] = {}
         with telemetry.span(
             "figure", figure=self.name, fast=fast
         ) as fig_span, verification(True):
@@ -208,7 +218,7 @@ class MicroBenchmark(abc.ABC):
                     "series", figure=self.name, label=spec.label
                 ):
                     for value in self.sweep_values(fast):
-                        kernel = self.build_kernel(value, spec)
+                        kernel = self._shared_kernel(value, spec, built)
                         event = time_kernel(
                             device,
                             kernel,

@@ -40,6 +40,27 @@ BENCHMARKS: dict[str, Callable[..., MicroBenchmark]] = {
 }
 
 
+def _serial_compile_cache(engine: "JobEngine | None"):
+    """Scope one in-memory compile cache around a serial run.
+
+    A no-op under an engine (it scopes its own) or when a cache is
+    already active, so ``run_suite`` shares one across its figures.
+    Each distinct (IL text, clause options) then compiles and verifies
+    once per run instead of once per sweep point.
+    """
+    # Imported lazily: the compile cache sits above repro.jobs in the
+    # layering.
+    from repro.compiler.cache import (
+        CompileCache,
+        active_cache,
+        compile_cache_scope,
+    )
+
+    if engine is not None or active_cache() is not None:
+        return nullcontext()
+    return compile_cache_scope(CompileCache())
+
+
 def run_benchmark(
     figure: str,
     gpus: tuple[GPUSpec, ...] | None = None,
@@ -59,7 +80,8 @@ def run_benchmark(
     # an explicit ``sim=None`` must follow the same path as the default
     # (a falsy-but-customized config must not be silently dropped either).
     benchmark = factory(sim=sim if sim is not None else SimConfig(), **kwargs)
-    return benchmark.run(gpus=gpus, fast=fast, engine=engine)
+    with _serial_compile_cache(engine):
+        return benchmark.run(gpus=gpus, fast=fast, engine=engine)
 
 
 def run_suite(
@@ -82,7 +104,8 @@ def run_suite(
     here) routes every figure through :mod:`repro.jobs`: one shared
     result cache and run ledger across the whole suite, so identical
     launches appearing in several figures simulate exactly once and an
-    interrupted invocation resumes mid-suite.
+    interrupted invocation resumes mid-suite.  Without one, the serial
+    run shares one in-memory compile cache across its figures.
     """
     names = list(figures) if figures is not None else sorted(BENCHMARKS)
     gpus = gpus if gpus is not None else all_gpus()
@@ -105,7 +128,7 @@ def run_suite(
         else nullcontext()
     )
     try:
-        with recorder:
+        with recorder, _serial_compile_cache(engine):
             for name in names:
                 results[name] = run_benchmark(
                     name, gpus=gpus, fast=fast, engine=engine

@@ -173,7 +173,6 @@ def hottest_spans_table(span_records: list[dict], top: int = 10) -> str:
 _CACHE_FAMILIES = (
     ("result cache", "jobs.cache"),
     ("compile cache", "compile.cache"),
-    ("verify memo", "verify.memo"),
 )
 
 

@@ -19,9 +19,7 @@ suite and the test suite turn it on).
 
 from __future__ import annotations
 
-import hashlib
 import os
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -203,17 +201,6 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
     return LintReport(kernel, tuple(diagnostics), program)
 
 
-#: memo of clean verification results, keyed on content (see below).
-#: Bounded so pathological sweeps cannot grow it without limit.
-_VERIFY_MEMO_CAPACITY = 1024
-_verify_memo: "OrderedDict[tuple, tuple[Diagnostic, ...]]" = OrderedDict()
-
-
-def clear_verify_memo() -> None:
-    """Drop memoized verification results (tests and long sessions)."""
-    _verify_memo.clear()
-
-
 def verify_compiled(
     kernel: ILKernel,
     program: ISAProgram,
@@ -225,33 +212,14 @@ def verify_compiled(
 
     Returns all findings; raises :class:`VerificationError` if any is an
     error (warnings — dead ISA writes, oversized clauses — pass through
-    for the caller to report).
+    for the caller to report).  ``case`` optionally supplies a pre-built
+    differential test vector (the pipeline shares one across its passes).
 
-    Results are memoized on content — the program digest, the source
-    kernel's IL text, and the clause limits — so re-verifying an
-    unchanged program (sweeps that share one kernel across launch
-    shapes) is a dict probe instead of two functional executions.
-    Failures are never memoized; every caller sees the raise.  ``case``
-    optionally supplies a pre-built differential test vector (the
-    pipeline shares one across its passes).
+    Nothing is memoized here: suite runs put a compile cache in front of
+    every verified compile, so each distinct program verifies once.
     """
-    from repro.il.text import cached_il_text
-    from repro.isa.serialize import program_digest
     from repro.verify.differential import check_lowering
     from repro.verify.isa_checks import check_program
-
-    memo_key = (
-        program_digest(program),
-        hashlib.sha256(cached_il_text(kernel).encode()).hexdigest(),
-        max_tex_per_clause,
-        max_alu_per_clause,
-    )
-    cached = _verify_memo.get(memo_key)
-    if cached is not None:
-        _verify_memo.move_to_end(memo_key)
-        if telemetry.enabled():
-            telemetry.metrics().counter("verify.memo.hit").inc()
-        return list(cached)
 
     diagnostics = check_program(
         program,
@@ -266,11 +234,6 @@ def verify_compiled(
             + "\n".join(f"  {d}" for d in broken),
             tuple(diagnostics),
         )
-    _verify_memo[memo_key] = tuple(diagnostics)
-    while len(_verify_memo) > _VERIFY_MEMO_CAPACITY:
-        _verify_memo.popitem(last=False)
-    if telemetry.enabled():
-        telemetry.metrics().counter("verify.memo.miss").inc()
     return diagnostics
 
 
@@ -278,7 +241,6 @@ __all__ = [
     "LintReport",
     "Severity",
     "VerificationError",
-    "clear_verify_memo",
     "default_verify",
     "lint_kernel",
     "set_default_verify",

@@ -2,7 +2,7 @@
 
 Covers the key's invalidation surface, both tiers (in-process LRU and
 on-disk store), the scoped install used by the jobs engine, the
-compile-once guarantee for kernel-sharing sweeps, the verification memo,
+compile-once guarantee for kernel-sharing sweeps and serial suite runs,
 and the CLI surface that reports and maintains the store.
 """
 
@@ -23,8 +23,7 @@ from repro.compiler.cache import (
 from repro.il.text import cached_il_text
 from repro.jobs import JobEngine, JobOptions
 from repro.kernels import KernelParams, generate_generic
-from repro.suite import BENCHMARKS, run_benchmark
-from repro.verify.engine import clear_verify_memo
+from repro.suite import BENCHMARKS, run_benchmark, run_suite
 
 
 def kernel_n(alu_ops=8):
@@ -37,48 +36,49 @@ BASE_OPTIONS = CompileOptions()
 class TestCacheKey:
     def test_deterministic(self):
         il = cached_il_text(kernel_n())
-        a = compile_cache_key(il, RV770, BASE_OPTIONS, True)
-        b = compile_cache_key(il, RV770, BASE_OPTIONS, True)
+        a = compile_cache_key(il, BASE_OPTIONS, True)
+        b = compile_cache_key(il, BASE_OPTIONS, True)
         assert a == b
         assert len(a) == 40
 
     def test_il_text_changes_key(self):
-        a = compile_cache_key(
-            cached_il_text(kernel_n(8)), RV770, BASE_OPTIONS, True
-        )
-        b = compile_cache_key(
-            cached_il_text(kernel_n(12)), RV770, BASE_OPTIONS, True
-        )
+        a = compile_cache_key(cached_il_text(kernel_n(8)), BASE_OPTIONS, True)
+        b = compile_cache_key(cached_il_text(kernel_n(12)), BASE_OPTIONS, True)
         assert a != b
 
-    def test_gpu_changes_key(self):
+    def test_key_is_the_compilers_input_not_the_gpu(self):
+        # compile_kernel reads only the clause limits from the GPU, so
+        # chips with equal limits share one key; the limits themselves
+        # are the key's GPU-facing part.
         il = cached_il_text(kernel_n())
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, RV670, BASE_OPTIONS, True)
-        )
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, None, BASE_OPTIONS, True)
+        assert CompileOptions.for_gpu(RV770) == CompileOptions.for_gpu(RV670)
+        assert compile_cache_key(
+            il, CompileOptions.for_gpu(RV770), True
+        ) == compile_cache_key(il, CompileOptions.for_gpu(RV670), True)
+        tight = CompileOptions(max_tex_per_clause=4)
+        assert compile_cache_key(il, BASE_OPTIONS, True) != (
+            compile_cache_key(il, tight, True)
         )
 
     def test_clause_options_change_key(self):
         il = cached_il_text(kernel_n())
         small = CompileOptions(max_alu_per_clause=16)
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, RV770, small, True)
+        assert compile_cache_key(il, BASE_OPTIONS, True) != (
+            compile_cache_key(il, small, True)
         )
 
     def test_verify_flag_changes_key(self):
         il = cached_il_text(kernel_n())
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, RV770, BASE_OPTIONS, False)
+        assert compile_cache_key(il, BASE_OPTIONS, True) != (
+            compile_cache_key(il, BASE_OPTIONS, False)
         )
 
     def test_code_version_changes_key(self, monkeypatch):
         # Bumping CODE_VERSION must orphan every cached program.
         il = cached_il_text(kernel_n())
-        before = compile_cache_key(il, RV770, BASE_OPTIONS, True)
+        before = compile_cache_key(il, BASE_OPTIONS, True)
         monkeypatch.setattr(cache_mod, "CODE_VERSION", 999_999)
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != before
+        assert compile_cache_key(il, BASE_OPTIONS, True) != before
 
 
 class TestMemoryTier:
@@ -92,12 +92,23 @@ class TestMemoryTier:
         assert cache.memory_hits == 1
         assert cache.hits == 1
 
-    def test_distinct_gpus_miss_separately(self):
+    def test_gpus_with_equal_clause_limits_share_one_program(self):
         cache = CompileCache()
         kernel = kernel_n()
         a = cache.get_or_compile(kernel, RV770)
         b = cache.get_or_compile(kernel, RV670)
-        assert a is not b
+        assert b is a
+        assert cache.misses == 1
+        assert cache.memory_hits == 1
+
+    def test_distinct_clause_limits_miss_separately(self):
+        cache = CompileCache()
+        kernel = kernel_n()
+        a = cache.get_or_compile(kernel, RV770)
+        b = cache.get_or_compile(
+            kernel, RV770, CompileOptions(max_alu_per_clause=16)
+        )
+        assert b is not a
         assert cache.misses == 2
 
     def test_lru_eviction(self):
@@ -208,18 +219,6 @@ class TestTelemetryCounters:
             assert registry.get("compile.cache.hit{layer=memory}").value == 1
             assert registry.get("compile.cache.hit{layer=disk}").value == 1
 
-    def test_verify_memo_counters(self):
-        clear_verify_memo()
-        kernel = kernel_n()
-        with telemetry.recording():
-            compile_kernel(kernel, RV770, verify=True)
-            compile_kernel(kernel, RV770, verify=True)
-            registry = telemetry.metrics()
-            hits = registry.get("verify.memo.hit")
-            misses = registry.get("verify.memo.miss")
-            assert misses is not None and misses.value >= 1
-            assert hits is not None and hits.value >= 1
-
 
 class TestSweepPlanning:
     def test_domain_sweep_shares_one_kernel_object(self):
@@ -251,6 +250,32 @@ class TestSweepPlanning:
         assert compiles == 1
         assert engine.programs.misses == 1
         assert engine.programs.memory_hits == points - 1
+
+    def test_serial_suite_compiles_each_distinct_program_once(self):
+        # No engine: run_suite scopes one compile cache over the run, so
+        # there is one compile span (and one verify span) per distinct
+        # (IL text, clause options) pair, however many chips, launch
+        # shapes and figures share it.
+        figures = ["fig15a", "fig16"]
+        distinct = set()
+        for name in figures:
+            bench = BENCHMARKS[name]()
+            for spec, _value, kernel, _unit in bench.plan_units(fast=True):
+                options = CompileOptions.for_gpu(spec.gpu)
+                distinct.add((cached_il_text(kernel), options))
+        with telemetry.recording() as tracer:
+            results = run_suite(figures=figures, fast=True)
+        spans = tracer.finished()
+        compiles = sum(1 for s in spans if s.name == "compile")
+        verifies = sum(1 for s in spans if s.name == "verify")
+        points = sum(
+            len(series) for result in results.values()
+            for series in result.series
+        )
+        assert points > len(distinct)
+        assert compiles == len(distinct)
+        assert verifies == len(distinct)
+        assert active_cache() is None  # the scope did not leak
 
     def test_warm_and_cold_engine_runs_are_byte_identical(self, tmp_path):
         def run(ledger):
