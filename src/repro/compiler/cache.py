@@ -5,7 +5,7 @@ compilation, the last uncached stage.  A :class:`CompileCache` fronts
 :func:`~repro.compiler.pipeline.compile_kernel` with two tiers:
 
 1. an **in-process LRU** of live :class:`~repro.isa.program.ISAProgram`
-   objects — the compile-once guarantee inside a run or pool worker;
+   objects — the compile-once guarantee inside a run or pool batch;
 2. an optional **on-disk shard store** (:class:`ProgramStore`, built on
    the same :class:`~repro.jobs.blobstore.BlobStore` machinery as the
    result cache) holding the stable JSON serialization from
@@ -25,8 +25,8 @@ A cache takes effect only where installed with
 :func:`compile_cache_scope`; plain ``compile_kernel`` calls stay
 uncached.  Every suite path installs one: ``run_suite`` and
 ``run_benchmark`` scope an in-memory cache around a serial run, the
-jobs engine scopes its own around each run, and pool workers install a
-process-local one at startup.  Traffic is observable through the
+jobs engine scopes its own around each run, and pool workers scope one
+per batch of units.  Traffic is observable through the
 ``compile.cache.hit{layer=memory|disk}`` / ``compile.cache.miss`` /
 ``compile.cache.serialize`` counters (docs/telemetry.md).
 """
@@ -126,7 +126,7 @@ class ProgramStore(BlobStore):
 
 
 class CompileCache:
-    """Two-tier compile cache; one instance per run or pool worker."""
+    """Two-tier compile cache; one instance per run or pool batch."""
 
     def __init__(
         self,

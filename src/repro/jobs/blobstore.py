@@ -36,6 +36,8 @@ class BlobStore:
         self.root = Path(root)
         self.subdir = subdir
         self.salt = salt
+        #: shard directories this instance has already created.
+        self._shards: set[Path] = set()
 
     # ---- paths -----------------------------------------------------------
     @property
@@ -57,10 +59,17 @@ class BlobStore:
     def write(self, key: str, blob: dict) -> None:
         """Store ``blob`` under ``key`` atomically (temp file + rename)."""
         path = self.blob_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
+        shard = path.parent
+        if shard not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
+        try:
+            fd, tmp = self._temp_file(shard, key)
+        except FileNotFoundError:
+            # Removed since this store made it (a cache clear mid-run):
+            # make it again and retry once.
+            shard.mkdir(parents=True, exist_ok=True)
+            fd, tmp = self._temp_file(shard, key)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(blob, sort_keys=True))
@@ -71,6 +80,10 @@ class BlobStore:
             except OSError:
                 pass
             raise
+
+    @staticmethod
+    def _temp_file(shard: Path, key: str) -> tuple[int, str]:
+        return tempfile.mkstemp(dir=shard, prefix=f".{key[:8]}-", suffix=".tmp")
 
     def fresh(self, blob: dict | None) -> bool:
         """Whether ``blob`` was recorded under this store's salt."""

@@ -11,9 +11,10 @@ it consults, in priority order:
 2. the **result cache** — content-addressed records from any earlier run,
 3. the **scheduler** — everything still pending, deduplicated by cache
    key (identical launches shared between figures simulate once), run
-   either inline (``jobs <= 1``, the deterministic default) or across a
-   ``ProcessPoolExecutor`` with per-unit timeout and one retry after a
-   worker-pool crash.
+   either inline (``jobs <= 1``, the deterministic default) or across
+   the engine's one ``ProcessPoolExecutor``, in batches that share a
+   compile key (:func:`batch_units`), with a per-unit timeout budget and
+   one retry after a worker-pool crash.
 
 Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call,
 a ``unit`` span per unit with its resolution source, and the
@@ -24,6 +25,7 @@ a ``unit`` span per unit with its resolution source, and the
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from repro.jobs.ledger import RunLedger
 from repro.jobs.units import WorkUnit, record_point
 from repro.jobs.worker import (
     initialize_worker,
-    run_payload,
+    run_payloads,
     simulate_unit,
     unit_payload,
 )
@@ -63,8 +65,9 @@ class JobOptions:
     resume: bool = False
     #: explicit ledger path; defaults to ``<cache root>/ledger.jsonl``.
     ledger_path: str | Path | None = None
-    #: per-unit timeout in seconds (measured from when the scheduler
-    #: starts waiting on the unit; ``None`` waits forever).
+    #: per-unit timeout in seconds; a batch of n units gets n times this,
+    #: measured from when the scheduler starts waiting on the batch
+    #: (``None`` waits forever).
     timeout: float | None = None
     #: on-disk compiled-program store root; defaults to the result-cache
     #: root (the two tiers share ``results/cache/``), ``None`` with no
@@ -86,8 +89,39 @@ class JobOptions:
         return None
 
 
+def batch_units(units: Sequence[WorkUnit], jobs: int) -> list[list[WorkUnit]]:
+    """Split ``units`` into pool batches, one compile key per batch.
+
+    Units are grouped by the compile key of their program, groups in
+    first-appearance order, so a worker compiles each program once per
+    batch.  A group larger than ``ceil(len(units) / jobs)`` is cut into
+    chunks of that size, so one kernel swept over many launch shapes
+    still spreads across every worker.
+    """
+    from repro.compiler.cache import compile_cache_key
+    from repro.compiler.pipeline import CompileOptions
+
+    groups: dict[str, list[WorkUnit]] = {}
+    for unit in units:
+        key = compile_cache_key(
+            unit.il_text, CompileOptions.for_gpu(unit.gpu), unit.verify
+        )
+        groups.setdefault(key, []).append(unit)
+    size = math.ceil(len(units) / jobs)
+    return [
+        group[start:start + size]
+        for group in groups.values()
+        for start in range(0, len(group), size)
+    ]
+
+
 class JobEngine:
-    """One engine per logical run; share it across figures of a suite."""
+    """One engine per logical run; share it across figures of a suite.
+
+    With ``jobs > 1`` the engine owns one worker pool, forked by the
+    first :meth:`run` that has pool work and reused by every later one;
+    :meth:`close` shuts it down.
+    """
 
     def __init__(self, options: JobOptions | None = None) -> None:
         from repro.compiler.cache import CompileCache, ProgramStore
@@ -105,6 +139,7 @@ class JobEngine:
         self.ledger = RunLedger(self.options.resolved_ledger_path())
         self.resumed = 0
         self.simulated = 0
+        self._pool: ProcessPoolExecutor | None = None
         if self.options.resume:
             self._resumed_records = self.ledger.load()
             if not self._resumed_records and self.ledger.path.exists():
@@ -126,8 +161,8 @@ class JobEngine:
 
         # Route every inline compile through the engine's program cache,
         # so each distinct (IL, clause options) compiles exactly once per
-        # run.  Pool workers install their own process-local cache (see
-        # ``worker.initialize_worker``).
+        # run.  Pool workers scope their own cache per batch (see
+        # ``worker.run_payloads``).
         with compile_cache_scope(self.programs), telemetry.span(
             "scheduler",
             jobs=self.options.jobs,
@@ -172,15 +207,19 @@ class JobEngine:
                     resumed=self.resumed,
                     cache_hits=self.cache.hits if self.cache else 0,
                     cache_misses=self.cache.misses if self.cache else 0,
-                    # Inline compile-cache traffic; pool workers keep
-                    # their own process-local counters.
+                    # Inline compile-cache traffic; pool workers count
+                    # their own per-batch caches.
                     compile_hits=self.programs.hits,
                     compile_misses=self.programs.misses,
                 )
         return [results[unit.key] for unit in units]
 
     def close(self, success: bool = True) -> None:
-        """Flush the cache index; drop the ledger once the run landed."""
+        """Join the worker pool, flush the cache index, and drop the
+        ledger once the run landed."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
         if self.cache is not None and self.cache.puts:
             self.cache.write_index()
         if success:
@@ -229,6 +268,7 @@ class JobEngine:
                 self._pool_pass(remaining, results)
                 return
             except BrokenProcessPool:
+                self._discard_pool()
                 remaining = [u for u in remaining if u.key not in results]
                 if attempt or not remaining:
                     raise JobError(
@@ -238,28 +278,53 @@ class JobEngine:
                 self._count("jobs.pool_retries", remaining[0].figure)
 
     def _pool_pass(self, units: list[WorkUnit], results: dict) -> None:
-        program_root = self.options.resolved_program_root()
-        with ProcessPoolExecutor(
-            max_workers=self.options.jobs,
-            initializer=initialize_worker,
-            initargs=(str(program_root) if program_root else None,),
-        ) as pool:
-            futures = [
-                (unit, pool.submit(run_payload, unit_payload(unit)))
-                for unit in units
-            ]
-            for unit, future in futures:
+        pool = self._worker_pool()
+        timeout = self.options.timeout
+        futures = [
+            (batch, pool.submit(run_payloads, [unit_payload(u) for u in batch]))
+            for batch in batch_units(units, self.options.jobs)
+        ]
+        try:
+            for batch, future in futures:
+                budget = None if timeout is None else timeout * len(batch)
                 try:
-                    raw = future.result(timeout=self.options.timeout)
+                    raws = future.result(timeout=budget)
                 except concurrent.futures.TimeoutError:
-                    for _, other in futures:
-                        other.cancel()
+                    self._discard_pool()
+                    first = batch[0]
                     raise UnitTimeout(
-                        f"unit {unit.key[:12]} ({unit.figure}/{unit.series} "
-                        f"x={unit.value:g}) exceeded "
-                        f"{self.options.timeout}s"
+                        f"batch of {len(batch)} units from {first.key[:12]} "
+                        f"({first.figure}/{first.series} x={first.value:g}) "
+                        f"exceeded {budget:g}s ({timeout:g}s per unit)"
                     ) from None
-                self._finish(unit, raw, results, "pool")
+                for unit, raw in zip(batch, raws):
+                    self._finish(unit, raw, results, "pool")
+        finally:
+            for _, future in futures:
+                future.cancel()
+
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        """The engine's pool, forked on first use."""
+        if self._pool is None:
+            program_root = self.options.resolved_program_root()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.options.jobs,
+                initializer=initialize_worker,
+                initargs=(str(program_root) if program_root else None,),
+            )
+        return self._pool
+
+    def _discard_pool(self) -> None:
+        """Kill the workers of a broken or timed-out pool and drop it;
+        the next pass forks a fresh one."""
+        pool, self._pool = self._pool, None
+        # ``shutdown`` alone would wait for a hung unit to finish.
+        workers = list(pool._processes.values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.terminate()
+        for process in workers:
+            process.join()
 
     # ---- telemetry -------------------------------------------------------
     @staticmethod

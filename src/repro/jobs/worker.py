@@ -2,9 +2,10 @@
 
 :func:`simulate_unit` is the whole measurement — compile under the
 unit's verification mode, simulate the launch, reduce the event to the
-small JSON-safe record the cache/ledger stores.  The pool entry point
-:func:`run_payload` is a module-level function (picklable) that rebuilds
-the unit from the payload dict :func:`unit_payload` produced.
+small JSON-safe record the cache/ledger stores.  The pool runs
+:func:`run_payloads` on one batch of payload dicts (:func:`unit_payload`
+makes them); it hands each to :func:`run_payload`, which rebuilds the
+unit and simulates it.
 
 The simulator is deterministic, so the record is bit-identical whether
 the unit runs inline, in a worker process, or is replayed from cache —
@@ -14,11 +15,15 @@ the property the determinism-guard test pins.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.cal.device import Device
 from repro.cal.timing import time_kernel
 from repro.jobs.units import WorkUnit
 from repro.sim.config import SimConfig
+
+if TYPE_CHECKING:
+    from repro.compiler.cache import ProgramStore
 
 
 def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
@@ -44,23 +49,34 @@ def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
     }
 
 
+#: the worker's on-disk program store, opened by :func:`initialize_worker`.
+_store: "ProgramStore | None" = None
+
+
 def initialize_worker(program_root: str | None = None) -> None:
-    """Pool-worker startup: install a process-local compile cache.
+    """Pool-worker startup: open the shared on-disk program store.
 
-    Each worker memoizes compiles for its own lifetime (the same kernel
-    arriving as many launch shapes compiles once per worker, not once
-    per unit); with a ``program_root`` the workers additionally share
-    compiled programs with each other — and with past runs — through
-    the on-disk store.
+    With a ``program_root`` the workers share compiled programs with
+    each other — and with past runs — through the store; without one,
+    each batch compiles its programs afresh.
     """
-    from repro.compiler.cache import (
-        CompileCache,
-        ProgramStore,
-        install_cache,
-    )
+    from repro.compiler.cache import ProgramStore
 
-    store = ProgramStore(program_root) if program_root else None
-    install_cache(CompileCache(store))
+    global _store
+    _store = ProgramStore(program_root) if program_root else None
+
+
+def run_payloads(payloads: list[dict]) -> list[dict]:
+    """Pool entry point: one batch of payloads in, their records out.
+
+    The batch runs under its own compile cache, so a program shared by
+    its units compiles (or loads from the store) once, and the memory it
+    holds is released when the batch ends.
+    """
+    from repro.compiler.cache import CompileCache, compile_cache_scope
+
+    with compile_cache_scope(CompileCache(_store)):
+        return [run_payload(payload) for payload in payloads]
 
 
 def unit_payload(unit: WorkUnit) -> dict:
@@ -89,7 +105,7 @@ def unit_payload(unit: WorkUnit) -> dict:
 
 
 def run_payload(payload: dict) -> dict:
-    """Pool entry point: payload dict in, record dict out."""
+    """One unit in a worker: payload dict in, record dict out."""
     unit = WorkUnit(
         figure=payload["figure"],
         series=payload["series"],

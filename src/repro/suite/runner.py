@@ -98,7 +98,9 @@ def run_suite(
     ``telemetry_out`` records the whole run — every compile and simulated
     launch — and writes a JSONL manifest there; each returned
     :class:`ResultSet` then carries the manifest path in its ``manifest``
-    field (and its saved JSON), tying figure data to its provenance.
+    field (and its saved JSON), tying figure data to its provenance.  A
+    manifest inside ``out_dir`` is recorded relative to it, so the saved
+    figures hold no host path.
 
     ``engine`` (or ``options``, from which an engine is built and closed
     here) routes every figure through :mod:`repro.jobs`: one shared
@@ -127,14 +129,21 @@ def run_suite(
         if telemetry_out is not None
         else nullcontext()
     )
+    manifest = None
+    if telemetry_out is not None:
+        manifest = Path(telemetry_out)
+        if out_dir is not None:
+            base, absolute = Path(out_dir).resolve(), manifest.resolve()
+            if absolute.is_relative_to(base):
+                manifest = absolute.relative_to(base)
     try:
         with recorder, _serial_compile_cache(engine):
             for name in names:
                 results[name] = run_benchmark(
                     name, gpus=gpus, fast=fast, engine=engine
                 )
-                if telemetry_out is not None:
-                    results[name].manifest = str(telemetry_out)
+                if manifest is not None:
+                    results[name].manifest = str(manifest)
                 if out_dir is not None:
                     directory = Path(out_dir)
                     directory.mkdir(parents=True, exist_ok=True)

@@ -3,14 +3,20 @@
 Covers the cache-key invalidation matrix (any input that can move a
 measured number must move the key), cache hit fidelity (bit-identical
 replay), the run ledger's resume semantics, scheduler deduplication,
-worker-crash retry, and cache maintenance (stats/gc/clear).
+compile-key batching, the worker pool's lifetime, worker-crash retry,
+unit timeouts, and cache maintenance (stats/gc/clear).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import multiprocessing
 import os
+import shutil
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +29,14 @@ from repro.jobs import (
     JobOptions,
     ResultCache,
     RunLedger,
+    UnitTimeout,
     WorkUnit,
     cache_key,
     record_point,
     simulate_unit,
 )
+from repro.jobs.scheduler import batch_units
+from repro.jobs.worker import run_payload
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import SimConfig
 
@@ -176,6 +185,30 @@ class TestCacheRoundTrip:
         assert cache.clear() == 1
         assert cache.stats().entries == 0
 
+    def test_shard_directory_made_once_and_remade_after_removal(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path)
+        record = record_point(simulate_unit(make_unit()))
+        made = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        cache.put("ab" + "0" * 38, record)
+        assert made
+        made.clear()
+        cache.put("ab" + "1" * 38, record)
+        assert made == []  # the shard is known to exist
+
+        # The cache directory vanishes mid-run: the next put remakes it.
+        shutil.rmtree(cache.objects_dir)
+        cache.put("ab" + "2" * 38, record)
+        assert cache.get("ab" + "2" * 38) is not None
+
 
 class TestLedger:
     def test_resume_round_trip(self, tmp_path):
@@ -302,16 +335,113 @@ class TestEngine:
         engine.close(success=False)
 
 
-def _crash_once_then_run(payload):
-    """Pool entry that hard-kills its worker on first use (see retry test)."""
-    from repro.jobs.worker import run_payload
+def _crash_once_then_run(payloads):
+    """Batch entry that hard-kills its worker on first use (see retry test)."""
+    from repro.jobs.worker import run_payloads
 
-    sentinel = payload.pop("_sentinel")
+    sentinel = {payload.pop("_sentinel") for payload in payloads}.pop()
     if not os.path.exists(sentinel):
         with open(sentinel, "w") as fh:
             fh.write("crashed")
         os._exit(1)  # simulates a segfaulting worker: BrokenProcessPool
+    return run_payloads(payloads)
+
+
+def _with_pid(payload):
+    """Per-unit worker entry that tags each record with the worker's PID."""
+    return {**run_payload(payload), "pid": os.getpid()}
+
+
+def _sleep_when_asked(payload):
+    """Per-unit worker entry that hangs on payloads carrying ``_sleep``."""
+    if payload.pop("_sleep"):
+        time.sleep(60)
     return run_payload(payload)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestBatching:
+    @staticmethod
+    def compile_key(unit):
+        from repro.compiler.cache import compile_cache_key
+        from repro.compiler.pipeline import CompileOptions
+
+        return compile_cache_key(
+            unit.il_text, CompileOptions.for_gpu(unit.gpu), unit.verify
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 16])
+    def test_one_compile_key_per_batch(self, jobs):
+        # Three programs: one over many launch shapes, one over two chips
+        # (same clause limits, so one compile key), one single launch.
+        units = [
+            make_unit(ratio=1.0, domain=(64 * d, 64)) for d in range(1, 8)
+        ]
+        units += [make_unit(ratio=2.0, gpu=gpu) for gpu in (RV770, RV870)]
+        units.insert(3, make_unit(ratio=4.0))
+        batches = batch_units(units, jobs)
+        size = math.ceil(len(units) / jobs)
+
+        keys = [{self.compile_key(u) for u in batch} for batch in batches]
+        assert all(len(k) == 1 for k in keys)
+        assert all(0 < len(batch) <= size for batch in batches)
+        groups: dict[str, int] = {}
+        for unit in units:
+            key = self.compile_key(unit)
+            groups[key] = groups.get(key, 0) + 1
+        spans = [k.pop() for k in keys]
+        for key, count in groups.items():
+            assert spans.count(key) == math.ceil(count / size)
+        # Groups keep first-appearance order.
+        assert list(dict.fromkeys(spans)) == list(groups)
+        flat = [u for batch in batches for u in batch]
+        assert sorted(map(id, flat)) == sorted(map(id, units))
+
+
+class TestPoolLifetime:
+    def test_one_pool_across_runs_joined_on_close(self, tmp_path, monkeypatch):
+        import repro.jobs.scheduler as sched_mod
+        import repro.jobs.worker as worker_mod
+
+        pids = []
+        plain_record_point = sched_mod.record_point
+
+        def pid_record_point(record):
+            pids.append(record.pop("pid"))
+            return plain_record_point(record)
+
+        monkeypatch.setattr(worker_mod, "run_payload", _with_pid)
+        monkeypatch.setattr(sched_mod, "record_point", pid_record_point)
+
+        def children() -> set[int]:
+            return {p.pid for p in multiprocessing.active_children()}
+
+        others = children()
+        engine = JobEngine(
+            JobOptions(jobs=2, ledger_path=tmp_path / "l.jsonl")
+        )
+        assert children() == others  # forked by the first run, not here
+        first = engine.run([make_unit(ratio=r) for r in (0.5, 1.0, 2.0)])
+        workers = children() - others
+        second = engine.run([make_unit(ratio=r) for r in (4.0, 8.0)])
+        assert children() - others == workers  # no new workers forked
+        engine.close()
+
+        assert 1 <= len(workers) <= 2
+        assert len(pids) == 5 and set(pids) <= workers
+        assert not any(_alive(pid) for pid in workers)
+        expected = [
+            record_point(simulate_unit(make_unit(ratio=r)))
+            for r in (0.5, 1.0, 2.0, 4.0, 8.0)
+        ]
+        assert first + second == expected
 
 
 class TestPoolCrashRetry:
@@ -319,7 +449,7 @@ class TestPoolCrashRetry:
         import repro.jobs.scheduler as sched_mod
 
         sentinel = tmp_path / "crashed"
-        monkeypatch.setattr(sched_mod, "run_payload", _crash_once_then_run)
+        monkeypatch.setattr(sched_mod, "run_payloads", _crash_once_then_run)
         original_payload = sched_mod.unit_payload
 
         def payload_with_sentinel(unit):
@@ -336,4 +466,37 @@ class TestPoolCrashRetry:
         records = engine.run([unit])
         engine.close()
         assert sentinel.exists()  # the first attempt really died
+        assert records == [record_point(simulate_unit(unit))]
+
+
+class TestUnitTimeout:
+    def test_timeout_discards_pool_and_next_run_succeeds(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.jobs.scheduler as sched_mod
+        import repro.jobs.worker as worker_mod
+
+        monkeypatch.setattr(worker_mod, "run_payload", _sleep_when_asked)
+        original_payload = sched_mod.unit_payload
+        sleep = {"on": True}
+
+        def payload_with_sleep(unit):
+            return {**original_payload(unit), "_sleep": sleep["on"]}
+
+        monkeypatch.setattr(sched_mod, "unit_payload", payload_with_sleep)
+
+        unit = make_unit()
+        engine = JobEngine(
+            JobOptions(jobs=2, timeout=0.5, ledger_path=tmp_path / "l.jsonl")
+        )
+        started = time.perf_counter()
+        with pytest.raises(UnitTimeout):
+            engine.run([unit])
+        # The hung worker was killed, not waited for.
+        assert time.perf_counter() - started < 30
+        assert engine._pool is None
+
+        sleep["on"] = False
+        records = engine.run([unit])
+        engine.close()
         assert records == [record_point(simulate_unit(unit))]

@@ -1,9 +1,15 @@
 """Tests for result containers and their serialization."""
 
+import json
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.suite.results import ResultSet, Series, SeriesPoint
+
+FIGURES_DIR = Path(__file__).resolve().parent.parent / "results" / "figures"
 
 
 def sample_set() -> ResultSet:
@@ -87,3 +93,38 @@ class TestSerialization:
         restored = ResultSet.from_json(result.to_json())
         assert restored.get("s").xs() == series.xs()
         assert restored.get("s").ys() == series.ys()
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+class TestPortableArtifacts:
+    def test_saved_figure_holds_no_absolute_path(self, tmp_path):
+        from repro.arch import RV770
+        from repro.suite import run_suite
+
+        run_suite(
+            figures=["fig13"],
+            gpus=(RV770,),
+            fast=True,
+            out_dir=tmp_path,
+            telemetry_out=tmp_path / "manifest.jsonl",
+        )
+        saved = json.loads((tmp_path / "fig13.json").read_text())
+        assert saved["manifest"] == "manifest.jsonl"
+        assert not any(os.path.isabs(s) for s in _strings(saved))
+
+    def test_committed_figures_hold_no_absolute_path(self):
+        paths = sorted(FIGURES_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            saved = json.loads(path.read_text())
+            assert not any(os.path.isabs(s) for s in _strings(saved)), path

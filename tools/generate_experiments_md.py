@@ -247,9 +247,8 @@ def main(argv=None) -> int:
             lines.append(note)
             lines.append("")
         if result.manifest:
-            manifest_rel = Path(result.manifest)
-            if manifest_rel.is_absolute():
-                manifest_rel = manifest_rel.relative_to(REPO)
+            # run_suite records a manifest under out_dir relative to it.
+            manifest_rel = (out_dir / result.manifest).relative_to(REPO)
             lines.append(f"Telemetry manifest: `{manifest_rel}`")
             lines.append("")
         lines.append(verifier_record(name))
