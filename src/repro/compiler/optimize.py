@@ -51,9 +51,3 @@ def eliminate_dead_code(kernel: ILKernel) -> tuple[ILKernel, int]:
         instr for instr, flag in zip(kernel.body, keep) if flag
     )
     return kernel.with_body(new_body), removed
-
-
-def count_dead_instructions(kernel: ILKernel) -> int:
-    """How many instructions DCE would remove (0 for well-formed kernels)."""
-    _, removed = eliminate_dead_code(kernel)
-    return removed

@@ -81,28 +81,32 @@ def compile_kernel(
         original = kernel
         case = None
         kernel, _removed = eliminate_dead_code(kernel)
-        if verify and kernel is not original:
-            from repro.verify.differential import (
-                PassValidationError,
-                check_il_pass,
-                seeded_case,
-            )
-
-            # One seeded test vector serves every differential check of
-            # this compile (DCE validation and the lowering check): the
-            # inputs depend only on the kernel name, which DCE preserves.
-            case = seeded_case(original)
-            drift = check_il_pass(
-                original, kernel, "eliminate_dead_code", case=case
-            )
-            if drift:
-                raise PassValidationError(
-                    "differential validation of pass 'eliminate_dead_code' "
-                    "failed:\n" + "\n".join(f"  {d}" for d in drift)
+        if kernel is not original:
+            if verify:
+                from repro.verify.differential import (
+                    PassValidationError,
+                    check_il_pass,
+                    seeded_case,
                 )
-        # DCE cannot invalidate the kernel (stores are roots), but re-check in
-        # case a pathological kernel stored an input that fed nothing else.
-        validate_kernel(kernel)
+
+                # One seeded test vector serves every differential check
+                # of this compile (DCE validation and the lowering check):
+                # the inputs depend only on the kernel name, which DCE
+                # preserves.
+                case = seeded_case(original)
+                drift = check_il_pass(
+                    original, kernel, "eliminate_dead_code", case=case
+                )
+                if drift:
+                    raise PassValidationError(
+                        "differential validation of pass "
+                        "'eliminate_dead_code' failed:\n"
+                        + "\n".join(f"  {d}" for d in drift)
+                    )
+            # DCE cannot invalidate the kernel (stores are roots), but
+            # re-check in case a pathological kernel stored an input that
+            # fed nothing else.  An unchanged kernel passed above.
+            validate_kernel(kernel)
 
         proto: list[ProtoClause] = []
         for segment in form_segments(kernel):

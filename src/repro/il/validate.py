@@ -10,8 +10,9 @@ never silently measure an empty program.
 The checks themselves live in :mod:`repro.verify.il_checks`, which
 collects *every* finding as :class:`repro.verify.Diagnostic` records;
 :func:`validate_kernel` keeps the historical raise-on-first-error
-contract on top of them.  Use :func:`check_kernel` (re-exported here)
-when you want the full picture instead of the first failure.
+contract on top of the error-severity ones, once per kernel object.
+Use :func:`check_kernel` (re-exported here) when you want the full
+picture instead of the first failure.
 """
 
 from __future__ import annotations
@@ -35,11 +36,21 @@ def check_kernel(kernel: ILKernel):
 def validate_kernel(kernel: ILKernel) -> None:
     """Validate ``kernel``, raising :class:`ILValidationError` on failure.
 
-    Raises on the first *error*-severity diagnostic; warnings (dead
-    writes, double-written outputs) pass — the optimizer handles those.
-    """
-    from repro.verify.diagnostics import errors
+    Runs only the error-severity checks and raises on the first error;
+    warnings (dead writes, double-written outputs) are for
+    :func:`check_kernel` and ``repro lint``, the optimizer handles them.
 
-    failures = errors(check_kernel(kernel))
+    Kernels are immutable, so a clean result is recorded on the instance
+    (as :func:`repro.il.text.cached_il_text` does for the IL text) and
+    later calls on the same object return at once.  ``with_body`` and
+    ``dataclasses.replace`` build new instances, which are checked again.
+    """
+    if kernel.__dict__.get("_valid"):
+        return
+    from repro.verify.diagnostics import errors
+    from repro.verify.il_checks import error_checks
+
+    failures = errors(error_checks(kernel))
     if failures:
         raise ILValidationError(failures[0].message)
+    object.__setattr__(kernel, "_valid", True)

@@ -131,17 +131,21 @@ def _run_event_loop(
         from repro.sim.trace import TraceEvent
 
     initial = min(resident, count)
-    # heap entries: (ready_time, admission_order, clause_index)
+    # heap entries: (ready_time, admission_order, clause_index).  Each
+    # wavefront has exactly one entry, so keys are unique and the pop
+    # order depends only on the heap's contents: replacing the popped
+    # entry with its successor in one ``heapreplace`` pops in the same
+    # order as a pop followed by a push.
     heap: list[tuple[float, int, int]] = [
         (0.0, index, 0) for index in range(initial)
     ]
     heapq.heapify(heap)
     admitted = initial
     heappop = heapq.heappop
-    heappush = heapq.heappush
+    heapreplace = heapq.heapreplace
 
     while heap:
-        ready, order, clause_index = heappop(heap)
+        ready, order, clause_index = heap[0]
         r_index, occupancy, latency = steps[clause_index]
         free = free_by_index[r_index]
         start = ready if ready >= free else free
@@ -162,12 +166,14 @@ def _run_event_loop(
                 )
             )
         if clause_index < last:
-            heappush(heap, (next_ready, order, clause_index + 1))
+            heapreplace(heap, (next_ready, order, clause_index + 1))
         else:
             completions.append(next_ready)
             if admitted < count:
-                heappush(heap, (next_ready, admitted, 0))
+                heapreplace(heap, (next_ready, admitted, 0))
                 admitted += 1
+            else:
+                heappop(heap)
 
     completions.sort()
     busy = {r: busy_by_index[index_of[r]] for r in members}

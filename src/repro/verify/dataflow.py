@@ -18,6 +18,7 @@ Three independent recomputations back the verifier's checks:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.il.instructions import (
@@ -211,24 +212,36 @@ def gpr_live_intervals(program: ISAProgram) -> list[GPRInterval]:
     return walk.finish()
 
 
-def max_live_gprs(program: ISAProgram) -> int:
-    """Maximum number of simultaneously live GPR values (excluding R0)."""
-    intervals = [i for i in gpr_live_intervals(program) if i.index != 0]
+def max_live_gprs(
+    program: ISAProgram, intervals: list[GPRInterval] | None = None
+) -> int:
+    """Maximum number of simultaneously live GPR values (excluding R0).
+
+    Intervals are closed, so the overlap at a start ``s`` counts every
+    interval with ``start <= s <= end``.  Every interval has
+    ``end >= start``, so that count is the number of starts at or before
+    ``s`` minus the number of ends strictly before it, found by bisecting
+    the sorted starts and ends: O(n log n), not pairwise.  ``intervals``
+    accepts :func:`gpr_live_intervals` output a caller already has.
+    """
+    if intervals is None:
+        intervals = gpr_live_intervals(program)
+    starts = sorted(i.start for i in intervals if i.index != 0)
+    ends = sorted(i.end for i in intervals if i.index != 0)
     best = 0
-    for interval in intervals:
-        overlap = sum(
-            1
-            for other in intervals
-            if other.start <= interval.start <= other.end
-        )
-        best = max(best, overlap)
+    for start in starts:
+        overlap = bisect_right(starts, start) - bisect_left(ends, start)
+        if overlap > best:
+            best = overlap
     return best
 
 
-def recomputed_gpr_count(program: ISAProgram) -> int:
+def recomputed_gpr_count(
+    program: ISAProgram, intervals: list[GPRInterval] | None = None
+) -> int:
     """Independent "GPRs used" count: max-live values + the reserved R0.
 
     A program using no GPRs at all still occupies one (R0, the
     pre-loaded position/thread id) — matching ``regalloc``'s floor.
     """
-    return max_live_gprs(program) + 1
+    return max_live_gprs(program, intervals) + 1

@@ -124,11 +124,11 @@ def check_il_pass(
     passes preserve the kernel name the seed derives from.
     """
     from repro.sim.functional import ExecutionError, execute_kernel
-    from repro.verify.il_checks import check_kernel
+    from repro.verify.il_checks import error_checks
     from repro.verify.diagnostics import errors
 
     diags: list[Diagnostic] = []
-    broken = errors(check_kernel(after))
+    broken = errors(error_checks(after))
     if broken:
         diags.append(
             diag(

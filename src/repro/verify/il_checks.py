@@ -4,9 +4,10 @@ These subsume the first-error checks :mod:`repro.il.validate` has always
 enforced (the paper's §III compiler interactions: kernels must have
 outputs, every input must be fetched *and* used) and extend them with
 dataflow diagnostics: uninitialized reads, dead writes, code after the
-terminal store, and double-written outputs.  ``validate_kernel`` now
-delegates here and raises the first error; callers that want the full
-picture use :func:`check_kernel` directly.
+terminal store, and double-written outputs.  ``validate_kernel`` runs
+:func:`error_checks` (every check that can raise an error) and raises
+the first error; callers that want the full picture, warnings included,
+use :func:`check_kernel` directly.
 """
 
 from __future__ import annotations
@@ -36,13 +37,33 @@ def check_kernel(kernel: ILKernel) -> list[Diagnostic]:
     # instruction's register tuples once instead of once per pass.
     defined = [instr.defined_registers() for instr in kernel.body]
     used = [instr.used_registers() for instr in kernel.body]
+    return error_checks(kernel, defined, used) + _check_dead_writes(
+        kernel, defined, used
+    )
+
+
+def error_checks(
+    kernel: ILKernel,
+    defined: list[tuple[Register, ...]] | None = None,
+    used: list[tuple[Register, ...]] | None = None,
+) -> list[Diagnostic]:
+    """Every check that can report an error-severity finding.
+
+    This is :func:`check_kernel` minus the dead-write liveness pass, whose
+    V008 findings are warnings only; callers that keep just the errors
+    (``validate_kernel``, differential pass validation) run this.  The
+    findings may still include V010 warnings.
+    """
+    if defined is None:
+        defined = [instr.defined_registers() for instr in kernel.body]
+    if used is None:
+        used = [instr.used_registers() for instr in kernel.body]
     diags: list[Diagnostic] = []
     diags += _check_outputs(kernel)
     diags += _check_def_before_use(kernel, defined, used)
     diags += _check_inputs_used(kernel, used)
     diags += _check_outputs_written(kernel)
     diags += _check_terminal_stores(kernel)
-    diags += _check_dead_writes(kernel, defined, used)
     return diags
 
 
@@ -211,8 +232,8 @@ def _check_terminal_stores(kernel: ILKernel) -> list[Diagnostic]:
 
 def _check_dead_writes(
     kernel: ILKernel,
-    defined_by: list[tuple[Register, ...]] | None = None,
-    used_by: list[tuple[Register, ...]] | None = None,
+    defined_by: list[tuple[Register, ...]],
+    used_by: list[tuple[Register, ...]],
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for pos in dead_instruction_indices(kernel, defined_by, used_by):

@@ -21,7 +21,11 @@ from repro.isa.clauses import (
     ValueLocation,
 )
 from repro.isa.program import ISAProgram
-from repro.verify.dataflow import gpr_live_intervals, recomputed_gpr_count
+from repro.verify.dataflow import (
+    GPRInterval,
+    gpr_live_intervals,
+    recomputed_gpr_count,
+)
 from repro.verify.diagnostics import Diagnostic, SourceLocation, diag
 
 _GENERAL_SLOTS = ("x", "y", "z", "w")
@@ -44,8 +48,9 @@ def check_program(
     )
     diags += _check_clause_content(program)
     diags += _check_value_flow(program)
-    diags += _check_dead_writes(program)
-    diags += _check_gpr_count(program)
+    intervals = gpr_live_intervals(program)
+    diags += _check_dead_writes(intervals)
+    diags += _check_gpr_count(program, intervals)
     return diags
 
 
@@ -352,9 +357,9 @@ def _check_value_flow(program: ISAProgram) -> list[Diagnostic]:
     return diags
 
 
-def _check_dead_writes(program: ISAProgram) -> list[Diagnostic]:
+def _check_dead_writes(intervals: list[GPRInterval]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for interval in gpr_live_intervals(program):
+    for interval in intervals:
         if interval.dead and interval.index != 0:
             diags.append(
                 diag(
@@ -368,8 +373,10 @@ def _check_dead_writes(program: ISAProgram) -> list[Diagnostic]:
     return diags
 
 
-def _check_gpr_count(program: ISAProgram) -> list[Diagnostic]:
-    recomputed = recomputed_gpr_count(program)
+def _check_gpr_count(
+    program: ISAProgram, intervals: list[GPRInterval]
+) -> list[Diagnostic]:
+    recomputed = recomputed_gpr_count(program, intervals)
     if recomputed != program.gpr_count:
         return [
             diag(

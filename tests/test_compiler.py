@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import RV770
 from repro.compiler import CompileOptions, compile_kernel
-from repro.compiler.optimize import count_dead_instructions, eliminate_dead_code
+from repro.compiler.optimize import eliminate_dead_code
 from repro.compiler.vliw import pack_bundles, packing_density
 from repro.il import DataType, ILBuilder, ShaderMode
 from repro.il.instructions import ALUInstruction, operand, temp
@@ -26,7 +26,7 @@ def alu(op, dest, *srcs):
 class TestDeadCodeElimination:
     def test_generated_kernels_have_no_dead_code(self):
         kernel = generate_generic(KernelParams(inputs=8, alu_fetch_ratio=2.0))
-        assert count_dead_instructions(kernel) == 0
+        assert eliminate_dead_code(kernel)[1] == 0
 
     def test_dead_arithmetic_removed(self):
         builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)

@@ -12,8 +12,11 @@ from repro.il import (
     emit_il,
     parse_il,
 )
+from repro.il.module import ILKernel
 from repro.il.parser import ILParseError
 from repro.kernels import KernelParams, generate_generic
+from repro.verify import check_kernel
+from repro.verify.diagnostics import errors
 
 
 class TestBuilder:
@@ -70,13 +73,28 @@ class TestBuilder:
         assert "cb0[0]" in kernel_text
 
 
+def assert_rejected(builder: ILBuilder, match: str) -> None:
+    """``build()`` raises the first error ``check_kernel`` reports."""
+    with pytest.raises(ILValidationError, match=match) as excinfo:
+        builder.build()
+    unchecked = ILKernel(
+        name=builder.name,
+        mode=builder.mode,
+        dtype=builder.dtype,
+        inputs=tuple(builder._inputs),
+        outputs=tuple(builder._outputs),
+        constants=tuple(builder._constants),
+        body=tuple(builder._body),
+    )
+    assert str(excinfo.value) == errors(check_kernel(unchecked))[0].message
+
+
 class TestValidation:
     def test_no_output_rejected(self):
         builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
         src = builder.declare_input()
         builder.sample(src)
-        with pytest.raises(ILValidationError, match="no outputs"):
-            builder.build()
+        assert_rejected(builder, "no outputs")
 
     def test_unsampled_input_rejected(self):
         builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
@@ -84,8 +102,7 @@ class TestValidation:
         constant = builder.declare_constant()
         out = builder.declare_output()
         builder.store(out, builder.mov(constant))
-        with pytest.raises(ILValidationError, match="never sampled"):
-            builder.build()
+        assert_rejected(builder, "never sampled")
 
     def test_sampled_but_unused_input_rejected(self):
         builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
@@ -95,8 +112,7 @@ class TestValidation:
         va = builder.sample(a)
         builder.sample(b)  # fetched but never used
         builder.store(out, builder.add(va, va))
-        with pytest.raises(ILValidationError, match="never used"):
-            builder.build()
+        assert_rejected(builder, "never used")
 
     def test_read_before_write_rejected(self):
         from repro.il.instructions import temp, operand
@@ -111,8 +127,7 @@ class TestValidation:
             ALUInstruction(ILOp.ADD, temp(99), (operand(value), operand(temp(50))))
         )
         builder.emit(ExportInstruction(0, operand(temp(99))))
-        with pytest.raises(ILValidationError, match="before it is written"):
-            builder.build()
+        assert_rejected(builder, "before it is written")
 
     def test_unwritten_output_rejected(self):
         builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
@@ -121,8 +136,7 @@ class TestValidation:
         builder.declare_output()  # never stored
         value = builder.sample(src)
         builder.store(out0, builder.add(value, value))
-        with pytest.raises(ILValidationError, match="never"):
-            builder.build()
+        assert_rejected(builder, "never")
 
 
 class TestEmitParse:

@@ -1,17 +1,26 @@
 """Tests for the SIMD event loop, scheduler, engine and counters."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import RV670, RV770, RV870
 from repro.compiler import compile_kernel
 from repro.il.types import ShaderMode
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import (
+    KernelParams,
+    generate_clause_usage,
+    generate_generic,
+    generate_register_usage,
+)
 from repro.sim import Counters, LaunchConfig, Resource, SimConfig, simulate_launch
 from repro.sim.counters import Bound
 from repro.sim.engine import SimulationError
 from repro.sim.scheduler import resident_wavefronts
-from repro.sim.simd import simulate_simd
+from repro.sim.prepare import prepare_launch
+from repro.sim.simd import _run_event_loop, simulate_simd
+from repro.sim.trace import TraceEvent
 from repro.sim.wavefront import ClauseCost, WavefrontProgram
 
 
@@ -110,6 +119,112 @@ class TestEventLoop:
         fewer = simulate_simd(program, resident, total=64).makespan_cycles
         more = simulate_simd(program, resident + 1, total=64).makespan_cycles
         assert more <= fewer * 1.001
+
+
+def reference_event_loop(program, resident, count, record):
+    """The event loop as first written: one pop and one push per event.
+
+    Kept as the reference for :func:`_run_event_loop`, which replaces the
+    popped heap entry in place.
+    """
+    clauses = program.clauses
+    busy = {r: 0.0 for r in Resource}
+    free = {r: 0.0 for r in Resource}
+    last = len(clauses) - 1
+    completions: list[float] = []
+    initial = min(resident, count)
+    heap = [(0.0, index, 0) for index in range(initial)]
+    heapq.heapify(heap)
+    admitted = initial
+    while heap:
+        ready, order, clause_index = heapq.heappop(heap)
+        clause = clauses[clause_index]
+        start = max(ready, free[clause.resource])
+        end = start + clause.occupancy
+        free[clause.resource] = end
+        busy[clause.resource] += clause.occupancy
+        next_ready = end + clause.latency
+        record.append(
+            TraceEvent(
+                wavefront=order,
+                clause_index=clause_index,
+                resource=clause.resource,
+                ready=ready,
+                start=start,
+                end=end,
+                next_ready=next_ready,
+            )
+        )
+        if clause_index < last:
+            heapq.heappush(heap, (next_ready, order, clause_index + 1))
+        else:
+            completions.append(next_ready)
+            if admitted < count:
+                heapq.heappush(heap, (next_ready, admitted, 0))
+                admitted += 1
+    completions.sort()
+    return completions[-1], busy, completions
+
+
+def assert_loops_agree(program, resident, count):
+    expected_events: list[TraceEvent] = []
+    expected = reference_event_loop(program, resident, count, expected_events)
+    events: list[TraceEvent] = []
+    assert _run_event_loop(program, resident, count, record=events) == expected
+    assert events == expected_events
+    assert _run_event_loop(program, resident, count) == expected
+
+
+GENERATOR_KERNELS = {
+    "generic": lambda: generate_generic(
+        KernelParams(inputs=8, alu_fetch_ratio=2.0)
+    ),
+    "clause": lambda: generate_clause_usage(
+        KernelParams(inputs=8, alu_fetch_ratio=4.0, space=2)
+    ),
+    "register": lambda: generate_register_usage(
+        KernelParams(inputs=64, space=8, step=4)
+    ),
+}
+
+
+class TestEventLoopMatchesReference:
+    @pytest.mark.parametrize("gpu", [RV670, RV770, RV870], ids=lambda g: g.chip)
+    @pytest.mark.parametrize("generator", sorted(GENERATOR_KERNELS))
+    def test_generator_programs(self, generator, gpu):
+        program = compile_kernel(GENERATOR_KERNELS[generator](), gpu)
+        prep = prepare_launch(program, gpu, LaunchConfig(), SimConfig())
+        resident = prep.resident_wavefronts
+        wavefronts = prep.wavefront_program
+        assert_loops_agree(wavefronts, resident, 3 * resident + 1)
+        assert_loops_agree(wavefronts, resident, resident)
+        assert_loops_agree(wavefronts, resident + 2, resident)
+        assert_loops_agree(wavefronts, resident, 1)
+        assert_loops_agree(wavefronts, 1, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(list(Resource)),
+                st.integers(1, 4),
+                st.integers(0, 6),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        resident=st.integers(1, 6),
+        count=st.integers(1, 20),
+    )
+    def test_random_programs_with_tied_ready_times(
+        self, steps, resident, count
+    ):
+        # Small integer costs make many wavefronts ready at once, so the
+        # admission order breaks most ties.
+        program = program_of(
+            *(cost(r, float(occ), float(lat)) for r, occ, lat in steps)
+        )
+        assert_loops_agree(program, resident, count)
 
 
 class TestScheduler:

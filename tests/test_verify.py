@@ -12,7 +12,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arch import RV670, RV770, RV870
 from repro.compiler import compile_kernel
 from repro.il.instructions import (
     ALUInstruction,
@@ -46,6 +48,9 @@ from repro.kernels import (
     generate_register_usage,
 )
 from repro.sim.functional import execute_kernel
+from repro.verify.dataflow import GPRInterval, gpr_live_intervals
+from repro.verify.diagnostics import errors
+from repro.verify.il_checks import error_checks
 from repro.verify import (
     CODE_CATALOG,
     Diagnostic,
@@ -159,24 +164,43 @@ class TestDiagnosticEngine:
 
 # ---- IL-level known-bad kernels --------------------------------------------
 
+#: known-bad IL kernels, by the error each was written to show.
+INVALID_KERNELS = {
+    "V001": lambda: make_kernel([sample(0, 0)], inputs=1, outputs=0),
+    "V001-empty": lambda: make_kernel([], inputs=0, outputs=0),
+    "V002": lambda: make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1)], mode=ShaderMode.COMPUTE
+    ),
+    "V004": lambda: make_kernel([sample(0, 0), add(1, 0, 7), export(0, 1)]),
+    "V005": lambda: make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1)], inputs=2
+    ),
+    "V006": lambda: make_kernel(
+        [sample(0, 0), sample(1, 1), add(2, 0, 0), export(0, 2)], inputs=2
+    ),
+    "V007": lambda: make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1)], outputs=2
+    ),
+    "V009": lambda: make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1), add(2, 1, 1)]
+    ),
+    "collect-all": lambda: make_kernel(
+        [add(1, 7, 7), export(0, 1)], inputs=1, outputs=2
+    ),
+}
+
+
 class TestILDiagnostics:
     def test_v001_no_outputs(self):
-        kernel = make_kernel(
-            [sample(0, 0)], inputs=1, outputs=0
-        )
+        kernel = INVALID_KERNELS["V001"]()
         assert "V001" in codes(check_kernel(kernel))
 
     def test_v002_color_output_in_compute(self):
-        kernel = make_kernel(
-            [sample(0, 0), add(1, 0, 0), export(0, 1)],
-            mode=ShaderMode.COMPUTE,
-        )
+        kernel = INVALID_KERNELS["V002"]()
         assert "V002" in codes(check_kernel(kernel))
 
     def test_v004_uninitialized_read(self):
-        kernel = make_kernel(
-            [sample(0, 0), add(1, 0, 7), export(0, 1)]
-        )
+        kernel = INVALID_KERNELS["V004"]()
         found = check_kernel(kernel)
         assert "V004" in codes(found)
         v004 = next(d for d in found if d.code == "V004")
@@ -184,22 +208,15 @@ class TestILDiagnostics:
         assert "r7" in v004.message
 
     def test_v005_input_never_fetched(self):
-        kernel = make_kernel(
-            [sample(0, 0), add(1, 0, 0), export(0, 1)], inputs=2
-        )
+        kernel = INVALID_KERNELS["V005"]()
         assert "V005" in codes(check_kernel(kernel))
 
     def test_v006_fetched_value_unused(self):
-        kernel = make_kernel(
-            [sample(0, 0), sample(1, 1), add(2, 0, 0), export(0, 2)],
-            inputs=2,
-        )
+        kernel = INVALID_KERNELS["V006"]()
         assert "V006" in codes(check_kernel(kernel))
 
     def test_v007_output_never_written(self):
-        kernel = make_kernel(
-            [sample(0, 0), add(1, 0, 0), export(0, 1)], outputs=2
-        )
+        kernel = INVALID_KERNELS["V007"]()
         assert "V007" in codes(check_kernel(kernel))
 
     def test_v008_dead_write_is_warning(self):
@@ -215,9 +232,7 @@ class TestILDiagnostics:
         validate_kernel(kernel)
 
     def test_v009_instruction_after_terminal_store(self):
-        kernel = make_kernel(
-            [sample(0, 0), add(1, 0, 0), export(0, 1), add(2, 1, 1)]
-        )
+        kernel = INVALID_KERNELS["V009"]()
         assert "V009" in codes(check_kernel(kernel))
 
     def test_v010_output_written_twice(self):
@@ -230,20 +245,66 @@ class TestILDiagnostics:
 
     def test_collect_all_reports_every_problem(self):
         # Uninitialized read + unused input + unwritten output, at once.
-        kernel = make_kernel(
-            [add(1, 7, 7), export(0, 1)], inputs=1, outputs=2
-        )
+        kernel = INVALID_KERNELS["collect-all"]()
         found = codes(check_kernel(kernel))
         assert {"V004", "V005", "V007"} <= found
 
     def test_validate_kernel_still_raises_first_error(self):
-        kernel = make_kernel([], inputs=0, outputs=0)
+        kernel = INVALID_KERNELS["V001-empty"]()
         with pytest.raises(ILValidationError, match="no outputs"):
             validate_kernel(kernel)
 
     def test_clean_kernel_has_no_diagnostics(self):
         kernel = make_kernel([sample(0, 0), add(1, 0, 0), export(0, 1)])
         assert check_kernel(kernel) == []
+
+    def test_check_kernel_is_error_checks_plus_dead_writes(self):
+        kernel = make_kernel(
+            [sample(0, 0), add(1, 0, 0), add(2, 1, 1), export(0, 1)]
+        )
+        errs = error_checks(kernel)
+        assert "V008" not in codes(errs)
+        found = check_kernel(kernel)
+        assert found[: len(errs)] == errs
+        assert codes(found[len(errs) :]) == {"V008"}
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("name", sorted(INVALID_KERNELS))
+    def test_raises_first_check_kernel_error(self, name):
+        kernel = INVALID_KERNELS[name]()
+        expected = errors(check_kernel(kernel))[0].message
+        for _ in range(2):  # a failure is never remembered as valid
+            with pytest.raises(ILValidationError) as excinfo:
+                validate_kernel(kernel)
+            assert str(excinfo.value) == expected
+
+    def test_a_kernel_object_is_checked_once(self, monkeypatch):
+        import repro.verify.il_checks as il_checks
+
+        kernel = make_kernel([sample(0, 0), add(1, 0, 0), export(0, 1)])
+        calls = []
+
+        def counting(k, *args):
+            calls.append(k)
+            return error_checks(k, *args)
+
+        monkeypatch.setattr(il_checks, "error_checks", counting)
+        validate_kernel(kernel)
+        validate_kernel(kernel)
+        compile_kernel(kernel, verify=True)
+        assert calls == [kernel]
+
+    def test_derived_kernels_are_checked_again(self):
+        kernel = generate_generic(KernelParams(inputs=4))
+        validate_kernel(kernel)
+        dropped_store = kernel.with_body(kernel.body[:-1])
+        with pytest.raises(ILValidationError, match="never written"):
+            compile_kernel(dropped_store)
+        no_outputs = dataclasses.replace(kernel, outputs=())
+        with pytest.raises(ILValidationError, match="no outputs"):
+            compile_kernel(no_outputs)
+        compile_kernel(kernel)  # the original stays valid
 
 
 # ---- ISA-level known-bad programs ------------------------------------------
@@ -506,6 +567,52 @@ class TestGPRCrossCheck:
 
     def test_max_live_excludes_reserved_r0(self, simple_program):
         assert max_live_gprs(simple_program) == simple_program.gpr_count - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 10), st.integers(0, 3)
+            ),
+            max_size=24,
+        )
+    )
+    def test_sweep_matches_pairwise_on_random_intervals(self, spans):
+        # Small ranges force equal starts, equal ends, zero-length and
+        # R0 intervals.  The program is walked only without intervals.
+        intervals = [
+            GPRInterval(index, start, start + length)
+            for index, start, length in spans
+        ]
+        assert max_live_gprs(None, intervals) == pairwise_max_live(intervals)
+
+    @pytest.mark.parametrize("gpu", [RV670, RV770, RV870], ids=lambda g: g.chip)
+    @pytest.mark.parametrize("generator", ["clause", "generic", "register"])
+    def test_sweep_matches_pairwise_on_generator_programs(
+        self, generator, gpu
+    ):
+        kernel = GENERATORS[generator](ShaderMode.PIXEL, DataType.FLOAT)
+        program = compile_kernel(kernel, gpu)
+        intervals = gpr_live_intervals(program)
+        expected = pairwise_max_live(intervals)
+        assert max_live_gprs(program) == expected
+        assert max_live_gprs(program, intervals) == expected
+        assert recomputed_gpr_count(program) == program.gpr_count
+
+
+def pairwise_max_live(intervals: list[GPRInterval]) -> int:
+    """The reference definition: largest overlap at any interval's start,
+    counted pairwise over closed intervals (R0 excluded)."""
+    intervals = [i for i in intervals if i.index != 0]
+    best = 0
+    for interval in intervals:
+        overlap = sum(
+            1
+            for other in intervals
+            if other.start <= interval.start <= other.end
+        )
+        best = max(best, overlap)
+    return best
 
 
 # ---- differential pass validation ------------------------------------------
