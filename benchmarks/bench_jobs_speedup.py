@@ -6,12 +6,12 @@ pins the claims from docs/jobs.md against the full ``--fast`` suite:
 * a **warm-cache rerun** — every unit served from ``results/cache/``
   blobs, zero simulations — is at least 5x faster than the cold run
   that populated the cache;
-* a **4-worker cold run** beats the serial loop (only meaningful on a
+* a **4-worker cold run** beats the inline path (only meaningful on a
   multi-core host; skipped on single-CPU machines where a process pool
   can only add overhead).
 
 Both comparisons also re-assert bit-identical figures, because a fast
-engine that drifts from the serial loop is worthless.
+engine that drifts from the inline path is worthless.
 """
 
 from __future__ import annotations

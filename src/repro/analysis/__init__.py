@@ -14,11 +14,6 @@ from repro.analysis.bottleneck import (
     dominant_bound,
 )
 from repro.analysis.model import PredictedTime, predict_launch_seconds
-from repro.analysis.fastmodel import (
-    GenericKernelGrid,
-    knee_surface,
-    predict_generic_grid,
-)
 from repro.analysis.optimizer import (
     CANDIDATE_BLOCKS,
     Trial,
@@ -30,7 +25,6 @@ from repro.analysis.optimizer import (
 
 __all__ = [
     "CANDIDATE_BLOCKS",
-    "GenericKernelGrid",
     "KneeAnalysis",
     "LinearFit",
     "PredictedTime",
@@ -41,8 +35,6 @@ __all__ = [
     "Trial",
     "TuningResult",
     "balance_alu_fetch",
-    "knee_surface",
-    "predict_generic_grid",
     "predict_launch_seconds",
     "slope_ratio",
     "tune_block_size",

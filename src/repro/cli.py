@@ -169,7 +169,7 @@ def _add_jobs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_from_args(args: argparse.Namespace):
-    """A JobEngine when any engine flag is set, else None (legacy path)."""
+    """A JobEngine when any engine flag is set, else None (inline path)."""
     from repro.jobs import DEFAULT_CACHE_DIR, JobEngine, JobOptions
 
     wants_cache = args.cache or args.cache_dir is not None

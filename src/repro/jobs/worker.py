@@ -1,8 +1,11 @@
-"""Unit execution: the one function both serial and pooled paths share.
+"""Unit execution: the one function both inline and pooled paths share.
 
 :func:`simulate_unit` is the whole measurement — compile under the
-unit's verification mode, simulate the launch, reduce the event to the
-small JSON-safe record the cache/ledger stores.  The pool runs
+unit's verification mode, simulate the launch, and reduce the event with
+:func:`launch_record` to the small JSON-safe record the cache/ledger
+stores.  A figure's inline path (``MicroBenchmark.run`` without an
+engine) times its launches itself and reduces them with the same
+:func:`launch_record`, so one function defines a record.  The pool runs
 :func:`run_payloads` on one batch of payload dicts (:func:`unit_payload`
 makes them); it hands each to :func:`run_payload`, which rebuilds the
 unit and simulates it.
@@ -18,6 +21,7 @@ import dataclasses
 from typing import TYPE_CHECKING
 
 from repro.cal.device import Device
+from repro.cal.kernel_launch import Event
 from repro.cal.timing import time_kernel
 from repro.jobs.units import WorkUnit
 from repro.sim.config import SimConfig
@@ -40,10 +44,14 @@ def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
             iterations=unit.iterations,
             sim=unit.sim,
         )
-    program = event.result.program
+    return launch_record(event)
+
+
+def launch_record(event: Event) -> dict:
+    """Reduce one timed launch to its record (see ``units.record_point``)."""
     return {
         "seconds": event.seconds,
-        "gprs": program.gpr_count,
+        "gprs": event.result.program.gpr_count,
         "resident_wavefronts": event.counters.resident_wavefronts,
         "bound": event.bottleneck.value,
     }

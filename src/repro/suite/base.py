@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro import telemetry
@@ -89,19 +91,19 @@ class MicroBenchmark(abc.ABC):
     def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
         """The kernel measured at one sweep point of one series."""
 
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object | None:
+    @abc.abstractmethod
+    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
         """Hashable identity of ``build_kernel(value, spec)``'s result.
 
         Two sweep points whose keys compare equal are guaranteed (by the
         subclass) to build content-identical kernels, so ``plan_units``
         builds once and shares the object — downstream the shared
         instance also collapses the IL-text rendering and the compile
-        into one apiece.  ``None`` (the default) disables sharing.  The
-        paper's generators never read ``spec.gpu`` or ``spec.block``, so
-        every benchmark keys on ``(mode, dtype)`` plus whatever of
-        ``value``/its own parameters the kernel body actually uses.
+        into one apiece.  The paper's generators never read ``spec.gpu``
+        or ``spec.block``, so every benchmark keys on ``(mode, dtype)``
+        plus whatever of ``value``/its own parameters the kernel body
+        actually uses.
         """
-        return None
 
     def series_specs(self, gpus: tuple[GPUSpec, ...]) -> list[SeriesSpec]:
         """Which series to measure (overridable per benchmark/figure)."""
@@ -124,14 +126,14 @@ class MicroBenchmark(abc.ABC):
     ) -> list[tuple[SeriesSpec, float, ILKernel, "WorkUnit"]]:
         """Decompose the sweep into independent, content-addressed units.
 
-        The plan is ordered exactly like the serial loop (series-major,
-        sweep-minor), so reassembling the engine's ordered records yields
-        a byte-identical :class:`ResultSet`.  Kernels are built here —
-        generation is cheap and the canonical IL text is the cache key's
-        backbone — while compile+simulate is deferred to the engine.
-        Sweep points that :meth:`kernel_key` declares identical share one
-        kernel object (the domain sweep is one kernel × many launch
-        shapes; series differing only by GPU share everything).
+        The plan is ordered series-major, sweep-minor — the figure's own
+        order — so :meth:`run` reassembles it in one pass whichever way
+        the units execute.  Kernels are built here (the canonical IL text
+        is the cache key's backbone); compile+simulate happens in
+        :meth:`run`.  Sweep points that :meth:`kernel_key` declares
+        identical share one kernel object (the domain sweep is one
+        kernel × many launch shapes; series differing only by GPU share
+        everything).
         """
         from repro.jobs.units import WorkUnit
 
@@ -140,7 +142,10 @@ class MicroBenchmark(abc.ABC):
         built: dict[object, ILKernel] = {}
         for spec in self.series_specs(gpus):
             for value in self.sweep_values(fast):
-                kernel = self._shared_kernel(value, spec, built)
+                key = self.kernel_key(value, spec)
+                kernel = built.get(key)
+                if kernel is None:
+                    kernel = built[key] = self.build_kernel(value, spec)
                 unit = WorkUnit(
                     figure=self.name,
                     series=spec.label,
@@ -159,19 +164,6 @@ class MicroBenchmark(abc.ABC):
                 planned.append((spec, value, kernel, unit))
         return planned
 
-    def _shared_kernel(
-        self, value: float, spec: SeriesSpec, built: dict[object, ILKernel]
-    ) -> ILKernel:
-        """``build_kernel(value, spec)``, reusing the object in ``built``
-        when an earlier point had the same :meth:`kernel_key`."""
-        key = self.kernel_key(value, spec)
-        if key is None:
-            return self.build_kernel(value, spec)
-        kernel = built.get(key)
-        if kernel is None:
-            kernel = built[key] = self.build_kernel(value, spec)
-        return kernel
-
     def run(
         self,
         gpus: tuple[GPUSpec, ...] | None = None,
@@ -180,15 +172,18 @@ class MicroBenchmark(abc.ABC):
     ) -> ResultSet:
         """Measure every series over the sweep; returns the figure's data.
 
-        With an ``engine`` (:class:`repro.jobs.JobEngine`) the sweep is
-        decomposed into work units and executed through the cache/ledger/
-        scheduler pipeline; the reassembled figure is bit-identical to
-        the serial path, which remains the default.  The serial path
-        builds each distinct kernel once (see :meth:`kernel_key`); its
-        compiles go through whatever compile cache is active, which
-        ``run_benchmark``/``run_suite`` install.
+        The sweep is planned once (:meth:`plan_units`) and reassembled in
+        one loop.  With an ``engine`` (:class:`repro.jobs.JobEngine`) the
+        units execute through its cache/ledger/scheduler pipeline.
+        Without one, each launch runs inline through ``time_kernel`` and
+        compiles through whatever compile cache is active, which
+        ``run_benchmark``/``run_suite`` install.  Both paths reduce a
+        launch with the same record function, so the figure is
+        bit-identical either way.
         """
-        gpus = gpus if gpus is not None else all_gpus()
+        from repro.jobs.worker import launch_record
+        from repro.verify import verification
+
         result = ResultSet(
             name=self.name,
             title=self.title,
@@ -199,44 +194,50 @@ class MicroBenchmark(abc.ABC):
                 "fast": fast,
             },
         )
-        if engine is not None:
-            return self._run_with_engine(engine, gpus, fast, result)
-
         # Every figure kernel compiles under full verification: a
         # miscompile (wrong GPR count, broken clause formation) would
         # silently corrupt the measurement, so fail loudly instead.
-        from repro.verify import verification
-
-        built: dict[object, ILKernel] = {}
         with telemetry.span(
             "figure", figure=self.name, fast=fast
         ) as fig_span, verification(True):
-            for spec in self.series_specs(gpus):
+            planned = self.plan_units(gpus=gpus, fast=fast)
+            records = (
+                iter(engine.run([unit for *_, unit in planned]))
+                if engine is not None
+                else None
+            )
+            for spec, points in groupby(planned, key=itemgetter(0)):
                 series = Series(label=spec.label)
                 device = Device(spec.gpu)
                 with telemetry.span(
                     "series", figure=self.name, label=spec.label
                 ):
-                    for value in self.sweep_values(fast):
-                        kernel = self._shared_kernel(value, spec, built)
-                        event = time_kernel(
-                            device,
-                            kernel,
-                            domain=self.domain_for(value, spec),
-                            block=spec.block,
-                            iterations=self.iterations,
-                            sim=self.sim,
-                        )
-                        program = event.result.program
+                    for _spec, value, kernel, unit in points:
+                        if records is not None:
+                            record = next(records)
+                        else:
+                            # perfbench times each launch by rebinding
+                            # ``repro.suite.base.time_kernel``: call it
+                            # through this module, once per launch.
+                            record = launch_record(
+                                time_kernel(
+                                    device,
+                                    kernel,
+                                    domain=unit.domain,
+                                    block=unit.block,
+                                    iterations=unit.iterations,
+                                    sim=unit.sim,
+                                )
+                            )
                         series.add(
                             SeriesPoint(
-                                x=self.x_of(value, kernel, program.gpr_count),
-                                seconds=event.seconds,
-                                gprs=program.gpr_count,
+                                x=self.x_of(value, kernel, record["gprs"]),
+                                seconds=record["seconds"],
+                                gprs=record["gprs"],
                                 resident_wavefronts=(
-                                    event.counters.resident_wavefronts
+                                    record["resident_wavefronts"]
                                 ),
-                                bound=event.bottleneck.value,
+                                bound=record["bound"],
                             )
                         )
                         if telemetry.enabled():
@@ -244,46 +245,6 @@ class MicroBenchmark(abc.ABC):
                                 "suite.points", figure=self.name
                             ).inc()
                 result.add_series(series)
-            if fig_span:
-                fig_span.set(
-                    series=len(result.series),
-                    points=sum(len(s) for s in result.series),
-                )
-        return result
-
-    def _run_with_engine(
-        self,
-        engine: "JobEngine",
-        gpus: tuple[GPUSpec, ...],
-        fast: bool,
-        result: ResultSet,
-    ) -> ResultSet:
-        """Plan, execute through the jobs engine, reassemble in order."""
-        with telemetry.span(
-            "figure", figure=self.name, fast=fast
-        ) as fig_span:
-            planned = self.plan_units(gpus=gpus, fast=fast)
-            records = engine.run([unit for _, _, _, unit in planned])
-            series: Series | None = None
-            for (spec, value, kernel, _unit), record in zip(
-                planned, records
-            ):
-                if series is None or series.label != spec.label:
-                    series = Series(label=spec.label)
-                    result.add_series(series)
-                series.add(
-                    SeriesPoint(
-                        x=self.x_of(value, kernel, record["gprs"]),
-                        seconds=record["seconds"],
-                        gprs=record["gprs"],
-                        resident_wavefronts=record["resident_wavefronts"],
-                        bound=record["bound"],
-                    )
-                )
-                if telemetry.enabled():
-                    telemetry.metrics().counter(
-                        "suite.points", figure=self.name
-                    ).inc()
             if fig_span:
                 fig_span.set(
                     series=len(result.series),

@@ -7,8 +7,9 @@ which the bottleneck went from being the texture fetch to the ALU
 operations) remained the same."
 
 :func:`alu_fetch_grid` reproduces exactly that experiment — a (inputs x
-ratio) grid on one chip — and :func:`knees_by_input` verifies the paper's
-invariance claim by extracting the knee at every input size.
+ratio) grid on one chip, one work unit per cell — and
+:func:`knees_by_input` verifies the paper's invariance claim by
+extracting the knee at every input size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING
 from repro.analysis.knees import find_knee
 from repro.arch.specs import GPUSpec
 from repro.cal.device import Device
-from repro.cal.timing import time_kernel
 from repro.il.types import DataType, ShaderMode
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import NAIVE_BLOCK, PAPER_ITERATIONS, SimConfig
@@ -118,92 +118,57 @@ def alu_fetch_grid(
 ) -> GridResult:
     """Run the ALU:Fetch sweep at several input sizes.
 
-    With an ``engine`` (:class:`repro.jobs.JobEngine`) every grid cell
-    becomes a content-addressed work unit — cached, resumable, and
-    parallelizable — with cell values identical to the serial loop.
+    Every grid cell is one work unit.  With an ``engine``
+    (:class:`repro.jobs.JobEngine`) the units are cached, resumable and
+    parallelizable; without one they run inline through
+    ``simulate_unit``.  Cell values are identical either way.  Each
+    cell has its own IL text (no two (inputs, ratio) pairs build the
+    same kernel), so there is no compile to share.
     """
-    if engine is not None:
-        rows = _grid_rows_with_engine(
-            engine, gpu, inputs, ratios, dtype, mode, block, domain,
-            iterations, sim,
+    from repro.jobs.units import WorkUnit
+    from repro.jobs.worker import simulate_unit
+    from repro.verify import default_verify
+
+    # Resolve the ambient verification default once, so pool workers
+    # compile exactly as an inline run would.
+    verify = default_verify()
+    units = [
+        WorkUnit(
+            figure=f"grid-{gpu.chip}",
+            series=f"{mode.value}-{dtype.value}-n{n}",
+            value=ratio,
+            kernel=generate_generic(
+                KernelParams(
+                    inputs=n, alu_fetch_ratio=ratio, dtype=dtype, mode=mode
+                )
+            ),
+            gpu=gpu,
+            domain=domain,
+            block=block,
+            iterations=iterations,
+            sim=sim if sim is not None else SimConfig(),
+            verify=verify,
         )
+        for n in inputs
+        for ratio in ratios
+    ]
+    if engine is not None:
+        records = engine.run(units)
     else:
         device = Device(gpu)
-        rows = []
-        for n in inputs:
-            row = []
-            for ratio in ratios:
-                kernel = generate_generic(
-                    KernelParams(
-                        inputs=n, alu_fetch_ratio=ratio, dtype=dtype, mode=mode
-                    )
-                )
-                event = time_kernel(
-                    device,
-                    kernel,
-                    domain=domain,
-                    block=block,
-                    iterations=iterations,
-                    sim=sim,
-                )
-                row.append(event.seconds)
-            rows.append(tuple(row))
+        records = [simulate_unit(unit, device) for unit in units]
+    width = len(ratios)
     return GridResult(
         gpu=gpu.chip,
         dtype=dtype,
         mode=mode,
         inputs=tuple(inputs),
         ratios=tuple(ratios),
-        seconds=tuple(rows),
+        seconds=tuple(
+            tuple(r["seconds"] for r in records[i * width : (i + 1) * width])
+            for i in range(len(inputs))
+        ),
     )
-
-
-def _grid_rows_with_engine(
-    engine: "JobEngine",
-    gpu: GPUSpec,
-    inputs: tuple[int, ...],
-    ratios: tuple[float, ...],
-    dtype: DataType,
-    mode: ShaderMode,
-    block: tuple[int, int],
-    domain: tuple[int, int],
-    iterations: int,
-    sim: SimConfig | None,
-) -> list[tuple[float, ...]]:
-    """Decompose the grid into work units and reassemble the rows."""
-    from repro.jobs.units import WorkUnit
-    from repro.verify import default_verify
-
-    units = []
-    for n in inputs:
-        for ratio in ratios:
-            kernel = generate_generic(
-                KernelParams(
-                    inputs=n, alu_fetch_ratio=ratio, dtype=dtype, mode=mode
-                )
-            )
-            units.append(
-                WorkUnit(
-                    figure=f"grid-{gpu.chip}",
-                    series=f"{mode.value}-{dtype.value}-n{n}",
-                    value=ratio,
-                    kernel=kernel,
-                    gpu=gpu,
-                    domain=domain,
-                    block=block,
-                    iterations=iterations,
-                    sim=sim if sim is not None else SimConfig(),
-                    # The serial loop compiles under the ambient default;
-                    # resolve it now so workers match exactly.
-                    verify=default_verify(),
-                )
-            )
-    records = engine.run(units)
-    width = len(ratios)
-    return [
-        tuple(record["seconds"] for record in records[i : i + width])
-        for i in range(0, len(records), width)
-    ]
 
 
 def knees_by_input(grid: GridResult, tolerance: float = 0.05) -> dict[int, float | None]:

@@ -8,7 +8,7 @@ CSV, and render as fixed-width tables for terminal inspection.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -121,7 +121,22 @@ class ResultSet:
         return result
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        """Write the JSON to ``path``.
+
+        A manifest inside the file's directory is recorded relative to
+        it, so saved figures hold no host path; any other manifest path
+        is written as given.
+        """
+        path = Path(path)
+        saved = self
+        if self.manifest:
+            directory = path.parent.resolve()
+            manifest = Path(self.manifest).resolve()
+            if manifest.is_relative_to(directory):
+                saved = replace(
+                    self, manifest=str(manifest.relative_to(directory))
+                )
+        path.write_text(saved.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "ResultSet":

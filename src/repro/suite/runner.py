@@ -99,8 +99,8 @@ def run_suite(
     launch — and writes a JSONL manifest there; each returned
     :class:`ResultSet` then carries the manifest path in its ``manifest``
     field (and its saved JSON), tying figure data to its provenance.  A
-    manifest inside ``out_dir`` is recorded relative to it, so the saved
-    figures hold no host path.
+    manifest inside ``out_dir`` is saved relative to it (see
+    :meth:`ResultSet.save`), so the saved figures hold no host path.
 
     ``engine`` (or ``options``, from which an engine is built and closed
     here) routes every figure through :mod:`repro.jobs`: one shared
@@ -129,21 +129,14 @@ def run_suite(
         if telemetry_out is not None
         else nullcontext()
     )
-    manifest = None
-    if telemetry_out is not None:
-        manifest = Path(telemetry_out)
-        if out_dir is not None:
-            base, absolute = Path(out_dir).resolve(), manifest.resolve()
-            if absolute.is_relative_to(base):
-                manifest = absolute.relative_to(base)
     try:
         with recorder, _serial_compile_cache(engine):
             for name in names:
                 results[name] = run_benchmark(
                     name, gpus=gpus, fast=fast, engine=engine
                 )
-                if manifest is not None:
-                    results[name].manifest = str(manifest)
+                if telemetry_out is not None:
+                    results[name].manifest = str(telemetry_out)
                 if out_dir is not None:
                     directory = Path(out_dir)
                     directory.mkdir(parents=True, exist_ok=True)

@@ -306,6 +306,40 @@ class TestTelemetryCommands:
         metrics = {r["name"] for r in records if r["type"] == "metric"}
         assert any(n.startswith("sim.bottleneck{") for n in metrics)
 
+    def test_figure_save_records_manifest_relative_to_save_dir(
+        self, tmp_path, capsys
+    ):
+        manifest = tmp_path / "m.jsonl"
+        assert (
+            main(
+                [
+                    "figure", "fig13",
+                    "--save", str(tmp_path),
+                    "--telemetry", str(manifest),
+                ]
+            )
+            == 0
+        )
+        saved = json.loads((tmp_path / "fig13.json").read_text())
+        assert saved["manifest"] == "m.jsonl"
+
+    def test_suite_out_records_manifest_relative_to_out_dir(
+        self, tmp_path, capsys
+    ):
+        manifest = tmp_path / "manifest.jsonl"
+        assert (
+            main(
+                [
+                    "suite", "--figures", "fig15a",
+                    "--out", str(tmp_path),
+                    "--telemetry", str(manifest),
+                ]
+            )
+            == 0
+        )
+        saved = json.loads((tmp_path / "fig15a.json").read_text())
+        assert saved["manifest"] == "manifest.jsonl"
+
     def test_stats_summarizes_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "run.jsonl"
         assert (

@@ -106,3 +106,22 @@ class TestKneeInvariance:
         values = [v for v in knees.values() if v is not None]
         assert len(values) == 2
         assert abs(values[0] - values[1]) <= 0.5
+
+    def test_every_float_grid_cell_has_its_own_il_text(self):
+        # Why alu_fetch_grid scopes no compile cache: no two cells of
+        # the float grid build the same program.
+        from repro.il.text import cached_il_text
+        from repro.kernels import KernelParams, generate_generic
+
+        texts = {
+            cached_il_text(
+                generate_generic(
+                    KernelParams(
+                        inputs=n, alu_fetch_ratio=ratio, dtype=DataType.FLOAT
+                    )
+                )
+            )
+            for n in (4, 8, 16)
+            for ratio in RATIOS
+        }
+        assert len(texts) == 3 * len(RATIOS)

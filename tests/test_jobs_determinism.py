@@ -1,8 +1,8 @@
 """Determinism guard: serial, parallel, and cached runs are one run.
 
 The acceptance bar for the execution engine — ``fig7 --fast`` must
-produce *exactly* the same ResultSet (and figure JSON) whether it runs
-through the legacy serial loop, a 4-worker process pool, or a warm
+produce *exactly* the same ResultSet (and figure JSON) whether its
+launches run inline, in a 4-worker process pool, or replay from a warm
 result cache.  Any drift here means the cache key is missing an input or
 the reassembly changed the shapes, so the comparison is equality on the
 serialized JSON, not approx.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arch import RV770
 from repro.jobs import JobEngine, JobOptions
 from repro.suite import run_benchmark
 
@@ -40,10 +41,25 @@ class TestFigureDeterminism:
         assert pooled.to_json() == serial_json
         assert cached.to_json() == serial_json
 
-    def test_serial_engine_matches_legacy_loop(self, serial_fig7, tmp_path):
+    # One figure per benchmark class; fig16 plots the measured GPR count
+    # through ``x_of``.  fig7 compares all three chips (the module
+    # fixture); the others run on one chip to keep the test cheap.
+    @pytest.mark.parametrize(
+        "figure", ["fig7", "fig11", "fig13", "fig15a", "fig16"]
+    )
+    def test_inline_and_engine_paths_agree(
+        self, figure, serial_fig7, tmp_path
+    ):
+        gpus = None if figure == "fig7" else (RV770,)
+        inline = (
+            serial_fig7
+            if figure == "fig7"
+            else run_benchmark(figure, gpus=gpus, fast=True)
+        )
         engine = JobEngine(
             JobOptions(jobs=0, ledger_path=tmp_path / "ledger.jsonl")
         )
-        result = run_benchmark("fig7", fast=True, engine=engine)
+        result = run_benchmark(figure, gpus=gpus, fast=True, engine=engine)
         engine.close()
-        assert result.to_json() == serial_fig7.to_json()
+        assert engine.simulated > 0
+        assert result.to_json() == inline.to_json()

@@ -19,7 +19,7 @@ from repro.suite import (
     run_benchmark,
     run_suite,
 )
-from repro.suite.base import SeriesSpec, standard_series
+from repro.suite.base import MicroBenchmark, SeriesSpec, standard_series
 
 
 class TestSeriesSpecs:
@@ -217,3 +217,42 @@ class TestHarnessDefaults:
         result = bench.run(gpus=(RV770,), fast=True)
         assert result.metadata["domain"] == [128, 128]
         assert result.metadata["iterations"] == 7
+
+
+class TestOneSweepPath:
+    def test_kernel_key_is_required(self):
+        # A benchmark that does not say which sweep points share a
+        # kernel cannot be planned, so it cannot be instantiated.
+        class NoKey(MicroBenchmark):
+            def sweep_values(self, fast=False):
+                return [1.0]
+
+            def build_kernel(self, value, spec):
+                raise AssertionError("never planned")
+
+        assert NoKey.__abstractmethods__ == {"kernel_key"}
+        with pytest.raises(TypeError, match="kernel_key"):
+            NoKey()
+
+    def test_inline_path_times_each_launch_through_suite_base(
+        self, monkeypatch
+    ):
+        import repro.suite.base as base
+
+        bench = WriteLatencyBenchmark.figure13(
+            domain=(128, 128), iterations=7
+        )
+        expected = bench.run(gpus=(RV770,), fast=True)
+        calls = []
+        original = base.time_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(base, "time_kernel", counting)
+        result = bench.run(gpus=(RV770,), fast=True)
+        assert result == expected
+        points = sum(len(series) for series in result.series)
+        assert points > 1
+        assert len(calls) == points

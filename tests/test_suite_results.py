@@ -122,6 +122,27 @@ class TestPortableArtifacts:
         assert saved["manifest"] == "manifest.jsonl"
         assert not any(os.path.isabs(s) for s in _strings(saved))
 
+    def test_save_records_a_manifest_in_its_directory_relative(
+        self, tmp_path
+    ):
+        result = sample_set()
+        result.manifest = str(tmp_path / "logs" / "manifest.jsonl")
+        result.save(tmp_path / "figX.json")
+        saved = json.loads((tmp_path / "figX.json").read_text())
+        assert saved["manifest"] == os.path.join("logs", "manifest.jsonl")
+        # Saving does not rewrite the in-memory result.
+        assert result.manifest == str(tmp_path / "logs" / "manifest.jsonl")
+
+    def test_save_keeps_a_manifest_outside_its_directory_as_given(
+        self, tmp_path
+    ):
+        result = sample_set()
+        result.manifest = str(tmp_path / "manifest.jsonl")
+        (tmp_path / "figures").mkdir()
+        result.save(tmp_path / "figures" / "figX.json")
+        saved = json.loads((tmp_path / "figures" / "figX.json").read_text())
+        assert saved["manifest"] == str(tmp_path / "manifest.jsonl")
+
     def test_committed_figures_hold_no_absolute_path(self):
         paths = sorted(FIGURES_DIR.glob("*.json"))
         assert paths

@@ -247,7 +247,8 @@ def main(argv=None) -> int:
             lines.append(note)
             lines.append("")
         if result.manifest:
-            # run_suite records a manifest under out_dir relative to it.
+            # As run_suite recorded it; a saved figure holds it relative
+            # to out_dir, so resolve either form against out_dir.
             manifest_rel = (out_dir / result.manifest).relative_to(REPO)
             lines.append(f"Telemetry manifest: `{manifest_rel}`")
             lines.append("")
