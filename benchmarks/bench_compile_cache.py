@@ -5,9 +5,9 @@ does — with measured speed and provable safety.  This benchmark pins:
 
 * the **compile stage** of the Figure 16 sweep — every planned unit's
   program fetched through a :class:`CompileCache` — is at least
-  ``REPRO_COMPILE_CACHE_FLOOR``x faster when the programs load from a
-  warm on-disk store than when they compile cold, and the warm-store
-  figure is byte-identical to a cold one;
+  ``WARM_SPEEDUP_FLOOR``x faster when the programs load from a warm
+  on-disk store than when they compile cold, and the warm-store figure
+  is byte-identical to a cold one;
 * the Figure 15 domain sweep — one kernel swept over many launch shapes —
   performs **exactly one** compile under an engine, proven by counting
   ``compile`` spans in a telemetry recording.
@@ -25,7 +25,6 @@ every figure point compiles under full differential verification.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -38,9 +37,8 @@ from repro.suite import BENCHMARKS, run_benchmark
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: the contract from docs/compile-cache.md: a warm compile cache makes
-#: the Fig 16 compile stage >=3x faster.  CI's perf-smoke step relaxes
-#: this via the environment so shared-runner noise cannot block a PR.
-WARM_SPEEDUP_FLOOR = float(os.environ.get("REPRO_COMPILE_CACHE_FLOOR", "3.0"))
+#: the Fig 16 compile stage >=3x faster.
+WARM_SPEEDUP_FLOOR = 3.0
 
 
 def _timed_compiles(figure: str, store: Path):

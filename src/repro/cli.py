@@ -169,14 +169,11 @@ def _add_jobs_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_from_args(args: argparse.Namespace):
-    """A JobEngine when any engine flag is set, else None (inline path)."""
+    """The JobEngine the engine flags describe (inline by default)."""
     from repro.jobs import DEFAULT_CACHE_DIR, JobEngine, JobOptions
 
-    wants_cache = args.cache or args.cache_dir is not None
-    if not (args.jobs > 1 or wants_cache or args.resume):
-        return None
     cache_dir = None
-    if wants_cache:
+    if args.cache or args.cache_dir is not None:
         cache_dir = args.cache_dir if args.cache_dir else DEFAULT_CACHE_DIR
     return JobEngine(
         JobOptions(
@@ -190,18 +187,16 @@ def _engine_from_args(args: argparse.Namespace):
 
 @contextmanager
 def _engine_scope(args: argparse.Namespace):
-    """Build the engine (or None) and close it with the right outcome:
-    a clean exit drops the run ledger, an exception preserves it so the
-    next ``--resume`` picks up where this run died."""
+    """Build the engine and close it with the right outcome: a clean
+    exit drops the run ledger, an exception preserves it so the next
+    ``--resume`` picks up where this run died."""
     engine = _engine_from_args(args)
     try:
         yield engine
     except BaseException:
-        if engine is not None:
-            engine.close(success=False)
+        engine.close(success=False)
         raise
-    if engine is not None:
-        engine.close(success=True)
+    engine.close(success=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

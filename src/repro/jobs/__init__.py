@@ -5,14 +5,14 @@ of sweep points, every point an independent compile+simulate unit.  This
 package turns a planned sweep into :class:`WorkUnit` values keyed by a
 content address (canonical IL text + GPU spec + launch shape + SimConfig
 + code-version salt), replays any unit already present in the on-disk
-:class:`ResultCache` or a killed run's :class:`RunLedger`, and fans the
-remainder across a process pool — reassembling records in submission
-order so figures are bit-identical to a serial run.
+:class:`ResultCache` or a killed run's :class:`RunLedger`, and runs the
+remainder inline or across a process pool — reassembling records in
+submission order so figures are bit-identical either way.
 
 Entry points:
 
-* :meth:`repro.suite.base.MicroBenchmark.run` and
-  :func:`repro.suite.runner.run_suite` accept an ``engine=``,
+* every sweep (``MicroBenchmark.run``, ``run_suite``, ``alu_fetch_grid``)
+  takes an ``engine=`` and builds a default, inline one without it,
 * ``repro figure/suite/grid --jobs N --cache --resume`` on the CLI,
 * ``repro cache stats|gc|clear`` for cache maintenance.
 

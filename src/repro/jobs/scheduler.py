@@ -14,7 +14,11 @@ it consults, in priority order:
    either inline (``jobs <= 1``, the deterministic default) or across
    the engine's one ``ProcessPoolExecutor``, in batches that share a
    compile key (:func:`batch_units`), with a per-unit timeout budget and
-   one retry after a worker-pool crash.
+   one retry after a worker-pool crash.  Both run each unit through
+   :func:`~repro.jobs.worker.run_payload`.
+
+A default ``JobEngine()`` runs inline with no ledger, result cache or
+pool, so it needs no :meth:`JobEngine.close`.
 
 Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call,
 a ``unit`` span per unit with its resolution source, and the
@@ -38,6 +42,7 @@ from repro.jobs.ledger import RunLedger
 from repro.jobs.units import WorkUnit, record_point
 from repro.jobs.worker import (
     initialize_worker,
+    run_payload,
     run_payloads,
     simulate_unit,
     unit_payload,
@@ -118,9 +123,9 @@ def batch_units(units: Sequence[WorkUnit], jobs: int) -> list[list[WorkUnit]]:
 class JobEngine:
     """One engine per logical run; share it across figures of a suite.
 
-    With ``jobs > 1`` the engine owns one worker pool, forked by the
-    first :meth:`run` that has pool work and reused by every later one;
-    :meth:`close` shuts it down.
+    It owns one compile cache for its lifetime, and with ``jobs > 1`` one
+    worker pool, forked by the first :meth:`run` that has pool work and
+    reused by every later one; :meth:`close` shuts it down.
     """
 
     def __init__(self, options: JobOptions | None = None) -> None:
@@ -136,18 +141,25 @@ class JobEngine:
         self.programs = CompileCache(
             ProgramStore(program_root) if program_root else None
         )
-        self.ledger = RunLedger(self.options.resolved_ledger_path())
+        options = self.options
+        self.ledger: RunLedger | None = None
+        self._resumed_records: dict[str, dict] = {}
+        # Keep a ledger only when a resume could use it.
+        if (
+            options.jobs > 1
+            or options.cache_dir is not None
+            or options.resume
+            or options.ledger_path is not None
+        ):
+            self.ledger = RunLedger(options.resolved_ledger_path())
+            if options.resume:
+                self._resumed_records = self.ledger.load()
+            if not self._resumed_records:
+                # A fresh run, or a stale salt or empty file: start over.
+                self.ledger.discard()
         self.resumed = 0
         self.simulated = 0
         self._pool: ProcessPoolExecutor | None = None
-        if self.options.resume:
-            self._resumed_records = self.ledger.load()
-            if not self._resumed_records and self.ledger.path.exists():
-                # Stale salt or empty file: start over with a fresh header.
-                self.ledger.discard()
-        else:
-            self._resumed_records = {}
-            self.ledger.discard()
 
     # ---- execution -------------------------------------------------------
     def run(self, units: Sequence[WorkUnit]) -> list[dict]:
@@ -161,7 +173,7 @@ class JobEngine:
 
         # Route every inline compile through the engine's program cache,
         # so each distinct (IL, clause options) compiles exactly once per
-        # run.  Pool workers scope their own cache per batch (see
+        # engine.  Pool workers scope their own cache per batch (see
         # ``worker.run_payloads``).
         with compile_cache_scope(self.programs), telemetry.span(
             "scheduler",
@@ -190,10 +202,11 @@ class JobEngine:
                 if self.options.jobs > 1:
                     self._run_pool(pending, results)
                 else:
+                    # The pool's per-unit function, looked up at call
+                    # time: perfbench rebinds this module's binding.
                     for unit in pending:
-                        self._finish(
-                            unit, simulate_unit(unit), results, "serial"
-                        )
+                        raw = run_payload(unit_payload(unit))
+                        self._finish(unit, raw, results, "serial")
             for unit in uncacheable:
                 record = record_point(simulate_unit(unit))
                 results[unit.key] = record
@@ -222,6 +235,8 @@ class JobEngine:
             self._pool = None
         if self.cache is not None and self.cache.puts:
             self.cache.write_index()
+        if self.ledger is None:
+            return
         if success:
             self.ledger.discard()
         else:
@@ -256,7 +271,8 @@ class JobEngine:
         self.simulated += 1
         if self.cache is not None:
             self.cache.put(unit.key, record, figure=unit.figure)
-        self.ledger.append(unit.key, record)
+        if self.ledger is not None:
+            self.ledger.append(unit.key, record)
         self._count("jobs.simulated", unit.figure, mode=mode)
         self._unit_span(unit, mode, seconds=record["seconds"])
 

@@ -3,12 +3,10 @@
 :func:`simulate_unit` is the whole measurement — compile under the
 unit's verification mode, simulate the launch, and reduce the event with
 :func:`launch_record` to the small JSON-safe record the cache/ledger
-stores.  A figure's inline path (``MicroBenchmark.run`` without an
-engine) times its launches itself and reduces them with the same
-:func:`launch_record`, so one function defines a record.  The pool runs
-:func:`run_payloads` on one batch of payload dicts (:func:`unit_payload`
-makes them); it hands each to :func:`run_payload`, which rebuilds the
-unit and simulates it.
+stores.  The engine runs every unit through :func:`run_payload`, which
+rebuilds it from a payload dict (:func:`unit_payload` makes them) and
+simulates it: inline once per unit, or in the pool through
+:func:`run_payloads`, one batch of payloads at a time.
 
 The simulator is deterministic, so the record is bit-identical whether
 the unit runs inline, in a worker process, or is replayed from cache —
@@ -30,14 +28,13 @@ if TYPE_CHECKING:
     from repro.compiler.cache import ProgramStore
 
 
-def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
+def simulate_unit(unit: WorkUnit) -> dict:
     """Run one unit and return its record (see ``units.record_point``)."""
     from repro.verify import verification
 
-    dev = device if device is not None else Device(unit.gpu)
     with verification(unit.verify):
         event = time_kernel(
-            dev,
+            Device(unit.gpu),
             unit.kernel,
             domain=unit.domain,
             block=unit.block,
@@ -88,12 +85,12 @@ def run_payloads(payloads: list[dict]) -> list[dict]:
 
 
 def unit_payload(unit: WorkUnit) -> dict:
-    """The picklable shape shipped to a worker process.
+    """The picklable shape :func:`run_payload` takes.
 
     ``SimConfig.clause_stream`` is session wiring (callbacks into the
     parent's tracer) and cannot cross a process boundary; the scheduler
-    refuses to parallelize units that carry one, so stripping it here is
-    safe for the payloads that do get shipped.
+    simulates units that carry one directly and never makes a payload of
+    them, so stripping it here is safe for the payloads it does make.
     """
     sim = unit.sim
     if sim.clause_stream is not None:
@@ -113,7 +110,7 @@ def unit_payload(unit: WorkUnit) -> dict:
 
 
 def run_payload(payload: dict) -> dict:
-    """One unit in a worker: payload dict in, record dict out."""
+    """One unit, inline or in a worker: payload dict in, record dict out."""
     unit = WorkUnit(
         figure=payload["figure"],
         series=payload["series"],

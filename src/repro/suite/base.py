@@ -5,6 +5,7 @@ one kernel per sweep value; the harness compiles it, allocates its
 streams, runs it the paper's 5000 iterations on the simulated chip, and
 records the seconds.  RV670 series in compute mode are skipped (the chip
 predates compute shader support — §IV), matching the figures' legends.
+A sweep is planned into work units, run by a jobs engine, and assembled.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.arch.registry import all_gpus
 from repro.arch.specs import GPUSpec
-from repro.cal.device import Device
 from repro.cal.timing import time_kernel
 from repro.il.module import ILKernel
 from repro.il.types import DataType, ShaderMode
@@ -28,6 +27,14 @@ from repro.suite.results import ResultSet, Series, SeriesPoint
 if TYPE_CHECKING:
     from repro.jobs.scheduler import JobEngine
     from repro.jobs.units import WorkUnit
+
+__all__ = [
+    "MicroBenchmark",
+    "SeriesSpec",
+    "standard_series",
+    # Not used here: perfbench reads this binding at start-up.
+    "time_kernel",
+]
 
 
 @dataclass(frozen=True)
@@ -127,10 +134,10 @@ class MicroBenchmark(abc.ABC):
         """Decompose the sweep into independent, content-addressed units.
 
         The plan is ordered series-major, sweep-minor — the figure's own
-        order — so :meth:`run` reassembles it in one pass whichever way
+        order — so :meth:`assemble` rebuilds it in one pass whichever way
         the units execute.  Kernels are built here (the canonical IL text
-        is the cache key's backbone); compile+simulate happens in
-        :meth:`run`.  Sweep points that :meth:`kernel_key` declares
+        is the cache key's backbone); compile+simulate happens in the
+        engine.  Sweep points that :meth:`kernel_key` declares
         identical share one kernel object (the domain sweep is one
         kernel × many launch shapes; series differing only by GPU share
         everything).
@@ -156,9 +163,8 @@ class MicroBenchmark(abc.ABC):
                     block=spec.block,
                     iterations=self.iterations,
                     sim=self.sim,
-                    # Figure kernels always compile under full
-                    # verification (see run()); bake that into the unit
-                    # so worker processes reproduce it.
+                    # A miscompile would silently corrupt the measurement,
+                    # so every figure kernel compiles under verification.
                     verify=True,
                 )
                 planned.append((spec, value, kernel, unit))
@@ -172,18 +178,25 @@ class MicroBenchmark(abc.ABC):
     ) -> ResultSet:
         """Measure every series over the sweep; returns the figure's data.
 
-        The sweep is planned once (:meth:`plan_units`) and reassembled in
-        one loop.  With an ``engine`` (:class:`repro.jobs.JobEngine`) the
-        units execute through its cache/ledger/scheduler pipeline.
-        Without one, each launch runs inline through ``time_kernel`` and
-        compiles through whatever compile cache is active, which
-        ``run_benchmark``/``run_suite`` install.  Both paths reduce a
-        launch with the same record function, so the figure is
-        bit-identical either way.
+        The sweep is planned once (:meth:`plan_units`), run through
+        ``engine`` (a default, inline :class:`repro.jobs.JobEngine`
+        without one) and assembled (:meth:`assemble`).
         """
-        from repro.jobs.worker import launch_record
-        from repro.verify import verification
+        from repro.jobs.scheduler import JobEngine
 
+        planned = self.plan_units(gpus=gpus, fast=fast)
+        engine = engine if engine is not None else JobEngine()
+        records = engine.run([unit for *_, unit in planned])
+        return self.assemble(planned, records, fast)
+
+    def assemble(
+        self,
+        planned: list[tuple[SeriesSpec, float, ILKernel, "WorkUnit"]],
+        records: list[dict],
+        fast: bool,
+    ) -> ResultSet:
+        """The figure from its plan and the engine's records, in plan
+        order, so one pass rebuilds every series."""
         result = ResultSet(
             name=self.name,
             title=self.title,
@@ -194,41 +207,14 @@ class MicroBenchmark(abc.ABC):
                 "fast": fast,
             },
         )
-        # Every figure kernel compiles under full verification: a
-        # miscompile (wrong GPR count, broken clause formation) would
-        # silently corrupt the measurement, so fail loudly instead.
-        with telemetry.span(
-            "figure", figure=self.name, fast=fast
-        ) as fig_span, verification(True):
-            planned = self.plan_units(gpus=gpus, fast=fast)
-            records = (
-                iter(engine.run([unit for *_, unit in planned]))
-                if engine is not None
-                else None
-            )
-            for spec, points in groupby(planned, key=itemgetter(0)):
+        rows = zip(planned, records, strict=True)
+        with telemetry.span("figure", figure=self.name, fast=fast) as fig_span:
+            for spec, points in groupby(rows, key=lambda row: row[0][0]):
                 series = Series(label=spec.label)
-                device = Device(spec.gpu)
                 with telemetry.span(
                     "series", figure=self.name, label=spec.label
                 ):
-                    for _spec, value, kernel, unit in points:
-                        if records is not None:
-                            record = next(records)
-                        else:
-                            # perfbench times each launch by rebinding
-                            # ``repro.suite.base.time_kernel``: call it
-                            # through this module, once per launch.
-                            record = launch_record(
-                                time_kernel(
-                                    device,
-                                    kernel,
-                                    domain=unit.domain,
-                                    block=unit.block,
-                                    iterations=unit.iterations,
-                                    sim=unit.sim,
-                                )
-                            )
+                    for (_spec, value, kernel, _unit), record in points:
                         series.add(
                             SeriesPoint(
                                 x=self.x_of(value, kernel, record["gprs"]),

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.knees import find_knee
 from repro.arch.specs import GPUSpec
-from repro.cal.device import Device
 from repro.il.types import DataType, ShaderMode
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import NAIVE_BLOCK, PAPER_ITERATIONS, SimConfig
@@ -118,15 +117,14 @@ def alu_fetch_grid(
 ) -> GridResult:
     """Run the ALU:Fetch sweep at several input sizes.
 
-    Every grid cell is one work unit.  With an ``engine``
-    (:class:`repro.jobs.JobEngine`) the units are cached, resumable and
-    parallelizable; without one they run inline through
-    ``simulate_unit``.  Cell values are identical either way.  Each
-    cell has its own IL text (no two (inputs, ratio) pairs build the
-    same kernel), so there is no compile to share.
+    Every grid cell is one work unit, run through ``engine``
+    (:class:`repro.jobs.JobEngine`; a default, inline one without it),
+    which can make them cached, resumable and parallel.  Each cell has
+    its own IL text (no two (inputs, ratio) pairs build the same
+    kernel), so there is no compile to share.
     """
+    from repro.jobs.scheduler import JobEngine
     from repro.jobs.units import WorkUnit
-    from repro.jobs.worker import simulate_unit
     from repro.verify import default_verify
 
     # Resolve the ambient verification default once, so pool workers
@@ -152,11 +150,7 @@ def alu_fetch_grid(
         for n in inputs
         for ratio in ratios
     ]
-    if engine is not None:
-        records = engine.run(units)
-    else:
-        device = Device(gpu)
-        records = [simulate_unit(unit, device) for unit in units]
+    records = (engine if engine is not None else JobEngine()).run(units)
     width = len(ratios)
     return GridResult(
         gpu=gpu.chip,

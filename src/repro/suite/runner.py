@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,7 +21,7 @@ from repro.suite.results import ResultSet
 from repro.suite.write_latency import WriteLatencyBenchmark
 
 if TYPE_CHECKING:
-    from repro.jobs.scheduler import JobEngine, JobOptions
+    from repro.jobs.scheduler import JobEngine
 
 #: experiment id -> benchmark factory, one per paper figure (DESIGN.md §5).
 BENCHMARKS: dict[str, Callable[..., MicroBenchmark]] = {
@@ -40,25 +41,20 @@ BENCHMARKS: dict[str, Callable[..., MicroBenchmark]] = {
 }
 
 
-def _serial_compile_cache(engine: "JobEngine | None"):
-    """Scope one in-memory compile cache around a serial run.
-
-    A no-op under an engine (it scopes its own) or when a cache is
-    already active, so ``run_suite`` shares one across its figures.
-    Each distinct (IL text, clause options) then compiles and verifies
-    once per run instead of once per sweep point.
-    """
-    # Imported lazily: the compile cache sits above repro.jobs in the
-    # layering.
-    from repro.compiler.cache import (
-        CompileCache,
-        active_cache,
-        compile_cache_scope,
-    )
-
-    if engine is not None or active_cache() is not None:
-        return nullcontext()
-    return compile_cache_scope(CompileCache())
+def _benchmark(
+    figure: str, sim: SimConfig | None = None, **kwargs
+) -> MicroBenchmark:
+    """The benchmark behind one figure id."""
+    try:
+        factory = BENCHMARKS[figure]
+    except KeyError:
+        raise KeyError(
+            f"unknown figure {figure!r}; known: {sorted(BENCHMARKS)}"
+        ) from None
+    # Construct the SimConfig exactly once and pass it unconditionally:
+    # an explicit ``sim=None`` must follow the same path as the default
+    # (a falsy-but-customized config must not be silently dropped either).
+    return factory(sim=sim if sim is not None else SimConfig(), **kwargs)
 
 
 def run_benchmark(
@@ -70,18 +66,9 @@ def run_benchmark(
     **kwargs,
 ) -> ResultSet:
     """Run one figure's benchmark and return its data."""
-    try:
-        factory = BENCHMARKS[figure]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure!r}; known: {sorted(BENCHMARKS)}"
-        ) from None
-    # Construct the SimConfig exactly once and pass it unconditionally:
-    # an explicit ``sim=None`` must follow the same path as the default
-    # (a falsy-but-customized config must not be silently dropped either).
-    benchmark = factory(sim=sim if sim is not None else SimConfig(), **kwargs)
-    with _serial_compile_cache(engine):
-        return benchmark.run(gpus=gpus, fast=fast, engine=engine)
+    return _benchmark(figure, sim, **kwargs).run(
+        gpus=gpus, fast=fast, engine=engine
+    )
 
 
 def run_suite(
@@ -91,7 +78,6 @@ def run_suite(
     out_dir: str | Path | None = None,
     telemetry_out: str | Path | None = None,
     engine: "JobEngine | None" = None,
-    options: "JobOptions | None" = None,
 ) -> dict[str, ResultSet]:
     """Run several figures; optionally persist each as JSON in ``out_dir``.
 
@@ -102,22 +88,22 @@ def run_suite(
     manifest inside ``out_dir`` is saved relative to it (see
     :meth:`ResultSet.save`), so the saved figures hold no host path.
 
-    ``engine`` (or ``options``, from which an engine is built and closed
-    here) routes every figure through :mod:`repro.jobs`: one shared
-    result cache and run ledger across the whole suite, so identical
-    launches appearing in several figures simulate exactly once and an
-    interrupted invocation resumes mid-suite.  Without one, the serial
-    run shares one in-memory compile cache across its figures.
+    Every figure is planned first, and all their units run through one
+    ``engine.run`` (a default, inline :class:`repro.jobs.JobEngine`,
+    built and closed here, without an ``engine``): identical launches in
+    several figures simulate once, each distinct program compiles once,
+    and pool batches cross figures.  Each figure is then assembled from
+    its slice of the records.
     """
+    from repro.jobs.scheduler import JobEngine
+
     names = list(figures) if figures is not None else sorted(BENCHMARKS)
     gpus = gpus if gpus is not None else all_gpus()
     results: dict[str, ResultSet] = {}
 
     owned_engine = None
-    if engine is None and options is not None:
-        from repro.jobs import JobEngine
-
-        engine = owned_engine = JobEngine(options)
+    if engine is None:
+        engine = owned_engine = JobEngine()
 
     recorder = (
         telemetry.recording(
@@ -130,10 +116,18 @@ def run_suite(
         else nullcontext()
     )
     try:
-        with recorder, _serial_compile_cache(engine):
-            for name in names:
-                results[name] = run_benchmark(
-                    name, gpus=gpus, fast=fast, engine=engine
+        with recorder:
+            benchmarks = [(name, _benchmark(name)) for name in names]
+            plans = [
+                benchmark.plan_units(gpus=gpus, fast=fast)
+                for _, benchmark in benchmarks
+            ]
+            records = iter(
+                engine.run([unit for plan in plans for *_, unit in plan])
+            )
+            for (name, benchmark), planned in zip(benchmarks, plans):
+                results[name] = benchmark.assemble(
+                    planned, list(islice(records, len(planned))), fast
                 )
                 if telemetry_out is not None:
                     results[name].manifest = str(telemetry_out)

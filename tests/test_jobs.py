@@ -258,6 +258,25 @@ class TestEngine:
         direct = [record_point(simulate_unit(u)) for u in units]
         assert records == direct
 
+    def test_default_engine_leaves_a_killed_runs_ledger_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # A default engine has nothing to resume, so it must neither
+        # delete nor append to the ledger that ``--resume`` needs.
+        monkeypatch.chdir(tmp_path)
+        ledger_path = tmp_path / "results" / "cache" / "ledger.jsonl"
+        ledger_path.parent.mkdir(parents=True)
+        killed = RunLedger(ledger_path)
+        killed.append("a" * 40, record_point(simulate_unit(make_unit())))
+        killed.close()
+        before = ledger_path.read_bytes()
+
+        engine = JobEngine()
+        assert engine.run([make_unit(ratio=2.0)])
+        engine.close()
+        assert engine.ledger is None
+        assert ledger_path.read_bytes() == before
+
     def test_duplicate_keys_simulate_once(self, tmp_path):
         units = [make_unit(figure="fig7"), make_unit(figure="fig8")]
         engine = JobEngine(JobOptions(ledger_path=tmp_path / "l.jsonl"))

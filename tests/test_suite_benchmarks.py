@@ -234,25 +234,63 @@ class TestOneSweepPath:
         with pytest.raises(TypeError, match="kernel_key"):
             NoKey()
 
-    def test_inline_path_times_each_launch_through_suite_base(
+    def test_default_engine_runs_each_unit_through_the_pool_function(
         self, monkeypatch
     ):
+        # perfbench times suite-cold requests by rebinding these two
+        # names in the scheduler module; a run without an engine must go
+        # through both, once per distinct unit.
         import repro.suite.base as base
+        from repro.jobs import scheduler
 
         bench = WriteLatencyBenchmark.figure13(
             domain=(128, 128), iterations=7
         )
         expected = bench.run(gpus=(RV770,), fast=True)
-        calls = []
-        original = base.time_kernel
+        distinct = {
+            unit.key
+            for *_, unit in bench.plan_units(gpus=(RV770,), fast=True)
+        }
+        payloads, records = [], []
+        run_payload = scheduler.run_payload
+        record_point = scheduler.record_point
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting_payload(payload):
+            payloads.append(payload)
+            return run_payload(payload)
 
-        monkeypatch.setattr(base, "time_kernel", counting)
+        def counting_record(record):
+            records.append(record)
+            return record_point(record)
+
+        monkeypatch.setattr(scheduler, "run_payload", counting_payload)
+        monkeypatch.setattr(scheduler, "record_point", counting_record)
         result = bench.run(gpus=(RV770,), fast=True)
         assert result == expected
-        points = sum(len(series) for series in result.series)
-        assert points > 1
-        assert len(calls) == points
+        assert len(distinct) > 1
+        assert len(payloads) == len(distinct)
+        assert len(records) == len(distinct)
+        # perfbench also reads this binding at start-up.
+        assert callable(base.time_kernel)
+
+    def test_suite_runs_every_figure_through_one_engine_run(self):
+        from repro import telemetry
+
+        figures = ["fig15a", "fig16", "fig13"]
+        with telemetry.recording() as tracer:
+            results = run_suite(figures, gpus=(RV770,), fast=True)
+        schedulers = [s for s in tracer.finished() if s.name == "scheduler"]
+        assert len(schedulers) == 1
+        points = sum(
+            len(series) for result in results.values()
+            for series in result.series
+        )
+        assert schedulers[0].attributes["units"] == points
+        separate = {
+            name: run_benchmark(name, gpus=(RV770,), fast=True)
+            for name in figures
+        }
+        assert list(results) == figures
+        assert {name: r.to_json() for name, r in results.items()} == {
+            name: r.to_json() for name, r in separate.items()
+        }
