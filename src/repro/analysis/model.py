@@ -17,10 +17,7 @@ from repro.arch.specs import GPUSpec
 from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, SimConfig
 from repro.sim.counters import Bound, Resource
-from repro.sim.memory import MemoryPaths
-from repro.sim.rasterizer import access_pattern, wavefronts_per_simd
-from repro.sim.scheduler import resident_wavefronts
-from repro.sim.wavefront import build_wavefront_program
+from repro.sim.prepare import prepare_launch
 
 _RESOURCE_TO_BOUND = {
     Resource.ALU: Bound.ALU,
@@ -55,17 +52,14 @@ def predict_launch_seconds(
     ``max(max_resource_occupancy, serial_span / residents)``: a saturated
     resource bounds throughput; otherwise each wavefront's own serial
     chain of clauses and latencies does, divided by how many run at once.
+    Raises :class:`~repro.sim.prepare.SimulationError` for the launches
+    :func:`~repro.sim.engine.simulate_launch` rejects.
     """
     launch = launch or LaunchConfig()
-    sim = sim or SimConfig()
-
-    pattern = access_pattern(launch, sim)
-    on_simd = wavefronts_per_simd(launch, gpu.num_simds)
-    residents = resident_wavefronts(program, gpu, on_simd, sim)
-    paths = MemoryPaths.for_gpu(gpu)
-    wf_program = build_wavefront_program(
-        program, gpu, pattern, residents, sim, paths
-    )
+    prep = prepare_launch(program, gpu, launch, sim or SimConfig())
+    on_simd = prep.wavefronts_per_simd
+    residents = prep.resident_wavefronts
+    wf_program = prep.wavefront_program
 
     occupancies = wf_program.occupancy_by_resource
     serial_span = sum(c.occupancy + c.latency for c in wf_program.clauses)

@@ -35,8 +35,9 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from repro import telemetry
-from repro.arch import all_gpus, hardware_feature_table
-from repro.cal import Device, open_device, time_kernel
+from repro.arch import all_gpus, gpu_by_name, hardware_feature_table
+from repro.arch.specs import GPUSpec
+from repro.cal import CALError, Device, time_kernel
 from repro.compiler import compile_kernel
 from repro.il import DataType, MemorySpace, ShaderMode, emit_il, parse_il
 from repro.isa import disassemble
@@ -48,6 +49,7 @@ from repro.kernels import (
 )
 from repro.reporting import ascii_chart, experiment_report
 from repro.sim.config import SimConfig
+from repro.sim.engine import SimulationError
 from repro.ska import analyze, format_report
 from repro.suite import BENCHMARKS, run_benchmark, run_suite
 
@@ -114,9 +116,19 @@ def _kernel_from_args(args: argparse.Namespace):
     return _GENERATORS[args.generator](params)
 
 
+def _gpu(name: str) -> GPUSpec:
+    """``--gpu`` type: an unknown chip is a usage error."""
+    try:
+        return gpu_by_name(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
 def _add_launch_arguments(parser: argparse.ArgumentParser) -> None:
     launch = parser.add_argument_group("launch")
-    launch.add_argument("--gpu", default="4870", help="chip or card name")
+    launch.add_argument(
+        "--gpu", type=_gpu, default="4870", help="chip or card name"
+    )
     launch.add_argument(
         "--domain", type=int, nargs=2, default=(1024, 1024), metavar=("W", "H")
     )
@@ -211,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "topology", help="thread-organization diagram (paper Figure 1)"
     )
-    p.add_argument("--gpu", default="4870")
+    p.add_argument("--gpu", type=_gpu, default="4870")
 
     p = sub.add_parser(
         "trace", help="clause-level Gantt chart of a kernel launch"
@@ -231,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="verify a kernel and report every diagnostic"
     )
     _add_kernel_arguments(p)
-    p.add_argument("--gpu", default=None, help="chip supplying clause limits")
+    p.add_argument(
+        "--gpu", type=_gpu, default=None, help="chip supplying clause limits"
+    )
     p.add_argument(
         "--strict",
         action="store_true",
@@ -243,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ska", help="static analysis report")
     _add_kernel_arguments(p)
-    p.add_argument("--gpu", default="4870")
+    p.add_argument("--gpu", type=_gpu, default="4870")
     p.add_argument(
         "--strict",
         action="store_true",
@@ -290,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "grid", help="(inputs x ratio) knee-invariance grid on one chip"
     )
-    p.add_argument("--gpu", default="4870", help="chip or card name")
+    p.add_argument(
+        "--gpu", type=_gpu, default="4870", help="chip or card name"
+    )
     p.add_argument(
         "--inputs", type=int, nargs="+", default=[4, 8, 16, 32]
     )
@@ -366,8 +382,12 @@ def main(argv: list[str] | None = None) -> int:
         if telemetry_path is not None or args.command == "profile"
         else nullcontext()
     )
-    with recorder:
-        code = _dispatch(args)
+    try:
+        with recorder:
+            code = _dispatch(args)
+    except (CALError, SimulationError) as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     if telemetry_path is not None and code == 0:
         print(f"telemetry manifest: {telemetry_path}")
     return code
@@ -386,15 +406,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "topology":
         from repro.arch import thread_organization
 
-        print(thread_organization(open_device(args.gpu).spec))
+        print(thread_organization(args.gpu))
         return 0
 
     if args.command == "trace":
         from repro.sim import LaunchConfig, render_gantt, trace_launch
 
         kernel = _kernel_from_args(args)
-        gpu = open_device(args.gpu).spec
-        program = compile_kernel(kernel, gpu)
+        program = compile_kernel(kernel, args.gpu)
         launch = LaunchConfig(
             domain=tuple(args.domain),
             mode=kernel.mode,
@@ -402,7 +421,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             iterations=args.iterations,
         )
         events = trace_launch(
-            program, gpu, launch, max_wavefronts=args.wavefronts
+            program, args.gpu, launch, max_wavefronts=args.wavefronts
         )
         print(render_gantt(events, width=args.width))
         return 0
@@ -422,8 +441,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.verify import lint_kernel
 
         kernel = _kernel_from_args(args)
-        gpu = open_device(args.gpu).spec if args.gpu else None
-        report = lint_kernel(kernel, gpu)
+        report = lint_kernel(kernel, args.gpu)
         if args.json:
             print(_json.dumps(report.to_json(), indent=2))
         else:
@@ -432,7 +450,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "ska":
         program = compile_kernel(_kernel_from_args(args))
-        report = analyze(program, open_device(args.gpu).spec, verify=True)
+        report = analyze(program, args.gpu, verify=True)
         print(format_report(report))
         if report.error_count or (args.strict and report.warning_count):
             return 1
@@ -441,14 +459,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("time", "advise"):
         kernel = _kernel_from_args(args)
         event = time_kernel(
-            args.gpu,
+            Device(args.gpu),
             kernel,
             domain=tuple(args.domain),
             block=tuple(args.block),
             iterations=args.iterations,
         )
         print(
-            f"{kernel.name} on {args.gpu}: {event.seconds:.4f} s "
+            f"{kernel.name} on {args.gpu.short_card}: {event.seconds:.4f} s "
             f"({args.iterations} iterations), bound={event.bottleneck.value}"
         )
         print(f"  {event.counters.summary()}")
@@ -502,7 +520,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         with _engine_scope(args) as engine:
             grid = alu_fetch_grid(
-                open_device(args.gpu).spec,
+                args.gpu,
                 inputs=tuple(args.inputs),
                 ratios=ratios,
                 dtype=DataType.from_name(args.dtype),
@@ -576,14 +594,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "profile":
         kernel = _kernel_from_args(args)
         event = time_kernel(
-            args.gpu,
+            Device(args.gpu),
             kernel,
             domain=tuple(args.domain),
             block=tuple(args.block),
             iterations=args.iterations,
         )
         print(
-            f"{kernel.name} on {args.gpu}: {event.seconds:.4f} s, "
+            f"{kernel.name} on {args.gpu.short_card}: {event.seconds:.4f} s, "
             f"bound={event.bottleneck.value}"
         )
         print()

@@ -26,11 +26,6 @@ class DataType(enum.Enum):
         """Size of one element in bytes (32-bit components)."""
         return 4 * self.components
 
-    @property
-    def il_suffix(self) -> str:
-        """Format suffix used in IL resource declarations."""
-        return {"float": "x", "float2": "xy", "float4": "xyzw"}[self.value]
-
     @classmethod
     def from_name(cls, name: str) -> "DataType":
         for member in cls:

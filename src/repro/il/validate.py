@@ -11,8 +11,8 @@ The checks themselves live in :mod:`repro.verify.il_checks`, which
 collects *every* finding as :class:`repro.verify.Diagnostic` records;
 :func:`validate_kernel` keeps the historical raise-on-first-error
 contract on top of the error-severity ones, once per kernel object.
-Use :func:`check_kernel` (re-exported here) when you want the full
-picture instead of the first failure.
+Use :func:`repro.verify.check_kernel` when you want the full picture
+instead of the first failure.
 """
 
 from __future__ import annotations
@@ -24,21 +24,13 @@ class ILValidationError(ValueError):
     """Raised when an IL kernel violates a structural or semantic rule."""
 
 
-def check_kernel(kernel: ILKernel):
-    """Collect-all validation: every finding as a ``Diagnostic`` list."""
-    # Imported lazily: repro.verify imports the compiler pipeline, which
-    # imports this module.
-    from repro.verify.il_checks import check_kernel as _check
-
-    return _check(kernel)
-
-
 def validate_kernel(kernel: ILKernel) -> None:
     """Validate ``kernel``, raising :class:`ILValidationError` on failure.
 
     Runs only the error-severity checks and raises on the first error;
     warnings (dead writes, double-written outputs) are for
-    :func:`check_kernel` and ``repro lint``, the optimizer handles them.
+    :func:`repro.verify.check_kernel` and ``repro lint``, the optimizer
+    handles them.
 
     Kernels are immutable, so a clean result is recorded on the instance
     (as :func:`repro.il.text.cached_il_text` does for the IL text) and

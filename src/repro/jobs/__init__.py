@@ -23,7 +23,7 @@ from repro.jobs.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
 from repro.jobs.ledger import RunLedger
 from repro.jobs.scheduler import JobEngine, JobError, JobOptions, UnitTimeout
 from repro.jobs.units import CODE_VERSION, WorkUnit, cache_key, record_point
-from repro.jobs.worker import simulate_unit
+from repro.jobs.worker import run_payload
 
 __all__ = [
     "CODE_VERSION",
@@ -38,5 +38,5 @@ __all__ = [
     "WorkUnit",
     "cache_key",
     "record_point",
-    "simulate_unit",
+    "run_payload",
 ]

@@ -15,7 +15,8 @@ it consults, in priority order:
    the engine's one ``ProcessPoolExecutor``, in batches that share a
    compile key (:func:`batch_units`), with a per-unit timeout budget and
    one retry after a worker-pool crash.  Both run each unit through
-   :func:`~repro.jobs.worker.run_payload`.
+   :func:`~repro.jobs.worker.run_payload`; the pool receives the
+   :class:`~repro.jobs.units.WorkUnit` values themselves.
 
 A default ``JobEngine()`` runs inline with no ledger, result cache or
 pool, so it needs no :meth:`JobEngine.close`.
@@ -40,13 +41,7 @@ from repro import telemetry
 from repro.jobs.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.jobs.ledger import RunLedger
 from repro.jobs.units import WorkUnit, record_point
-from repro.jobs.worker import (
-    initialize_worker,
-    run_payload,
-    run_payloads,
-    simulate_unit,
-    unit_payload,
-)
+from repro.jobs.worker import initialize_worker, run_payload, run_payloads
 
 
 class JobError(RuntimeError):
@@ -169,7 +164,6 @@ class JobEngine:
         results: dict[str, dict] = {}
         pending: list[WorkUnit] = []
         seen: set[str] = set()
-        uncacheable: list[WorkUnit] = []
 
         # Route every inline compile through the engine's program cache,
         # so each distinct (IL, clause options) compiles exactly once per
@@ -183,13 +177,8 @@ class JobEngine:
             cache=self.cache is not None,
         ) as span:
             for unit in units:
-                if unit.sim.clause_stream is not None:
-                    # Session wiring (trace callbacks) cannot be cached
-                    # or shipped to a worker; always simulate inline.
-                    uncacheable.append(unit)
-                    continue
                 key = unit.key
-                if key in seen or key in results:
+                if key in seen:
                     continue
                 seen.add(key)
                 record = self._replay(unit)
@@ -205,17 +194,12 @@ class JobEngine:
                     # The pool's per-unit function, looked up at call
                     # time: perfbench rebinds this module's binding.
                     for unit in pending:
-                        raw = run_payload(unit_payload(unit))
+                        raw = run_payload(unit)
                         self._finish(unit, raw, results, "serial")
-            for unit in uncacheable:
-                record = record_point(simulate_unit(unit))
-                results[unit.key] = record
-                self.simulated += 1
-                self._count("jobs.simulated", unit.figure, mode="inline")
 
             if span:
                 span.set(
-                    distinct=len(seen) + len(uncacheable),
+                    distinct=len(seen),
                     simulated=self.simulated,
                     resumed=self.resumed,
                     cache_hits=self.cache.hits if self.cache else 0,
@@ -297,7 +281,7 @@ class JobEngine:
         pool = self._worker_pool()
         timeout = self.options.timeout
         futures = [
-            (batch, pool.submit(run_payloads, [unit_payload(u) for u in batch]))
+            (batch, pool.submit(run_payloads, batch))
             for batch in batch_units(units, self.options.jobs)
         ]
         try:

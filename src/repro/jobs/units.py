@@ -10,8 +10,7 @@ simulated seconds depend on:
 * the GPU spec (chip name plus a fingerprint of its parameters),
 * the launch shape: domain, block, iterations,
 * the :class:`~repro.sim.config.SimConfig` model parameters (via
-  :func:`repro.telemetry.config_hash`, which skips session wiring such as
-  ``clause_stream``),
+  :func:`repro.telemetry.config_hash`),
 * :data:`CODE_VERSION` — a manually bumped salt that invalidates every
   cached entry when the compiler or simulator changes behavior.
 
@@ -49,6 +48,10 @@ class WorkUnit:
     seconds.  ``verify`` is resolved by the planner (not inherited from
     ambient state) so worker processes reproduce the caller's
     verification mode exactly.
+
+    A unit is a plain value: the engine dedupes and caches it by
+    :attr:`key` and ships it to a pool worker as itself (pickled, with
+    the cached key and IL text riding along).
     """
 
     figure: str

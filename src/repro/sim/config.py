@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.il.types import ShaderMode
-from repro.telemetry.hooks import EventStream
 
 
 #: The paper executes every kernel 5000 times "to obtain stable and
@@ -89,16 +88,6 @@ class SimConfig:
     max_simulated_wavefronts: int = 192
     #: simulate every wavefront when the per-SIMD count is below this.
     exact_threshold: int = 256
-
-    # ---- observability hook ----------------------------------------------
-    #: when set, the engine records every simulated clause execution
-    #: (:class:`repro.sim.trace.TraceEvent`) into this stream — the single
-    #: event source shared by the Gantt renderer and telemetry metrics.
-    #: Excluded from equality/repr: it is session wiring, not a model
-    #: parameter (and :func:`repro.telemetry.config_hash` skips it too).
-    clause_stream: EventStream | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.thrash_coeff < 0:

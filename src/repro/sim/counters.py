@@ -51,10 +51,6 @@ class Counters:
             return 0.0
         return self.busy_cycles.get(resource, 0.0) / self.makespan_cycles
 
-    @property
-    def utilizations(self) -> dict[Resource, float]:
-        return {r: self.utilization(r) for r in Resource}
-
     def bottleneck(self) -> Bound:
         """Classify the launch per the paper's three-bottleneck model.
 

@@ -6,16 +6,13 @@ from dataclasses import dataclass
 
 from repro import telemetry
 from repro.arch.specs import GPUSpec
-from repro.il.types import ShaderMode
 from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, SimConfig
 from repro.sim.counters import Bound, Counters, Resource
-from repro.sim.prepare import prepare_launch
+from repro.sim.prepare import SimulationError, prepare_launch
 from repro.sim.simd import simulate_simd
 
-
-class SimulationError(ValueError):
-    """Raised for launches the modeled hardware cannot execute."""
+__all__ = ["LaunchResult", "SimulationError", "simulate_launch"]
 
 
 @dataclass(frozen=True)
@@ -88,26 +85,13 @@ def simulate_launch(
 ) -> LaunchResult:
     """Simulate running ``program`` on ``gpu`` under ``launch``.
 
-    Raises :class:`SimulationError` for impossible combinations: compute
-    shader mode on the RV670 (§IV: "The RV670 ... does not support compute
-    shader mode") or a launch mode that does not match the program's.
-
-    When ``sim.clause_stream`` is set, every simulated clause execution is
-    appended to it; when telemetry is enabled, the launch is wrapped in a
-    ``simulate`` span and folded into the metrics registry.
+    Raises :class:`SimulationError` for launches the hardware cannot
+    execute (see :func:`~repro.sim.prepare.prepare_launch`).  When
+    telemetry is enabled, the launch is wrapped in a ``simulate`` span and
+    folded into the metrics registry.
     """
     launch = launch or LaunchConfig()
     sim = sim or SimConfig()
-
-    if program.mode is not launch.mode:
-        raise SimulationError(
-            f"program compiled for {program.mode.value} shader mode cannot "
-            f"launch in {launch.mode.value} mode"
-        )
-    if launch.mode is ShaderMode.COMPUTE and not gpu.supports_compute_shader:
-        raise SimulationError(
-            f"{gpu.chip} does not support compute shader mode (paper §IV)"
-        )
 
     with telemetry.span(
         "simulate",
@@ -122,7 +106,6 @@ def simulate_launch(
             prep.resident_wavefronts,
             prep.wavefronts_per_simd,
             sim,
-            record=sim.clause_stream,
         )
 
         seconds = (

@@ -1,11 +1,11 @@
 """Shared launch preparation: one place turns (program, gpu, launch, sim)
 into the wavefront program plus its residency/decomposition numbers.
 
-Both the timing engine (:mod:`repro.sim.engine`) and the Gantt tracer
-(:mod:`repro.sim.trace`) previously repeated the same access-pattern /
-wavefronts-per-SIMD / residency / wavefront-program sequence; preparing a
-launch here guarantees they consume an identical event stream for
-identical inputs.
+The timing engine (:mod:`repro.sim.engine`), the Gantt tracer
+(:mod:`repro.sim.trace`) and the closed-form model
+(:mod:`repro.analysis.model`) all prepare a launch here, so they accept
+the same launches and cost identical clause programs for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.specs import GPUSpec
+from repro.il.types import ShaderMode
 from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, SimConfig
 from repro.sim.memory import MemoryPaths
@@ -24,6 +25,10 @@ from repro.sim.rasterizer import (
 )
 from repro.sim.scheduler import resident_wavefronts
 from repro.sim.wavefront import WavefrontProgram, build_wavefront_program
+
+
+class SimulationError(ValueError):
+    """Raised for launches the modeled hardware cannot execute."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,21 @@ def prepare_launch(
     launch: LaunchConfig,
     sim: SimConfig,
 ) -> PreparedLaunch:
-    """Decompose the launch and cost the per-wavefront clause program."""
+    """Decompose the launch and cost the per-wavefront clause program.
+
+    Raises :class:`SimulationError` for impossible combinations: compute
+    shader mode on the RV670 (§IV: "The RV670 ... does not support compute
+    shader mode") or a launch mode that does not match the program's.
+    """
+    if program.mode is not launch.mode:
+        raise SimulationError(
+            f"program compiled for {program.mode.value} shader mode cannot "
+            f"launch in {launch.mode.value} mode"
+        )
+    if launch.mode is ShaderMode.COMPUTE and not gpu.supports_compute_shader:
+        raise SimulationError(
+            f"{gpu.chip} does not support compute shader mode (paper §IV)"
+        )
     pattern = access_pattern(launch, sim)
     total = total_wavefronts(launch)
     on_simd = wavefronts_per_simd(launch, gpu.num_simds)

@@ -11,6 +11,10 @@ wavefronts; the model simulates a warm prefix exactly and extrapolates the
 remainder at the measured steady-state rate (configurable, and exact for
 small launches) — the estimator is deterministic and validated against
 exact runs in the test suite.
+
+Timing runs never record clause events; the Gantt tracer
+(:func:`repro.sim.trace.trace_launch`) runs the same event loop with a
+record list to get them.
 """
 
 from __future__ import annotations
@@ -38,16 +42,8 @@ def simulate_simd(
     resident: int,
     total: int,
     sim: SimConfig | None = None,
-    record: list | None = None,
 ) -> SIMDResult:
-    """Run ``total`` wavefronts with at most ``resident`` concurrent.
-
-    ``record`` (any list-like, e.g. a telemetry
-    :class:`~repro.telemetry.hooks.EventStream`) receives one
-    :class:`~repro.sim.trace.TraceEvent` per simulated clause execution —
-    only the exactly-simulated window is recorded, never the
-    extrapolated remainder.
-    """
+    """Run ``total`` wavefronts with at most ``resident`` concurrent."""
     sim = sim or SimConfig()
     if resident < 1:
         raise ValueError("at least one resident wavefront is required")
@@ -59,9 +55,7 @@ def simulate_simd(
     else:
         window = min(total, max(sim.max_simulated_wavefronts, 4 * resident))
 
-    makespan, busy, completions = _run_event_loop(
-        program, resident, window, record=record
-    )
+    makespan, busy, completions = _run_event_loop(program, resident, window)
 
     if window == total:
         return SIMDResult(makespan, busy, window, total)
@@ -106,7 +100,8 @@ def _run_event_loop(
 
     When ``record`` is a list, every clause execution is appended to it as
     a :class:`repro.sim.trace.TraceEvent` (imported lazily to keep the hot
-    path dependency-free).
+    path dependency-free); :func:`repro.sim.trace.trace_launch` is the one
+    caller that passes it.
     """
     clauses = program.clauses
     if not clauses:

@@ -16,7 +16,6 @@ from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, SimConfig
 from repro.sim.counters import Resource
 from repro.sim.prepare import prepare_launch
-from repro.telemetry.hooks import EventStream
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,15 @@ def trace_launch(
     launch: LaunchConfig | None = None,
     sim: SimConfig | None = None,
     max_wavefronts: int | None = None,
-) -> EventStream:
+) -> list[TraceEvent]:
     """Trace one SIMD engine executing the launch's first wavefronts.
 
     ``max_wavefronts`` caps the traced prefix (default: two resident
-    sets) so the Gantt stays readable.  Returns the same
-    :class:`~repro.telemetry.hooks.EventStream` that
-    ``SimConfig.clause_stream`` would collect — the Gantt renderer and
-    telemetry consume one event shape from one producer.
+    sets) so the Gantt stays readable.  This is the one producer of
+    clause events: the Gantt renderer draws the list, and per-resource
+    busy time is a sum over it.  Raises
+    :class:`~repro.sim.prepare.SimulationError` for the launches
+    :func:`~repro.sim.engine.simulate_launch` rejects.
     """
     from repro.sim.simd import _run_event_loop
 
@@ -65,7 +65,7 @@ def trace_launch(
     count = min(
         prep.wavefronts_per_simd, max_wavefronts or 2 * residents
     )
-    events = EventStream()
+    events: list[TraceEvent] = []
     _run_event_loop(prep.wavefront_program, residents, count, record=events)
     return events
 

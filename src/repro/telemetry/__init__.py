@@ -36,7 +36,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.telemetry.hooks import EventStream
 from repro.telemetry.manifest import (
     SCHEMA_VERSION,
     config_hash,
@@ -71,7 +70,6 @@ from repro.telemetry.stats import (
 
 __all__ = [
     "Counter",
-    "EventStream",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

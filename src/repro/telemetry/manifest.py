@@ -31,10 +31,9 @@ SCHEMA_VERSION = 1
 def config_hash(config) -> str | None:
     """Stable short hash of a dataclass config (``None`` for no config).
 
-    Only scalar fields that participate in equality are hashed: runtime
-    attachments (``SimConfig.clause_stream`` and anything else declared
-    ``compare=False``) are excluded, so the hash keys the *model
-    parameters*, not the session wiring.
+    Only scalar fields that participate in equality are hashed: fields
+    declared ``compare=False`` are excluded, so the hash keys the *model
+    parameters*, not any session wiring a config might carry.
     """
     if config is None:
         return None

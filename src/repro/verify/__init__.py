@@ -16,10 +16,8 @@ from repro.verify.diagnostics import (
     warnings,
 )
 from repro.verify.dataflow import (
-    DefUseChains,
     GPRInterval,
     dead_instruction_indices,
-    def_use_chains,
     gpr_live_intervals,
     max_live_gprs,
     recomputed_gpr_count,
@@ -48,7 +46,6 @@ from repro.verify.isa_checks import check_program
 __all__ = [
     "CODE_CATALOG",
     "DEFAULT_DOMAIN",
-    "DefUseChains",
     "Diagnostic",
     "GPRInterval",
     "LintReport",
@@ -61,7 +58,6 @@ __all__ = [
     "check_lowering",
     "check_program",
     "dead_instruction_indices",
-    "def_use_chains",
     "default_verify",
     "diag",
     "errors",

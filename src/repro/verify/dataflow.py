@@ -1,10 +1,7 @@
 """Dataflow analyses over IL kernels and lowered ISA programs.
 
-Three independent recomputations back the verifier's checks:
+Two independent recomputations back the verifier's checks:
 
-* **IL def-use chains** — which instruction defines each virtual
-  register and which instructions read it (straight-line programs, so a
-  single forward pass suffices).
 * **IL backward liveness** — which instructions can reach an output;
   everything else is a dead write the CAL compiler would delete (§III).
 * **ISA GPR live intervals** — per *physical* register intervals over
@@ -39,48 +36,6 @@ from repro.isa.program import ISAProgram
 
 
 # ---- IL level --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DefUseChains:
-    """Definition and use sites of every virtual register in a kernel."""
-
-    #: register -> body indices that write it (normally one: SSA-style).
-    defs: dict[Register, list[int]]
-    #: register -> body indices that read it.
-    uses: dict[Register, list[int]]
-
-    def unused_defs(self) -> list[tuple[int, Register]]:
-        """Definitions whose register is never read afterwards."""
-        dead: list[tuple[int, Register]] = []
-        for reg, positions in self.defs.items():
-            reads = self.uses.get(reg, [])
-            for pos in positions:
-                later = [
-                    d for d in positions if d > pos
-                ]  # next redefinition, if any
-                horizon = min(later) if later else None
-                alive = any(
-                    r > pos and (horizon is None or r <= horizon)
-                    for r in reads
-                )
-                if not alive:
-                    dead.append((pos, reg))
-        return dead
-
-
-def def_use_chains(kernel: ILKernel) -> DefUseChains:
-    """Collect def/use sites of the kernel's virtual temporaries."""
-    defs: dict[Register, list[int]] = {}
-    uses: dict[Register, list[int]] = {}
-    for pos, instr in enumerate(kernel.body):
-        for reg in instr.used_registers():
-            if reg.file is RegisterFile.TEMP:
-                uses.setdefault(reg, []).append(pos)
-        for reg in instr.defined_registers():
-            if reg.file is RegisterFile.TEMP:
-                defs.setdefault(reg, []).append(pos)
-    return DefUseChains(defs, uses)
-
 
 def dead_instruction_indices(
     kernel: ILKernel,

@@ -416,3 +416,59 @@ class TestTraceAndTopology:
         )
         out = capsys.readouterr().out
         assert "alu" in out and "tex" in out and "util:" in out
+
+
+def _exit_code(argv: list[str]) -> int:
+    """``main``'s return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (
+                ["time", "--mode", "cs", "--gpu", "3870"],
+                1,
+                "repro: RV670 does not support compute shader mode",
+            ),
+            (
+                ["time", "--domain", "100000", "100000"],
+                1,
+                "repro: allocating 40000000000 bytes would exceed",
+            ),
+            (["time", "--gpu", "9999"], 2, "unknown GPU '9999'"),
+            (
+                ["trace", "--mode", "cs", "--gpu", "3870"],
+                1,
+                "repro: RV670 does not support compute shader mode",
+            ),
+        ],
+        ids=["compute-on-rv670", "out-of-memory", "unknown-gpu", "trace-rv670"],
+    )
+    def test_expected_errors_report_without_traceback(
+        self, argv, code, message, capsys
+    ):
+        assert _exit_code(argv) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topology", "--gpu", "9999"],
+            ["lint", "--gpu", "9999"],
+            ["ska", "--gpu", "9999"],
+            ["profile", "--gpu", "9999"],
+            ["grid", "--gpu", "9999"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_gpu_option_rejects_unknown_chips(self, argv, capsys):
+        assert _exit_code(argv) == 2
+        assert "unknown GPU '9999'" in capsys.readouterr().err

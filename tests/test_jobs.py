@@ -3,17 +3,20 @@
 Covers the cache-key invalidation matrix (any input that can move a
 measured number must move the key), cache hit fidelity (bit-identical
 replay), the run ledger's resume semantics, scheduler deduplication,
-compile-key batching, the worker pool's lifetime, worker-crash retry,
-unit timeouts, and cache maintenance (stats/gc/clear).
+compile-key batching, the worker pool's lifetime and the units it is
+shipped, worker-crash retry, unit timeouts, cache maintenance
+(stats/gc/clear), and forked writers sharing one cache root.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import shutil
 import time
 from pathlib import Path
@@ -33,10 +36,10 @@ from repro.jobs import (
     WorkUnit,
     cache_key,
     record_point,
-    simulate_unit,
+    run_payload,
 )
+from repro.jobs.blobstore import BlobStore
 from repro.jobs.scheduler import batch_units
-from repro.jobs.worker import run_payload
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import SimConfig
 
@@ -114,8 +117,6 @@ class TestCacheKey:
         # silently serve stale entries; fail here instead.
         base = make_unit()
         for field in dataclasses.fields(SimConfig):
-            if not field.compare:
-                continue  # session wiring (clause_stream) by design
             value = getattr(base.sim, field.name)
             if isinstance(value, bool):
                 bumped = not value
@@ -132,17 +133,19 @@ class TestCacheKey:
         monkeypatch.setattr(units_mod, "CODE_VERSION", CODE_VERSION + 1)
         assert cache_key(make_unit()) != before
 
-    def test_clause_stream_does_not_key(self):
-        from repro.telemetry.hooks import EventStream
-
-        wired = SimConfig(clause_stream=EventStream())
-        assert make_unit(sim=wired).key == make_unit().key
+    def test_simconfig_holds_model_parameters_only(self):
+        # config_hash keys only compared scalar fields, so a field outside
+        # that set would split one cache entry from the number it holds.
+        for field in dataclasses.fields(SimConfig):
+            assert field.compare, field.name
+            assert field.default_factory is dataclasses.MISSING, field.name
+            assert isinstance(field.default, (bool, int, float)), field.name
 
 
 class TestCacheRoundTrip:
     def test_hit_is_bit_identical(self, tmp_path):
         unit = make_unit()
-        record = record_point(simulate_unit(unit))
+        record = record_point(run_payload(unit))
         cache = ResultCache(tmp_path)
         cache.put(unit.key, record, figure=unit.figure)
         replay = record_point(cache.get(unit.key))
@@ -158,14 +161,14 @@ class TestCacheRoundTrip:
     def test_corrupt_blob_reads_as_miss(self, tmp_path):
         unit = make_unit()
         cache = ResultCache(tmp_path)
-        cache.put(unit.key, record_point(simulate_unit(unit)))
+        cache.put(unit.key, record_point(run_payload(unit)))
         cache.blob_path(unit.key).write_text("{not json")
         assert cache.get(unit.key) is None
 
     def test_stats_gc_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         unit = make_unit()
-        record = record_point(simulate_unit(unit))
+        record = record_point(run_payload(unit))
         cache.put(unit.key, record, figure="figX")
         # A blob salted under another code version is stale.
         stale = dict(
@@ -189,7 +192,7 @@ class TestCacheRoundTrip:
         self, tmp_path, monkeypatch
     ):
         cache = ResultCache(tmp_path)
-        record = record_point(simulate_unit(make_unit()))
+        record = record_point(run_payload(make_unit()))
         made = []
         mkdir = Path.mkdir
 
@@ -255,7 +258,7 @@ class TestEngine:
         )
         records = engine.run(units)
         engine.close()
-        direct = [record_point(simulate_unit(u)) for u in units]
+        direct = [record_point(run_payload(u)) for u in units]
         assert records == direct
 
     def test_default_engine_leaves_a_killed_runs_ledger_alone(
@@ -267,7 +270,7 @@ class TestEngine:
         ledger_path = tmp_path / "results" / "cache" / "ledger.jsonl"
         ledger_path.parent.mkdir(parents=True)
         killed = RunLedger(ledger_path)
-        killed.append("a" * 40, record_point(simulate_unit(make_unit())))
+        killed.append("a" * 40, record_point(run_payload(make_unit())))
         killed.close()
         before = ledger_path.read_bytes()
 
@@ -298,7 +301,7 @@ class TestEngine:
         second = JobEngine(JobOptions(ledger_path=ledger_path, resume=True))
         records = second.run(all_units)
         assert second.resumed == 2 and second.simulated == 2
-        assert records == [record_point(simulate_unit(u)) for u in all_units]
+        assert records == [record_point(run_payload(u)) for u in all_units]
         second.close(success=True)
         assert not ledger_path.exists()
 
@@ -331,19 +334,6 @@ class TestEngine:
         assert second.cache.get(unit.key) is not None
         second.close()
 
-    def test_clause_stream_units_bypass_cache(self, tmp_path):
-        from repro.telemetry.hooks import EventStream
-
-        unit = make_unit(sim=SimConfig(clause_stream=EventStream()))
-        engine = JobEngine(
-            JobOptions(cache_dir=tmp_path, ledger_path=tmp_path / "l.jsonl")
-        )
-        engine.run([unit])
-        engine.run([unit])
-        engine.close()
-        assert engine.simulated == 2  # never cached, always simulated
-        assert engine.cache.puts == 0
-
     def test_worker_exception_propagates(self, tmp_path):
         bad = dataclasses.replace(
             make_unit(), iterations=0
@@ -354,28 +344,43 @@ class TestEngine:
         engine.close(success=False)
 
 
-def _crash_once_then_run(payloads):
-    """Batch entry that hard-kills its worker on first use (see retry test)."""
+#: Test switches the pool workers read from their environment, which
+#: they inherit when the pool forks on an engine's first pool run.
+CRASH_SENTINEL_ENV = "REPRO_TEST_CRASH_SENTINEL"
+SLEEP_ENV = "REPRO_TEST_SLEEP"
+
+
+def _crash_once_then_run(units):
+    """Batch entry that hard-kills its worker on first use (see retry test).
+
+    The sentinel file named by ``CRASH_SENTINEL_ENV`` records the crash,
+    so the retried batch runs normally.
+    """
     from repro.jobs.worker import run_payloads
 
-    sentinel = {payload.pop("_sentinel") for payload in payloads}.pop()
+    sentinel = os.environ[CRASH_SENTINEL_ENV]
     if not os.path.exists(sentinel):
         with open(sentinel, "w") as fh:
             fh.write("crashed")
         os._exit(1)  # simulates a segfaulting worker: BrokenProcessPool
-    return run_payloads(payloads)
+    return run_payloads(units)
 
 
-def _with_pid(payload):
+def _with_pid(unit):
     """Per-unit worker entry that tags each record with the worker's PID."""
-    return {**run_payload(payload), "pid": os.getpid()}
+    return {**run_payload(unit), "pid": os.getpid()}
 
 
-def _sleep_when_asked(payload):
-    """Per-unit worker entry that hangs on payloads carrying ``_sleep``."""
-    if payload.pop("_sleep"):
+def _with_arg_type(unit):
+    """Per-unit worker entry that tags each record with its argument type."""
+    return {**run_payload(unit), "arg_type": type(unit).__name__}
+
+
+def _sleep_when_asked(unit):
+    """Per-unit worker entry that hangs while ``SLEEP_ENV`` is ``"1"``."""
+    if os.environ.get(SLEEP_ENV) == "1":
         time.sleep(60)
-    return run_payload(payload)
+    return run_payload(unit)
 
 
 def _alive(pid: int) -> bool:
@@ -457,10 +462,43 @@ class TestPoolLifetime:
         assert len(pids) == 5 and set(pids) <= workers
         assert not any(_alive(pid) for pid in workers)
         expected = [
-            record_point(simulate_unit(make_unit(ratio=r)))
+            record_point(run_payload(make_unit(ratio=r)))
             for r in (0.5, 1.0, 2.0, 4.0, 8.0)
         ]
         assert first + second == expected
+
+
+class TestPoolShipsUnits:
+    def test_workers_receive_work_units(self, tmp_path, monkeypatch):
+        import repro.jobs.scheduler as sched_mod
+        import repro.jobs.worker as worker_mod
+
+        arg_types = []
+        plain_record_point = sched_mod.record_point
+
+        def type_record_point(record):
+            arg_types.append(record.pop("arg_type"))
+            return plain_record_point(record)
+
+        monkeypatch.setattr(worker_mod, "run_payload", _with_arg_type)
+        monkeypatch.setattr(sched_mod, "record_point", type_record_point)
+
+        units = [make_unit(ratio=r) for r in (0.5, 1.0, 2.0)]
+        engine = JobEngine(
+            JobOptions(jobs=2, ledger_path=tmp_path / "l.jsonl")
+        )
+        records = engine.run(units)
+        engine.close()
+        assert arg_types == ["WorkUnit"] * len(units)
+        assert records == [record_point(run_payload(u)) for u in units]
+
+    def test_unpickled_unit_keeps_key_and_record(self):
+        unit = make_unit()
+        key = unit.key
+        shipped = pickle.loads(pickle.dumps(unit))
+        assert shipped.key == key
+        assert shipped == unit
+        assert run_payload(shipped) == run_payload(unit)
 
 
 class TestPoolCrashRetry:
@@ -469,14 +507,7 @@ class TestPoolCrashRetry:
 
         sentinel = tmp_path / "crashed"
         monkeypatch.setattr(sched_mod, "run_payloads", _crash_once_then_run)
-        original_payload = sched_mod.unit_payload
-
-        def payload_with_sentinel(unit):
-            payload = original_payload(unit)
-            payload["_sentinel"] = str(sentinel)
-            return payload
-
-        monkeypatch.setattr(sched_mod, "unit_payload", payload_with_sentinel)
+        monkeypatch.setenv(CRASH_SENTINEL_ENV, str(sentinel))
 
         unit = make_unit()
         engine = JobEngine(
@@ -485,24 +516,17 @@ class TestPoolCrashRetry:
         records = engine.run([unit])
         engine.close()
         assert sentinel.exists()  # the first attempt really died
-        assert records == [record_point(simulate_unit(unit))]
+        assert records == [record_point(run_payload(unit))]
 
 
 class TestUnitTimeout:
     def test_timeout_discards_pool_and_next_run_succeeds(
         self, tmp_path, monkeypatch
     ):
-        import repro.jobs.scheduler as sched_mod
         import repro.jobs.worker as worker_mod
 
         monkeypatch.setattr(worker_mod, "run_payload", _sleep_when_asked)
-        original_payload = sched_mod.unit_payload
-        sleep = {"on": True}
-
-        def payload_with_sleep(unit):
-            return {**original_payload(unit), "_sleep": sleep["on"]}
-
-        monkeypatch.setattr(sched_mod, "unit_payload", payload_with_sleep)
+        monkeypatch.setenv(SLEEP_ENV, "1")
 
         unit = make_unit()
         engine = JobEngine(
@@ -515,7 +539,85 @@ class TestUnitTimeout:
         assert time.perf_counter() - started < 30
         assert engine._pool is None
 
-        sleep["on"] = False
+        # The next run forks a fresh pool, which inherits the new value.
+        monkeypatch.setenv(SLEEP_ENV, "0")
         records = engine.run([unit])
         engine.close()
-        assert records == [record_point(simulate_unit(unit))]
+        assert records == [record_point(run_payload(unit))]
+
+
+#: the keys every concurrent writer fights over (two shards' worth).
+SHARED_KEYS = [
+    f"{shard:02x}{index:038x}" for shard in (0xAB, 0xCD) for index in range(8)
+]
+WRITERS = 4
+ROUNDS = 5
+
+
+def _blob(writer: int, round_: int, key: str) -> dict:
+    """A blob large enough that a torn write would show as a bad digest."""
+    payload = f"{writer}:{round_}:{key}:" * 800
+    return {
+        "version": CODE_VERSION,
+        "writer": writer,
+        "payload": payload,
+        "digest": hashlib.sha256(payload.encode()).hexdigest(),
+    }
+
+
+def _complete(blob: dict | None) -> bool:
+    """Whether ``blob`` is a whole blob that one of the writers wrote."""
+    return (
+        blob is not None
+        and blob.get("writer") in range(WRITERS)
+        and hashlib.sha256(blob["payload"].encode()).hexdigest()
+        == blob["digest"]
+    )
+
+
+def _hammer(root: str, writer: int) -> None:
+    """One forked writer: write and read back every shared key each round.
+
+    A key this writer has already written exists for good, so reading it
+    must give a complete blob, never ``None``.
+    """
+    results = ResultCache(root)
+    programs = BlobStore(root, subdir="programs", salt=CODE_VERSION)
+    written: set[str] = set()
+    for round_ in range(ROUNDS):
+        for key in SHARED_KEYS:
+            blob = _blob(writer, round_, key)
+            results.put(key, blob, figure=f"writer{writer}")
+            programs.write(key, blob)
+            written.add(key)
+            for probe in SHARED_KEYS:
+                for got in (results.get(probe), programs.read(probe)):
+                    if got is None:
+                        assert probe not in written, probe
+                    else:
+                        assert _complete(got), probe
+
+
+class TestConcurrentWriters:
+    def test_forked_writers_share_one_cache_root(self, tmp_path):
+        # Pool workers share one ProgramStore (and runs one ResultCache)
+        # root; atomic temp-file-and-rename writes must keep every read
+        # whole while several processes overwrite the same keys.
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_hammer, args=(str(tmp_path), w))
+            for w in range(WRITERS)
+        ]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=120)
+        assert not any(p.is_alive() for p in writers)
+        assert [p.exitcode for p in writers] == [0] * WRITERS
+
+        results = ResultCache(tmp_path)
+        programs = BlobStore(tmp_path, subdir="programs", salt=CODE_VERSION)
+        for key in SHARED_KEYS:
+            assert _complete(results.get(key)), key
+            assert _complete(programs.read(key)), key
+        assert list(tmp_path.rglob("*.tmp")) == []

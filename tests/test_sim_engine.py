@@ -5,6 +5,7 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import predict_launch_seconds
 from repro.arch import RV670, RV770, RV870
 from repro.compiler import compile_kernel
 from repro.il.types import ShaderMode
@@ -20,7 +21,7 @@ from repro.sim.engine import SimulationError
 from repro.sim.scheduler import resident_wavefronts
 from repro.sim.prepare import prepare_launch
 from repro.sim.simd import _run_event_loop, simulate_simd
-from repro.sim.trace import TraceEvent
+from repro.sim.trace import TraceEvent, trace_launch
 from repro.sim.wavefront import ClauseCost, WavefrontProgram
 
 
@@ -309,6 +310,30 @@ class TestEngine:
             simulate_launch(
                 program, rv670, LaunchConfig(mode=ShaderMode.COMPUTE)
             )
+
+    @pytest.mark.parametrize(
+        "launcher", [trace_launch, predict_launch_seconds],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize(
+        "kernel_mode, gpu, match",
+        [
+            (ShaderMode.PIXEL, RV770, "cannot"),
+            (ShaderMode.COMPUTE, RV670, "compute shader"),
+        ],
+        ids=["pixel-program-compute-launch", "rv670-compute"],
+    )
+    def test_tracer_and_model_reject_what_simulation_rejects(
+        self, launcher, kernel_mode, gpu, match
+    ):
+        # The checks live in prepare_launch, so the tracer and the
+        # closed-form model refuse the launches simulate_launch refuses
+        # (the two tests above).
+        program = compile_kernel(
+            generate_generic(KernelParams(mode=kernel_mode))
+        )
+        with pytest.raises(SimulationError, match=match):
+            launcher(program, gpu, LaunchConfig(mode=ShaderMode.COMPUTE))
 
     def test_seconds_scale_with_iterations(self, rv770, simple_program):
         one = simulate_launch(

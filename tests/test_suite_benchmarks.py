@@ -251,13 +251,13 @@ class TestOneSweepPath:
             unit.key
             for *_, unit in bench.plan_units(gpus=(RV770,), fast=True)
         }
-        payloads, records = [], []
+        ran, records = [], []
         run_payload = scheduler.run_payload
         record_point = scheduler.record_point
 
-        def counting_payload(payload):
-            payloads.append(payload)
-            return run_payload(payload)
+        def counting_payload(unit):
+            ran.append(unit)
+            return run_payload(unit)
 
         def counting_record(record):
             records.append(record)
@@ -268,7 +268,8 @@ class TestOneSweepPath:
         result = bench.run(gpus=(RV770,), fast=True)
         assert result == expected
         assert len(distinct) > 1
-        assert len(payloads) == len(distinct)
+        assert {unit.key for unit in ran} == distinct
+        assert len(ran) == len(distinct)
         assert len(records) == len(distinct)
         # perfbench also reads this binding at start-up.
         assert callable(base.time_kernel)

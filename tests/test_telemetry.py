@@ -10,7 +10,6 @@ from repro import telemetry
 from repro.sim import LaunchConfig, SimConfig, simulate_launch
 from repro.suite import run_benchmark
 from repro.telemetry import (
-    EventStream,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -228,11 +227,6 @@ class TestManifest:
 
 
 class TestConfigHash:
-    def test_ignores_runtime_attachments(self):
-        base = SimConfig()
-        wired = replace(base, clause_stream=EventStream())
-        assert config_hash(base) == config_hash(wired)
-
     def test_changes_with_model_parameters(self):
         base = SimConfig()
         tweaked = replace(base, thrash_coeff=base.thrash_coeff + 0.1)
@@ -250,38 +244,6 @@ class TestConfigHash:
             session: object = field(default=None, compare=False)
 
         assert config_hash(Cfg()) == config_hash(Cfg(session=object()))
-
-
-class TestEventStreamHook:
-    def test_clause_stream_captures_simulation_events(self):
-        from repro.compiler import compile_kernel
-        from repro.kernels import KernelParams, generate_generic
-        from repro.arch import RV770
-
-        stream = EventStream()
-        kernel = generate_generic(KernelParams(inputs=4, alu_fetch_ratio=1.0))
-        program = compile_kernel(kernel, RV770)
-        launch = LaunchConfig(domain=(256, 256), iterations=1)
-        simulate_launch(
-            program, RV770, launch, sim=SimConfig(clause_stream=stream)
-        )
-        assert len(stream) > 0
-        resources = {
-            getattr(r, "value", r)
-            for r in stream.busy_cycles_by_resource()
-        }
-        assert "alu" in resources and "tex" in resources
-
-    def test_stream_stays_detached_by_default(self):
-        from repro.compiler import compile_kernel
-        from repro.kernels import KernelParams, generate_generic
-        from repro.arch import RV770
-
-        kernel = generate_generic(KernelParams(inputs=2, alu_fetch_ratio=1.0))
-        program = compile_kernel(kernel, RV770)
-        launch = LaunchConfig(domain=(256, 256), iterations=1)
-        result = simulate_launch(program, RV770, launch)
-        assert result.seconds > 0
 
 
 class TestInstrumentationIntegration:

@@ -8,6 +8,8 @@ from repro.kernels import KernelParams, generate_generic
 from repro.sim import (
     LaunchConfig,
     Resource,
+    SimConfig,
+    prepare_launch,
     render_gantt,
     simulate_launch,
     trace_launch,
@@ -71,6 +73,33 @@ class TestTrace:
         horizon = max(e.end for e in events)
         result = simulate_launch(traced_program, rv770, LaunchConfig())
         assert horizon <= result.cycles + 1e-6
+
+    def test_trace_busy_time_matches_simulated_counters(self, rv770):
+        # The trace is the one producer of clause events: for a launch
+        # the simulator runs exactly, the per-resource sums over the
+        # traced events are the busy cycles it reports.  The summation
+        # order differs, so the sums agree to rounding, not bit for bit.
+        program = compile_kernel(
+            generate_generic(KernelParams(inputs=4, alu_fetch_ratio=1.0))
+        )
+        launch = LaunchConfig(domain=(256, 256), iterations=1)
+        sim = SimConfig()
+        on_simd = prepare_launch(program, rv770, launch, sim).wavefronts_per_simd
+        assert on_simd <= sim.exact_threshold
+
+        events = trace_launch(
+            program, rv770, launch, sim, max_wavefronts=on_simd
+        )
+        counters = simulate_launch(program, rv770, launch, sim).counters
+        assert counters.wavefronts_simulated == on_simd
+        assert len(events) == on_simd * len(program.clauses)
+        for resource in Resource:
+            traced = sum(
+                e.end - e.start for e in events if e.resource is resource
+            )
+            assert traced == pytest.approx(
+                counters.busy_cycles[resource], rel=1e-9
+            )
 
 
 class TestGantt:
