@@ -37,6 +37,8 @@ class FetchSegment:
 class ALUSegment:
     """A maximal run of ALU instructions (one or more ALU clauses)."""
 
+    #: body position of the first instruction.
+    start: int
     instructions: list[ALUInstruction] = field(default_factory=list)
 
 
@@ -70,7 +72,7 @@ def form_segments(kernel: ILKernel) -> list[Segment]:
     open_kind: type | None = None
     open_list: list = []
 
-    for instr in kernel.body:
+    for pos, instr in enumerate(kernel.body):
         if isinstance(instr, ALUInstruction):
             if store_list:
                 raise CompileError(
@@ -78,7 +80,7 @@ def form_segments(kernel: ILKernel) -> list[Segment]:
                     "not supported (exports terminate the program)"
                 )
             if open_kind is not ALUSegment:
-                seg = ALUSegment()
+                seg = ALUSegment(pos)
                 segments.append(seg)
                 open_kind = ALUSegment
                 open_list = seg.instructions

@@ -8,46 +8,35 @@ pass to prove it.
 
 from __future__ import annotations
 
-from repro.il.instructions import (
-    ExportInstruction,
-    GlobalStoreInstruction,
-    Register,
-    RegisterFile,
-)
+from repro.compiler.defuse import DefUse
+from repro.il.instructions import ExportInstruction, GlobalStoreInstruction
 from repro.il.module import ILKernel
 
 
-def eliminate_dead_code(kernel: ILKernel) -> tuple[ILKernel, int]:
+def eliminate_dead_code(kernel: ILKernel, index: DefUse) -> tuple[ILKernel, int]:
     """Remove instructions whose results never reach an output.
 
-    Returns the (possibly smaller) kernel and the number of instructions
-    removed.  Stores and exports are always live; liveness propagates
-    backwards through register operands.  Fetches of declared inputs are
-    kept only if their destination is live — mirroring the CAL compiler
+    ``index`` is the body's def-use index.  Returns the (possibly
+    smaller) kernel and the number of instructions removed.  Stores and
+    exports are always live; liveness propagates backwards to the writers
+    of each kept instruction's sources.  Fetches of declared inputs are
+    kept only if their value is live — mirroring the CAL compiler
     behaviour the paper works around ("every input that is declared and
     sampled has to be used").
     """
-    live_regs: set[Register] = set()
-    keep: list[bool] = [False] * len(kernel.body)
+    body = kernel.body
+    live = bytearray(len(body))
+    for pos in range(len(body) - 1, -1, -1):
+        if isinstance(body[pos], (ExportInstruction, GlobalStoreInstruction)):
+            live[pos] = 1
+        elif not live[pos]:
+            continue
+        for def_pos in index[pos]:
+            if def_pos >= 0:
+                live[def_pos] = 1
 
-    for index in range(len(kernel.body) - 1, -1, -1):
-        instr = kernel.body[index]
-        if isinstance(instr, (ExportInstruction, GlobalStoreInstruction)):
-            keep[index] = True
-        else:
-            defs = instr.defined_registers()
-            keep[index] = any(d in live_regs for d in defs)
-        if keep[index]:
-            for d in instr.defined_registers():
-                live_regs.discard(d)
-            for u in instr.used_registers():
-                if u.file is RegisterFile.TEMP:
-                    live_regs.add(u)
-
-    removed = keep.count(False)
+    removed = live.count(0)
     if removed == 0:
         return kernel, 0
-    new_body = tuple(
-        instr for instr, flag in zip(kernel.body, keep) if flag
-    )
+    new_body = tuple(instr for instr, flag in zip(body, live) if flag)
     return kernel.with_body(new_body), removed

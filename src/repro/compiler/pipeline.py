@@ -12,6 +12,7 @@ from repro.compiler.clauses import (
     chunk,
     form_segments,
 )
+from repro.compiler.defuse import build_defuse
 from repro.compiler.errors import CompileError
 from repro.compiler.optimize import eliminate_dead_code
 from repro.compiler.regalloc import (
@@ -80,7 +81,8 @@ def compile_kernel(
         validate_kernel(kernel)
         original = kernel
         case = None
-        kernel, _removed = eliminate_dead_code(kernel)
+        index = build_defuse(kernel.body)
+        kernel, _removed = eliminate_dead_code(kernel, index)
         if kernel is not original:
             if verify:
                 from repro.verify.differential import (
@@ -107,6 +109,7 @@ def compile_kernel(
             # re-check in case a pathological kernel stored an input that
             # fed nothing else.  An unchanged kernel passed above.
             validate_kernel(kernel)
+            index = build_defuse(kernel.body)
 
         proto: list[ProtoClause] = []
         for segment in form_segments(kernel):
@@ -114,7 +117,7 @@ def compile_kernel(
                 for group in chunk(segment.fetches, options.max_tex_per_clause):
                     proto.append(ProtoTexClause(group))
             elif isinstance(segment, ALUSegment):
-                bundles = pack_bundles(segment.instructions)
+                bundles = pack_bundles(segment.instructions, index, segment.start)
                 for group in chunk(bundles, options.max_alu_per_clause):
                     proto.append(ProtoALUClause(group))
             elif isinstance(segment, StoreSegment):
@@ -122,13 +125,7 @@ def compile_kernel(
             else:  # pragma: no cover - defensive
                 raise CompileError(f"unknown segment {segment!r}")
 
-        result = allocate(kernel, proto)
-        program = ISAProgram(
-            kernel=kernel,
-            clauses=result.clauses,
-            gpr_count=result.gpr_count,
-            clause_temp_count=result.clause_temp_count,
-        )
+        program = allocate(kernel, proto, index)
         if verify:
             from repro.verify.engine import verify_compiled
 

@@ -15,66 +15,49 @@ sample applications) genuinely packs wider.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.il.instructions import ALUInstruction, Register
+from repro.compiler.defuse import DefUse
+from repro.il.instructions import ALUInstruction
 
 _GENERAL_SLOTS = ("x", "y", "z", "w")
 
-
-@dataclass
-class ProtoBundle:
-    """A bundle under construction: (slot, instruction) pairs."""
-
-    ops: list[tuple[str, ALUInstruction]] = field(default_factory=list)
-    defs: set[Register] = field(default_factory=set)
-
-    @property
-    def general_count(self) -> int:
-        return sum(1 for slot, _ in self.ops if slot != "t")
-
-    @property
-    def t_used(self) -> bool:
-        return any(slot == "t" for slot, _ in self.ops)
-
-    def can_accept(self, instr: ALUInstruction) -> bool:
-        """Slot availability and intra-bundle dependence check."""
-        for reg in instr.used_registers():
-            if reg in self.defs:
-                return False  # reads a value produced in this bundle
-        if instr.op.transcendental:
-            return not self.t_used
-        # basic op: any general slot, or the t core if all four are taken
-        return self.general_count < 4 or not self.t_used
-
-    def add(self, instr: ALUInstruction) -> None:
-        if instr.op.transcendental or self.general_count >= 4:
-            slot = "t"
-        else:
-            slot = _GENERAL_SLOTS[self.general_count]
-        self.ops.append((slot, instr))
-        self.defs.update(instr.defined_registers())
+#: a packed bundle: (slot, instruction) pairs in program order.
+ProtoBundle = list[tuple[str, ALUInstruction]]
 
 
-def pack_bundles(instructions: list[ALUInstruction]) -> list[ProtoBundle]:
+def pack_bundles(
+    instructions: list[ALUInstruction], index: DefUse, start: int
+) -> list[ProtoBundle]:
     """Greedy in-order packing of an ALU segment into VLIW bundles.
+
+    ``instructions`` is the contiguous body run that begins at body
+    position ``start``, and ``index`` the body's def-use index.  Because
+    the run is contiguous, an instruction reads a value made in the open
+    bundle exactly when one of its sources was written at or after the
+    bundle's first position.
 
     In-order greedy packing is what the CAL compiler effectively achieves
     on straight-line code: an instruction joins the current bundle unless
     it depends on it or the bundle is full.
     """
     bundles: list[ProtoBundle] = []
-    current: ProtoBundle | None = None
-    for instr in instructions:
-        if current is None or not current.can_accept(instr):
-            current = ProtoBundle()
-            bundles.append(current)
-        current.add(instr)
+    ops: ProtoBundle = []
+    first = start  # body position of the open bundle's first op
+    general = 0  # general (x/y/z/w) slots taken in the open bundle
+    t_used = False
+    for pos, instr in enumerate(instructions, start):
+        transcendental = instr.op.transcendental
+        if (
+            not bundles
+            or max(index[pos]) >= first
+            or (t_used if transcendental else general == 4 and t_used)
+        ):
+            ops = []
+            bundles.append(ops)
+            first, general, t_used = pos, 0, False
+        if transcendental or general == 4:
+            ops.append(("t", instr))
+            t_used = True
+        else:
+            ops.append((_GENERAL_SLOTS[general], instr))
+            general += 1
     return bundles
-
-
-def packing_density(bundles: list[ProtoBundle]) -> float:
-    """Average operations per bundle (1.0 = fully serial chain)."""
-    if not bundles:
-        return 0.0
-    return sum(len(b.ops) for b in bundles) / len(bundles)

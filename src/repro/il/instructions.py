@@ -25,7 +25,7 @@ class RegisterFile(enum.Enum):
     OUTPUT = "o"  #: pixel-shader output (color buffer)
 
 
-# Registers are dict/set keys on every verifier and compiler hot path,
+# Registers are dict/set keys on every verifier hot path,
 # and their rendered names appear once per instruction in emitted IL.
 # Enum attribute access goes through Python-level descriptors, so each
 # member gets a plain-int ordinal and a precomputed name prefix here.

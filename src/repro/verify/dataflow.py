@@ -11,6 +11,8 @@ Two independent recomputations back the verifier's checks:
   it without consulting the register allocator, so the verifier can
   cross-check ``regalloc``'s ``gpr_count`` (the number behind the
   paper's wavefront-residency results, Figs. 16-17).
+
+By design, neither reads the compiler's index (:mod:`repro.compiler.defuse`).
 """
 
 from __future__ import annotations

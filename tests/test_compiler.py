@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import RV770
 from repro.compiler import CompileOptions, compile_kernel
+from repro.compiler.defuse import build_defuse
 from repro.compiler.optimize import eliminate_dead_code
-from repro.compiler.vliw import pack_bundles, packing_density
+from repro.compiler.vliw import pack_bundles
 from repro.il import DataType, ILBuilder, ShaderMode
 from repro.il.instructions import ALUInstruction, operand, temp
 from repro.il.opcodes import ILOp
@@ -23,10 +24,19 @@ def alu(op, dest, *srcs):
     return ALUInstruction(op, temp(dest), tuple(operand(temp(s)) for s in srcs))
 
 
+def pack(instrs):
+    """Pack a list of ALU instructions as a body of its own."""
+    return pack_bundles(instrs, build_defuse(tuple(instrs)), 0)
+
+
+def dce(kernel):
+    return eliminate_dead_code(kernel, build_defuse(kernel.body))
+
+
 class TestDeadCodeElimination:
     def test_generated_kernels_have_no_dead_code(self):
         kernel = generate_generic(KernelParams(inputs=8, alu_fetch_ratio=2.0))
-        assert eliminate_dead_code(kernel)[1] == 0
+        assert dce(kernel)[1] == 0
 
     def test_dead_arithmetic_removed(self):
         builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
@@ -39,7 +49,7 @@ class TestDeadCodeElimination:
         builder.add(live, live)  # dead: result unused
         builder.store(out, live)
         kernel = builder.build()
-        smaller, removed = eliminate_dead_code(kernel)
+        smaller, removed = dce(kernel)
         assert removed == 1
         assert smaller.alu_instruction_count() == 1
 
@@ -48,38 +58,43 @@ class TestVLIWPacking:
     def test_dependent_chain_packs_one_per_bundle(self):
         # r1=r0+r0; r2=r1+r1; r3=r2+r2 — fully serial
         instrs = [alu(ILOp.ADD, 1, 0, 0), alu(ILOp.ADD, 2, 1, 1), alu(ILOp.ADD, 3, 2, 2)]
-        bundles = pack_bundles(instrs)
-        assert len(bundles) == 3
-        assert packing_density(bundles) == 1.0
+        bundles = pack(instrs)
+        assert len(bundles) == len(instrs)
 
     def test_independent_ops_pack_wide(self):
         instrs = [alu(ILOp.ADD, i + 10, 0, 1) for i in range(5)]
-        bundles = pack_bundles(instrs)
+        bundles = pack(instrs)
         assert len(bundles) == 1
-        assert bundles[0].ops[4][0] == "t"  # fifth basic op rides the t core
+        assert bundles[0][4][0] == "t"  # fifth basic op rides the t core
+
+    def test_rewriting_a_register_another_slot_reads_packs_together(self):
+        # r2 is read, then rewritten: the reader gets the old value (all
+        # slots read before any writes), so the two share a bundle.
+        instrs = [alu(ILOp.ADD, 3, 2, 1), alu(ILOp.ADD, 2, 0, 1), alu(ILOp.ADD, 4, 2, 3)]
+        assert [len(bundle) for bundle in pack(instrs)] == [2, 1]
 
     def test_six_independent_ops_need_two_bundles(self):
         instrs = [alu(ILOp.ADD, i + 10, 0, 1) for i in range(6)]
-        assert len(pack_bundles(instrs)) == 2
+        assert len(pack(instrs)) == 2
 
     def test_transcendental_forces_t_slot(self):
         instrs = [
             ALUInstruction(ILOp.SIN, temp(10), (operand(temp(0)),)),
         ]
-        bundles = pack_bundles(instrs)
-        assert bundles[0].ops[0][0] == "t"
+        bundles = pack(instrs)
+        assert bundles[0][0][0] == "t"
 
     def test_two_transcendentals_split(self):
         instrs = [
             ALUInstruction(ILOp.SIN, temp(10), (operand(temp(0)),)),
             ALUInstruction(ILOp.COS, temp(11), (operand(temp(0)),)),
         ]
-        assert len(pack_bundles(instrs)) == 2
+        assert len(pack(instrs)) == 2
 
     def test_slot_letters_unique_per_bundle(self):
         instrs = [alu(ILOp.ADD, i + 10, 0, 1) for i in range(5)]
-        bundles = pack_bundles(instrs)
-        slots = [slot for slot, _ in bundles[0].ops]
+        bundles = pack(instrs)
+        slots = [slot for slot, _ in bundles[0]]
         assert sorted(slots) == sorted(set(slots))
 
 

@@ -617,7 +617,7 @@ def pairwise_max_live(intervals: list[GPRInterval]) -> int:
 
 # ---- differential pass validation ------------------------------------------
 
-def _wrong_op_pass(kernel: ILKernel):
+def _wrong_op_pass(kernel: ILKernel, _index=None):
     """An intentionally broken pass: rewrites the first ADD into a MUL."""
     body = list(kernel.body)
     for index, instr in enumerate(body):
