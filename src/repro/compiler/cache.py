@@ -6,9 +6,8 @@ compilation, the last uncached stage.  A :class:`CompileCache` fronts
 
 1. an **in-process LRU** of live :class:`~repro.isa.program.ISAProgram`
    objects — the compile-once guarantee inside a run or pool batch;
-2. an optional **on-disk shard store** (:class:`ProgramStore`, built on
-   the same :class:`~repro.jobs.blobstore.BlobStore` machinery as the
-   result cache) holding the stable JSON serialization from
+2. an optional **on-disk shard store** (:class:`ProgramStore`, one
+   blob per program) holding the stable JSON serialization from
    :mod:`repro.isa.serialize` — warm-start across processes and runs.
 
 Keys hash exactly what the compiler reads: the canonical IL text, the
@@ -35,6 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -43,7 +44,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import telemetry
 from repro.il.text import cached_il_text
-from repro.jobs.blobstore import BlobStore
 from repro.jobs.units import CODE_VERSION
 from repro.isa.serialize import (
     SCHEMA_VERSION,
@@ -83,16 +83,61 @@ def compile_cache_key(
     return digest[:40]
 
 
-class ProgramStore(BlobStore):
+class ProgramStore:
     """On-disk compiled programs: ``<root>/programs/ab/<key>.json``.
 
-    Shares the result cache's root by default (``results/cache/``), in
-    its own shard subtree, so ``repro cache stats/gc/clear`` maintain
-    both tiers together.
+    One small JSON blob per key, sharded by key prefix.  Writes are
+    atomic (temp file + ``os.replace``, so a killed process leaves no
+    half-written blob), a corrupt blob reads as a miss, and maintenance
+    is salt-aware (``gc`` reaps blobs recorded under another
+    ``CODE_VERSION``).  Concurrent pool workers write and load each
+    other's programs through it.  Shares the result cache's root by
+    default (``results/cache/``), in its own subtree, so
+    ``repro cache stats/gc/clear`` maintain both tiers together.
     """
 
     def __init__(self, root: str | Path) -> None:
-        super().__init__(root, subdir="programs", salt=CODE_VERSION)
+        self.root = Path(root)
+
+    # ---- paths -----------------------------------------------------------
+    @property
+    def objects_dir(self) -> Path:
+        return self.root / "programs"
+
+    def blob_path(self, key: str) -> Path:
+        return self.objects_dir / key[:2] / f"{key}.json"
+
+    # ---- blob I/O --------------------------------------------------------
+    def read(self, key: str) -> dict | None:
+        """The stored blob for ``key``, or ``None`` (missing or corrupt)."""
+        try:
+            blob = json.loads(self.blob_path(key).read_text())
+        except (OSError, ValueError):
+            return None
+        return blob if isinstance(blob, dict) else None
+
+    def write(self, key: str, blob: dict) -> None:
+        """Store ``blob`` under ``key`` atomically (temp file + rename)."""
+        path = self.blob_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(blob, sort_keys=True))
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    @staticmethod
+    def fresh(blob: dict | None) -> bool:
+        """Whether ``blob`` was recorded under the current code version."""
+        return blob is not None and blob.get("version") == CODE_VERSION
 
     def load(
         self, key: str, kernel: "ILKernel | None" = None
@@ -123,6 +168,54 @@ class ProgramStore(BlobStore):
                 "program": program_to_json(program),
             },
         )
+
+    # ---- maintenance -----------------------------------------------------
+    def iter_blobs(self) -> Iterator[tuple[Path, dict | None]]:
+        """Yield ``(path, blob | None)`` for every stored program."""
+        if not self.objects_dir.is_dir():
+            return
+        for path in sorted(self.objects_dir.glob("*/*.json")):
+            try:
+                blob = json.loads(path.read_text())
+            except (OSError, ValueError):
+                blob = None
+            yield path, blob if isinstance(blob, (dict, type(None))) else None
+
+    def scan(self) -> tuple[int, int, int]:
+        """``(entries, bytes, stale)`` over the whole store."""
+        entries = size = stale = 0
+        for path, blob in self.iter_blobs():
+            entries += 1
+            try:
+                size += path.stat().st_size
+            except OSError:
+                pass
+            if not self.fresh(blob):
+                stale += 1
+        return entries, size, stale
+
+    def gc(self) -> int:
+        """Delete unreadable blobs and ones salted under another version."""
+        removed = 0
+        for path, blob in self.iter_blobs():
+            if not self.fresh(blob):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+        return removed
+
+    def clear(self) -> int:
+        """Delete every entry; returns the removed count."""
+        removed = 0
+        for path, _blob in self.iter_blobs():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
 
 class CompileCache:

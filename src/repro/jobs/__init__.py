@@ -5,8 +5,9 @@ of sweep points, every point an independent compile+simulate unit.  This
 package turns a planned sweep into :class:`WorkUnit` values keyed by a
 content address (canonical IL text + GPU spec + launch shape + SimConfig
 + code-version salt), replays any unit already present in the on-disk
-:class:`ResultCache` or a killed run's :class:`RunLedger`, and runs the
-remainder inline or across a process pool — reassembling records in
+:class:`ResultCache` or a killed run's :class:`RunLedger` (two
+append-only JSONL logs in one line format, one line per unit), and runs
+the remainder inline or across a process pool — reassembling records in
 submission order so figures are bit-identical either way.
 
 Entry points:

@@ -1,32 +1,33 @@
-"""On-disk result cache: content-addressed JSON blobs plus an index.
+"""On-disk result cache: one append-only record log plus an index.
 
 Layout (default root ``results/cache/``)::
 
     results/cache/
-      index.json            # entry metadata, rebuilt from blobs if stale
-      objects/ab/<key>.json # one blob per unit record
+      records.jsonl  # one line per unit record, in the run ledger's format
+      index.json     # entry metadata, rewritten from the log
 
-Blobs are content-addressed by :func:`repro.jobs.units.cache_key`, so a
-``get`` is a single path probe — the index is metadata for ``stats`` and
-``gc``, not a lookup dependency, and a missing or corrupt index never
-loses data.  The sharded layout, atomic writes and salt-aware
-maintenance live in :class:`repro.jobs.blobstore.BlobStore`, shared with
-the compiled-program cache (:mod:`repro.compiler.cache`) — docs/jobs.md
-describes the two-tier arrangement.
+A ``put`` appends one line (:mod:`repro.jobs.ledger`); the first ``get``
+or ``put`` reads the log into a ``key -> record`` dict, so a lookup is a
+dict probe.  For a key the last valid line wins: a corrupt line reads as
+a miss and the fresh ``put`` repairs it.  The index is a tooling aid, not
+a lookup dependency.
 
-Because :data:`~repro.jobs.units.CODE_VERSION` participates in the key,
-a compiler/simulator change makes old entries unreachable rather than
-wrong; ``gc`` reaps blobs recorded under a different salt.
+Because :data:`~repro.jobs.units.CODE_VERSION` participates in the key
+and stamps every line, a compiler/simulator change makes old entries
+unreachable rather than wrong; ``gc`` rewrites the log without them and
+deletes the one-blob-per-record ``objects/`` tree of older caches.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.jobs.blobstore import BlobStore
+from repro.jobs.ledger import append_line, scan_lines
 from repro.jobs.units import CODE_VERSION
 
 #: default cache root, relative to the working directory.
@@ -37,9 +38,9 @@ DEFAULT_CACHE_DIR = Path("results") / "cache"
 class CacheStats:
     """Aggregate cache state plus this session's traffic."""
 
-    entries: int = 0
+    entries: int = 0  #: distinct keys with a fresh record
     bytes: int = 0
-    stale: int = 0  #: blobs recorded under a different CODE_VERSION
+    stale: int = 0  #: log lines ``gc`` would drop, plus legacy blobs
     hits: int = 0
     misses: int = 0
     puts: int = 0
@@ -57,34 +58,37 @@ class CacheStats:
         }
 
 
-class ResultCache(BlobStore):
-    """get/put/stats/gc over the blob store.
+class ResultCache:
+    """get/put/stats/gc over one record log.
 
     Session hit/miss/put counts live on the instance; one instance is
     shared across every figure of a run so ``repro suite`` reports one
-    coherent traffic summary.
+    coherent traffic summary.  An instance reads the log once, so it
+    misses lines other processes append later (at worst a unit
+    simulates twice).
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
-        super().__init__(root, subdir="objects", salt=CODE_VERSION)
+        self.root = Path(root)
+        self.log_path = self.root / "records.jsonl"
+        self.index_path = self.root / "index.json"
+        #: the pre-log layout: one blob per record, read by nothing.
+        self.legacy_dir = self.root / "objects"
         self.hits = 0
         self.misses = 0
         self.puts = 0
-
-    # ---- paths -----------------------------------------------------------
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
+        self._records: dict[str, dict] | None = None
 
     # ---- core API --------------------------------------------------------
-    def get(self, key: str) -> dict | None:
-        """The cached record for ``key``, or ``None`` (counted as a miss).
+    def _loaded(self) -> dict[str, dict]:
+        if self._records is None:
+            latest, _dropped = scan_lines(self.log_path)
+            self._records = {k: line["record"] for k, line in latest.items()}
+        return self._records
 
-        A corrupt blob reads as a miss: the unit re-simulates and the
-        fresh ``put`` repairs the entry.
-        """
-        blob = self.read(key)
-        record = blob.get("record") if blob is not None else None
+    def get(self, key: str) -> dict | None:
+        """The cached record for ``key``, or ``None`` (counted as a miss)."""
+        record = self._loaded().get(key)
         if record is None:
             self.misses += 1
             return None
@@ -92,47 +96,44 @@ class ResultCache(BlobStore):
         return record
 
     def put(self, key: str, record: dict, figure: str | None = None) -> None:
-        """Store ``record`` under ``key`` atomically (temp file + rename)."""
-        self.write(
-            key,
+        """Append ``record`` under ``key`` as one log line."""
+        records = self._loaded()
+        append_line(
+            self.log_path,
             {
-                "key": key,
                 "version": CODE_VERSION,
+                "key": key,
                 "figure": figure,
                 "created": time.time(),
                 "record": record,
             },
         )
+        records[key] = record
         self.puts += 1
 
     # ---- maintenance -----------------------------------------------------
     def stats(self) -> CacheStats:
-        """Scan the store and fold in this session's traffic counters."""
-        stats = CacheStats(hits=self.hits, misses=self.misses, puts=self.puts)
-        for path, blob in self.iter_blobs():
-            stats.entries += 1
-            try:
-                stats.bytes += path.stat().st_size
-            except OSError:
-                pass
-            if not self.fresh(blob):
-                stats.stale += 1
-                continue
-            figure = blob.get("figure") or "?"
+        """Scan the log and fold in this session's traffic counters."""
+        latest, dropped = scan_lines(self.log_path)
+        stats = CacheStats(
+            entries=len(latest),
+            bytes=self.log_path.stat().st_size if latest or dropped else 0,
+            stale=dropped + len(list(self.legacy_dir.glob("*/*.json"))),
+            hits=self.hits,
+            misses=self.misses,
+            puts=self.puts,
+        )
+        for line in latest.values():
+            figure = line.get("figure") or "?"
             stats.by_figure[figure] = stats.by_figure.get(figure, 0) + 1
         return stats
 
     def write_index(self) -> Path:
         """Snapshot entry metadata to ``index.json`` (human/tooling aid)."""
-        entries = {}
-        for path, blob in self.iter_blobs():
-            if blob is None:
-                continue
-            entries[blob.get("key", path.stem)] = {
-                "version": blob.get("version"),
-                "figure": blob.get("figure"),
-                "created": blob.get("created"),
-            }
+        entries = {
+            key: {k: line.get(k) for k in ("version", "figure", "created")}
+            for key, line in scan_lines(self.log_path)[0].items()
+        }
         self.root.mkdir(parents=True, exist_ok=True)
         self.index_path.write_text(
             json.dumps(
@@ -141,18 +142,31 @@ class ResultCache(BlobStore):
         )
         return self.index_path
 
+    def _reap_legacy(self) -> int:
+        """Delete the legacy blob tree; returns how many blobs it held."""
+        count = len(list(self.legacy_dir.glob("*/*.json")))
+        shutil.rmtree(self.legacy_dir, ignore_errors=True)
+        return count
+
     def gc(self) -> int:
-        """Delete unreadable blobs and ones salted under another version."""
-        removed = super().gc()
+        """Keep the last fresh line per key and reap the legacy tree;
+        returns the lines and blobs dropped.  Lines a run appends while
+        the log is rewritten are lost, so run it between runs."""
+        latest, dropped = scan_lines(self.log_path)
+        if dropped:
+            tmp = self.root / "records.jsonl.tmp"
+            tmp.write_text("".join(json.dumps(x) + "\n" for x in latest.values()))
+            os.replace(tmp, self.log_path)
+        self._records = None
+        removed = dropped + self._reap_legacy()
         if self.index_path.exists():
             self.write_index()
         return removed
 
     def clear(self) -> int:
         """Delete every entry (and the index); returns the removed count."""
-        removed = super().clear()
-        try:
-            self.index_path.unlink()
-        except OSError:
-            pass
-        return removed
+        latest, dropped = scan_lines(self.log_path)
+        self.log_path.unlink(missing_ok=True)
+        self.index_path.unlink(missing_ok=True)
+        self._records = None
+        return len(latest) + dropped + self._reap_legacy()

@@ -1,28 +1,75 @@
-"""Persistent run ledger: resume an interrupted sweep where it stopped.
+"""Append-only JSONL record logs: the run ledger and the result cache.
 
-The ledger is an append-only JSONL file.  The header line stamps the
-code-version salt; every following line is one completed unit::
+Every line is one completed unit, stamped with the code-version salt::
 
-    {"type": "ledger", "salt": 1}
-    {"key": "<unit key>", "record": {"seconds": ..., "gprs": ...}}
+    {"version": 1, "key": "<unit key>", "record": {"seconds": ..., "gprs": ...}}
 
-The scheduler appends (and flushes) a line the moment a unit finishes,
-so killing a run loses at most the units in flight.  A rerun with
+The run ledger (``<root>/ledger.jsonl``) and the result cache's log
+(``<root>/records.jsonl``, whose lines add ``figure`` and ``created``)
+share this module's writer and reader.  :func:`append_line` writes one
+whole line per call and holds no descriptor after it; :func:`scan_lines`
+skips a torn tail (the expected artifact of a kill), a corrupt line or
+one under another salt, and for a key the last valid line wins.
+
+The scheduler appends a ledger line the moment a unit finishes, so
+killing a run loses at most the units in flight.  A rerun with
 ``resume=True`` preloads the completed records and only simulates the
 remainder; :meth:`RunLedger.discard` removes the file once the whole run
 lands, so the next invocation starts fresh.
-
-A ledger written under a different :data:`~repro.jobs.units.CODE_VERSION`
-is ignored wholesale (the records may be stale), and a torn final line —
-the expected artifact of a kill — is skipped silently.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.jobs.units import CODE_VERSION, record_point
+
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+
+def append_line(path: Path, line: dict) -> None:
+    """Append ``line`` to the log at ``path`` with one ``O_APPEND`` write."""
+    data = (json.dumps(line) + "\n").encode()
+    try:
+        fd = os.open(path, _APPEND, 0o666)
+    except FileNotFoundError:
+        # No directory (yet, or since a cache clear): make it, retry once.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, _APPEND, 0o666)
+    try:
+        written = os.write(fd, data)
+    finally:
+        os.close(fd)
+    if written != len(data):
+        raise OSError(f"short write to {path}: {written} of {len(data)} bytes")
+
+
+def scan_lines(path: Path) -> tuple[dict[str, dict], int]:
+    """The last valid line per key, and how many other lines there are.
+
+    A valid line is a JSON object under the current salt with a string
+    ``key`` and an object ``record``.
+    """
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError:
+        return {}, 0
+    latest: dict[str, dict] = {}
+    for raw in lines:
+        try:
+            line = json.loads(raw)
+        except ValueError:
+            continue
+        if (
+            isinstance(line, dict)
+            and line.get("version") == CODE_VERSION
+            and isinstance(line.get("key"), str)
+            and isinstance(line.get("record"), dict)
+        ):
+            latest[line["key"]] = line
+    return latest, len(lines) - len(latest)
 
 
 class RunLedger:
@@ -30,55 +77,25 @@ class RunLedger:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._fh = None
 
     def load(self) -> dict[str, dict]:
         """Completed ``key -> record`` entries from a previous attempt."""
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return {}
         completed: dict[str, dict] = {}
-        salt_ok = False
-        for line in lines:
-            if not line.strip():
-                continue
+        for key, line in scan_lines(self.path)[0].items():
             try:
-                raw = json.loads(line)
-            except ValueError:
-                continue  # torn tail line from a killed run
-            if raw.get("type") == "ledger":
-                salt_ok = raw.get("salt") == CODE_VERSION
-                continue
-            if not salt_ok:
-                continue
-            try:
-                completed[raw["key"]] = record_point(raw["record"])
+                completed[key] = record_point(line["record"])
             except (KeyError, TypeError, ValueError):
                 continue
         return completed
 
     def append(self, key: str, record: dict) -> None:
-        """Record one completed unit, flushed to disk immediately."""
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._fh = self.path.open("a")
-            if fresh:
-                self._fh.write(
-                    json.dumps({"type": "ledger", "salt": CODE_VERSION}) + "\n"
-                )
-        self._fh.write(json.dumps({"key": key, "record": record}) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        """Record one completed unit; the line is in the file on return."""
+        append_line(
+            self.path, {"version": CODE_VERSION, "key": key, "record": record}
+        )
 
     def discard(self) -> None:
-        """Close and delete — the run completed, nothing left to resume."""
-        self.close()
+        """Delete the ledger — the run completed, nothing left to resume."""
         try:
             self.path.unlink()
         except OSError:

@@ -219,12 +219,8 @@ class JobEngine:
             self._pool = None
         if self.cache is not None and self.cache.puts:
             self.cache.write_index()
-        if self.ledger is None:
-            return
-        if success:
+        if self.ledger is not None and success:
             self.ledger.discard()
-        else:
-            self.ledger.close()
 
     # ---- resolution ------------------------------------------------------
     def _replay(self, unit: WorkUnit) -> dict | None:

@@ -25,6 +25,7 @@ import pytest
 
 import repro.jobs.units as units_mod
 from repro.arch import RV770, RV870
+from repro.compiler.cache import ProgramStore
 from repro.il.types import DataType, ShaderMode
 from repro.jobs import (
     CODE_VERSION,
@@ -38,7 +39,6 @@ from repro.jobs import (
     record_point,
     run_payload,
 )
-from repro.jobs.blobstore import BlobStore
 from repro.jobs.scheduler import batch_units
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import SimConfig
@@ -162,25 +162,24 @@ class TestCacheRoundTrip:
         unit = make_unit()
         cache = ResultCache(tmp_path)
         cache.put(unit.key, record_point(run_payload(unit)))
-        cache.blob_path(unit.key).write_text("{not json")
-        assert cache.get(unit.key) is None
+        cache.log_path.write_text("{not json\n")
+        assert ResultCache(tmp_path).get(unit.key) is None
 
     def test_stats_gc_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         unit = make_unit()
         record = record_point(run_payload(unit))
         cache.put(unit.key, record, figure="figX")
-        # A blob salted under another code version is stale.
+        # A line salted under another code version is stale.
         stale = dict(
             key="f" * 40, version=CODE_VERSION + 1, figure="old",
             created=0.0, record=record,
         )
-        path = cache.blob_path("f" * 40)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(stale))
+        with cache.log_path.open("a") as fh:
+            fh.write(json.dumps(stale) + "\n")
 
         stats = cache.stats()
-        assert stats.entries == 2 and stats.stale == 1
+        assert stats.entries == 1 and stats.stale == 1
         assert stats.by_figure == {"figX": 1}
 
         assert cache.gc() == 1
@@ -188,10 +187,11 @@ class TestCacheRoundTrip:
         assert cache.clear() == 1
         assert cache.stats().entries == 0
 
-    def test_shard_directory_made_once_and_remade_after_removal(
+    def test_log_directory_made_once_and_remade_after_removal(
         self, tmp_path, monkeypatch
     ):
-        cache = ResultCache(tmp_path)
+        root = tmp_path / "cache"
+        cache = ResultCache(root)
         record = record_point(run_payload(make_unit()))
         made = []
         mkdir = Path.mkdir
@@ -205,12 +205,81 @@ class TestCacheRoundTrip:
         assert made
         made.clear()
         cache.put("ab" + "1" * 38, record)
-        assert made == []  # the shard is known to exist
+        assert made == []  # the log exists: a put only appends
 
         # The cache directory vanishes mid-run: the next put remakes it.
-        shutil.rmtree(cache.objects_dir)
+        shutil.rmtree(root)
         cache.put("ab" + "2" * 38, record)
-        assert cache.get("ab" + "2" * 38) is not None
+        assert ResultCache(root).get("ab" + "2" * 38) == record
+
+    def test_torn_tail_line_is_skipped(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        record = record_point(run_payload(make_unit()))
+        cache.put("a" * 40, record)
+        with cache.log_path.open("a") as fh:
+            fh.write(f'{{"version": {CODE_VERSION}, "key": "{"b" * 40}", "rec')
+        fresh = ResultCache(tmp_path)
+        assert fresh.get("a" * 40) == record
+        assert fresh.get("b" * 40) is None
+        assert fresh.stats().stale == 1
+
+    def test_later_line_wins_and_repairs_a_corrupt_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        record = record_point(run_payload(make_unit()))
+        corrupt = {"version": CODE_VERSION, "key": "c" * 40, "record": "?"}
+        with cache.log_path.open("a") as fh:
+            fh.write(json.dumps(corrupt) + "\n")
+        assert cache.get("c" * 40) is None
+        cache.put("c" * 40, {**record, "seconds": 1.0})
+        cache.put("c" * 40, record)
+        assert ResultCache(tmp_path).get("c" * 40) == record
+
+    def test_second_instance_sees_first_instance_puts(self, tmp_path):
+        first = ResultCache(tmp_path)
+        record = record_point(run_payload(make_unit()))
+        for key in ("d" * 40, "e" * 40):
+            first.put(key, record, figure="figY")
+        second = ResultCache(tmp_path)
+        assert second.get("d" * 40) == record
+        assert second.get("e" * 40) == record
+        assert second.stats().by_figure == {"figY": 2}
+
+    def test_gc_leaves_one_line_per_key(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        record = record_point(run_payload(make_unit()))
+        for _ in range(3):
+            cache.put("a" * 40, record)
+            cache.put("b" * 40, record)
+        assert cache.stats().stale == 4
+        assert cache.gc() == 4
+        lines = cache.log_path.read_text().splitlines()
+        assert sorted(json.loads(line)["key"] for line in lines) == [
+            "a" * 40, "b" * 40,
+        ]
+        assert cache.gc() == 0
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_legacy_blobs_are_stale_and_reaped(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        record = record_point(run_payload(make_unit()))
+        cache.put("a" * 40, record)
+        # A record in the one-blob-per-unit layout of older caches.
+        legacy = tmp_path / "objects" / "ff" / ("f" * 40 + ".json")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps(
+            dict(key="f" * 40, version=CODE_VERSION, record=record)
+        ))
+        stats = cache.stats()
+        assert stats.entries == 1 and stats.stale == 1
+        assert cache.gc() == 1
+        assert not (tmp_path / "objects").exists()
+        assert cache.get("a" * 40) == record
+
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("{}")
+        assert cache.clear() == 2
+        assert not (tmp_path / "objects").exists()
+        assert cache.stats().entries == 0
 
 
 class TestLedger:
@@ -221,7 +290,6 @@ class TestLedger:
             "resident_wavefronts": 8, "bound": "alu",
         }
         ledger.append("a" * 40, record)
-        ledger.close()
         assert RunLedger(tmp_path / "ledger.jsonl").load() == {
             "a" * 40: record
         }
@@ -234,7 +302,6 @@ class TestLedger:
             "resident_wavefronts": 4, "bound": "fetch",
         }
         ledger.append("b" * 40, record)
-        ledger.close()
         with path.open("a") as fh:
             fh.write('{"key": "cc", "record": {"seconds"')  # killed mid-write
         assert RunLedger(path).load() == {"b" * 40: record}
@@ -271,7 +338,6 @@ class TestEngine:
         ledger_path.parent.mkdir(parents=True)
         killed = RunLedger(ledger_path)
         killed.append("a" * 40, record_point(run_payload(make_unit())))
-        killed.close()
         before = ledger_path.read_bytes()
 
         engine = JobEngine()
@@ -295,7 +361,6 @@ class TestEngine:
         # First attempt dies after two units (engine never closed).
         first = JobEngine(JobOptions(ledger_path=ledger_path))
         first.run(all_units[:2])
-        first.ledger.close()
         assert ledger_path.exists()
 
         second = JobEngine(JobOptions(ledger_path=ledger_path, resume=True))
@@ -309,7 +374,6 @@ class TestEngine:
         ledger_path = tmp_path / "ledger.jsonl"
         first = JobEngine(JobOptions(ledger_path=ledger_path))
         first.run([make_unit()])
-        first.ledger.close()
 
         fresh = JobEngine(JobOptions(ledger_path=ledger_path))  # no resume
         assert fresh.run([make_unit()]) and fresh.simulated == 1
@@ -320,7 +384,6 @@ class TestEngine:
         unit = make_unit()
         first = JobEngine(JobOptions(ledger_path=ledger_path))
         first.run([unit])
-        first.ledger.close()
 
         second = JobEngine(
             JobOptions(
@@ -582,7 +645,7 @@ def _hammer(root: str, writer: int) -> None:
     must give a complete blob, never ``None``.
     """
     results = ResultCache(root)
-    programs = BlobStore(root, subdir="programs", salt=CODE_VERSION)
+    programs = ProgramStore(root)
     written: set[str] = set()
     for round_ in range(ROUNDS):
         for key in SHARED_KEYS:
@@ -601,8 +664,9 @@ def _hammer(root: str, writer: int) -> None:
 class TestConcurrentWriters:
     def test_forked_writers_share_one_cache_root(self, tmp_path):
         # Pool workers share one ProgramStore (and runs one ResultCache)
-        # root; atomic temp-file-and-rename writes must keep every read
-        # whole while several processes overwrite the same keys.
+        # root; the programs' temp-file-and-rename writes and the record
+        # log's one-write appends must keep every read whole while
+        # several processes overwrite the same keys.
         context = multiprocessing.get_context("fork")
         writers = [
             context.Process(target=_hammer, args=(str(tmp_path), w))
@@ -616,8 +680,15 @@ class TestConcurrentWriters:
         assert [p.exitcode for p in writers] == [0] * WRITERS
 
         results = ResultCache(tmp_path)
-        programs = BlobStore(tmp_path, subdir="programs", salt=CODE_VERSION)
+        programs = ProgramStore(tmp_path)
         for key in SHARED_KEYS:
             assert _complete(results.get(key)), key
             assert _complete(programs.read(key)), key
         assert list(tmp_path.rglob("*.tmp")) == []
+        # A reader keeps the last valid line per key, so a torn or
+        # interleaved append would hide behind a later whole one: every
+        # line the writers appended must itself be whole.
+        lines = results.log_path.read_bytes().splitlines()
+        assert len(lines) == WRITERS * ROUNDS * len(SHARED_KEYS)
+        for raw in lines:
+            assert _complete(json.loads(raw)["record"]), raw
