@@ -11,14 +11,13 @@ compilation, the last uncached stage.  A :class:`CompileCache` fronts
    :mod:`repro.isa.serialize` — warm-start across processes and runs.
 
 Keys hash exactly what the compiler reads: the canonical IL text, the
-clause-size options, the resolved verify flag,
-:data:`~repro.jobs.units.CODE_VERSION` and the serialization schema.
+clause-size options, :data:`~repro.jobs.units.CODE_SALT` (which covers
+the compiler's and the verifier's source) and the serialization schema.
 The GPU is not in the key — ``compile_kernel`` reads only its clause
 limits, which the options already carry — so one kernel compiles once
-for every chip with the same limits.  A cache hit therefore *is* the
-verified compile it replaces — verification ran when the entry was
-created, under the same key — and the differential round-trip tests
-prove deserialized programs execute bitwise-identically.
+for every chip with the same limits.  Every compile verifies, so a
+cache hit *is* the verified compile it replaces, and the differential
+round-trip tests prove deserialized programs execute bitwise-identically.
 
 A cache takes effect only where installed with
 :func:`compile_cache_scope`; plain ``compile_kernel`` calls stay
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import telemetry
 from repro.il.text import cached_il_text
-from repro.jobs.units import CODE_VERSION
+from repro.jobs.units import CODE_SALT
 from repro.isa.serialize import (
     SCHEMA_VERSION,
     SerializationError,
@@ -63,19 +62,14 @@ if TYPE_CHECKING:
 DEFAULT_CAPACITY = 512
 
 
-def compile_cache_key(
-    il_text: str,
-    options: "CompileOptions",
-    verify: bool,
-) -> str:
+def compile_cache_key(il_text: str, options: "CompileOptions") -> str:
     """The compiled program's content address (hex, 40 chars)."""
     material = {
-        "version": CODE_VERSION,
+        "version": CODE_SALT,
         "schema": SCHEMA_VERSION,
         "il": hashlib.sha256(il_text.encode()).hexdigest(),
         "max_tex_per_clause": options.max_tex_per_clause,
         "max_alu_per_clause": options.max_alu_per_clause,
-        "verify": bool(verify),
     }
     digest = hashlib.sha256(
         json.dumps(material, sort_keys=True).encode()
@@ -90,7 +84,7 @@ class ProgramStore:
     atomic (temp file + ``os.replace``, so a killed process leaves no
     half-written blob), a corrupt blob reads as a miss, and maintenance
     is salt-aware (``gc`` reaps blobs recorded under another
-    ``CODE_VERSION``).  Concurrent pool workers write and load each
+    ``CODE_SALT``).  Concurrent pool workers write and load each
     other's programs through it.  Shares the result cache's root by
     default (``results/cache/``), in its own subtree, so
     ``repro cache stats/gc/clear`` maintain both tiers together.
@@ -136,8 +130,8 @@ class ProgramStore:
 
     @staticmethod
     def fresh(blob: dict | None) -> bool:
-        """Whether ``blob`` was recorded under the current code version."""
-        return blob is not None and blob.get("version") == CODE_VERSION
+        """Whether ``blob`` was recorded under the current code salt."""
+        return blob is not None and blob.get("version") == CODE_SALT
 
     def load(
         self, key: str, kernel: "ILKernel | None" = None
@@ -163,7 +157,7 @@ class ProgramStore:
             key,
             {
                 "key": key,
-                "version": CODE_VERSION,
+                "version": CODE_SALT,
                 "created": time.time(),
                 "program": program_to_json(program),
             },
@@ -195,7 +189,7 @@ class ProgramStore:
         return entries, size, stale
 
     def gc(self) -> int:
-        """Delete unreadable blobs and ones salted under another version."""
+        """Delete unreadable blobs and ones recorded under another salt."""
         removed = 0
         for path, blob in self.iter_blobs():
             if not self.fresh(blob):
@@ -248,27 +242,22 @@ class CompileCache:
         kernel: "ILKernel",
         gpu: "GPUSpec | None" = None,
         options: "CompileOptions | None" = None,
-        verify: bool | None = None,
     ) -> "ISAProgram":
-        """A compiled program for ``kernel``, compiling at most once per key.
+        """A verified program for ``kernel``, compiling at most once per key.
 
-        Resolves ``options``/``verify`` exactly like ``compile_kernel``
-        so the key matches what an uncached compile would have done.  A
-        hit (either tier) skips the compile *and* its verification — the
-        key includes the verify flag, so the cached entry was produced
-        under the same verification the caller asked for.
+        Resolves ``options`` exactly like ``compile_kernel`` so the key
+        matches what an uncached compile would have done.  A hit (either
+        tier) skips the compile *and* its verification: every compile
+        verifies, so the cached entry was verified when it was made.
         """
         from repro.compiler.pipeline import CompileOptions, compile_kernel
-        from repro.verify.engine import default_verify
 
-        if verify is None:
-            verify = default_verify()
         if options is None:
             options = (
                 CompileOptions.for_gpu(gpu) if gpu is not None
                 else CompileOptions()
             )
-        key = compile_cache_key(cached_il_text(kernel), options, verify)
+        key = compile_cache_key(cached_il_text(kernel), options)
 
         program = self._memory.get(key)
         if program is not None:
@@ -287,7 +276,7 @@ class CompileCache:
 
         self.misses += 1
         self._count("compile.cache.miss")
-        program = compile_kernel(kernel, gpu, options, verify=verify)
+        program = compile_kernel(kernel, gpu, options)
         self._remember(key, program)
         if self.store is not None:
             self.store.save(key, program)

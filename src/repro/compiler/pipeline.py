@@ -48,7 +48,7 @@ def compile_kernel(
     kernel: ILKernel,
     gpu: GPUSpec | None = None,
     options: CompileOptions | None = None,
-    verify: bool | None = None,
+    verify: bool = True,
 ) -> ISAProgram:
     """Lower an IL kernel to a clause-structured ISA program.
 
@@ -56,19 +56,16 @@ def compile_kernel(
     defaults match all three chips in the paper, so figure-generation code
     may omit it.
 
-    ``verify=True`` runs the :mod:`repro.verify` stack over the compile:
-    each pass is differentially validated (seeded functional execution
-    before/after) and the lowered program must pass the ISA legality
-    checks and match the IL executor bit-for-bit, else
-    :class:`repro.verify.VerificationError` is raised.  ``None`` defers
-    to :func:`repro.verify.default_verify` (off unless the test/figure
-    harness turned it on).
+    Every compile runs the :mod:`repro.verify` stack: each pass is
+    differentially validated (seeded functional execution before/after)
+    and the lowered program must pass the ISA legality checks and match
+    the IL executor bit-for-bit, else a
+    :class:`repro.verify.PassValidationError` or
+    :class:`repro.verify.VerificationError` is raised.  ``verify=False``
+    is for the front ends that report findings instead of raising
+    (``repro.verify.lint_kernel`` and ``repro ska``); they run the same
+    checks themselves.
     """
-    # Imported lazily: repro.verify's engine imports this module.
-    from repro.verify.engine import default_verify
-
-    if verify is None:
-        verify = default_verify()
     if options is None:
         options = CompileOptions.for_gpu(gpu) if gpu is not None else CompileOptions()
 

@@ -4,7 +4,7 @@ The suite is embarrassingly parallel: 13 figures x ~10 series x dozens
 of sweep points, every point an independent compile+simulate unit.  This
 package turns a planned sweep into :class:`WorkUnit` values keyed by a
 content address (canonical IL text + GPU spec + launch shape + SimConfig
-+ code-version salt), replays any unit already present in the on-disk
++ code salt), replays any unit already present in the on-disk
 :class:`ResultCache` or a killed run's :class:`RunLedger` (two
 append-only JSONL logs in one line format, one line per unit), and runs
 the remainder inline or across a process pool — reassembling records in
@@ -23,11 +23,11 @@ See docs/jobs.md for the cache-key specification and resume semantics.
 from repro.jobs.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
 from repro.jobs.ledger import RunLedger
 from repro.jobs.scheduler import JobEngine, JobError, JobOptions, UnitTimeout
-from repro.jobs.units import CODE_VERSION, WorkUnit, cache_key, record_point
+from repro.jobs.units import CODE_SALT, WorkUnit, cache_key, record_point
 from repro.jobs.worker import run_payload
 
 __all__ = [
-    "CODE_VERSION",
+    "CODE_SALT",
     "CacheStats",
     "DEFAULT_CACHE_DIR",
     "JobEngine",

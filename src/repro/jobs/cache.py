@@ -12,9 +12,9 @@ dict probe.  For a key the last valid line wins: a corrupt line reads as
 a miss and the fresh ``put`` repairs it.  The index is a tooling aid, not
 a lookup dependency.
 
-Because :data:`~repro.jobs.units.CODE_VERSION` participates in the key
-and stamps every line, a compiler/simulator change makes old entries
-unreachable rather than wrong; ``gc`` rewrites the log without them and
+Because :data:`~repro.jobs.units.CODE_SALT` participates in the key
+and stamps every line, an edit to any salted source file makes old
+entries unreachable rather than wrong; ``gc`` rewrites the log without them and
 deletes the one-blob-per-record ``objects/`` tree of older caches.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.jobs.ledger import append_line, scan_lines
-from repro.jobs.units import CODE_VERSION
+from repro.jobs.units import CODE_SALT
 
 #: default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -101,7 +101,7 @@ class ResultCache:
         append_line(
             self.log_path,
             {
-                "version": CODE_VERSION,
+                "version": CODE_SALT,
                 "key": key,
                 "figure": figure,
                 "created": time.time(),
@@ -137,7 +137,7 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.index_path.write_text(
             json.dumps(
-                {"salt": CODE_VERSION, "entries": entries}, sort_keys=True
+                {"salt": CODE_SALT, "entries": entries}, sort_keys=True
             )
         )
         return self.index_path

@@ -1,8 +1,9 @@
 """Append-only JSONL record logs: the run ledger and the result cache.
 
-Every line is one completed unit, stamped with the code-version salt::
+Every line is one completed unit, stamped with the code salt
+(:data:`~repro.jobs.units.CODE_SALT`)::
 
-    {"version": 1, "key": "<unit key>", "record": {"seconds": ..., "gprs": ...}}
+    {"version": "<salt>", "key": "<unit key>", "record": {"seconds": ..., "gprs": ...}}
 
 The run ledger (``<root>/ledger.jsonl``) and the result cache's log
 (``<root>/records.jsonl``, whose lines add ``figure`` and ``created``)
@@ -24,7 +25,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.jobs.units import CODE_VERSION, record_point
+from repro.jobs.units import CODE_SALT, record_point
 
 _APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
@@ -64,7 +65,7 @@ def scan_lines(path: Path) -> tuple[dict[str, dict], int]:
             continue
         if (
             isinstance(line, dict)
-            and line.get("version") == CODE_VERSION
+            and line.get("version") == CODE_SALT
             and isinstance(line.get("key"), str)
             and isinstance(line.get("record"), dict)
         ):
@@ -91,7 +92,7 @@ class RunLedger:
     def append(self, key: str, record: dict) -> None:
         """Record one completed unit; the line is in the file on return."""
         append_line(
-            self.path, {"version": CODE_VERSION, "key": key, "record": record}
+            self.path, {"version": CODE_SALT, "key": key, "record": record}
         )
 
     def discard(self) -> None:

@@ -103,9 +103,7 @@ def batch_units(units: Sequence[WorkUnit], jobs: int) -> list[list[WorkUnit]]:
 
     groups: dict[str, list[WorkUnit]] = {}
     for unit in units:
-        key = compile_cache_key(
-            unit.il_text, CompileOptions.for_gpu(unit.gpu), unit.verify
-        )
+        key = compile_cache_key(unit.il_text, CompileOptions.for_gpu(unit.gpu))
         groups.setdefault(key, []).append(unit)
     size = math.ceil(len(units) / jobs)
     return [

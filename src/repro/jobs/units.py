@@ -11,8 +11,9 @@ simulated seconds depend on:
 * the launch shape: domain, block, iterations,
 * the :class:`~repro.sim.config.SimConfig` model parameters (via
   :func:`repro.telemetry.config_hash`),
-* :data:`CODE_VERSION` — a manually bumped salt that invalidates every
-  cached entry when the compiler or simulator changes behavior.
+* :data:`CODE_SALT` — a hash of the source files that can move a
+  number or a verdict, so any change to them invalidates every cached
+  entry.
 
 Two units with equal keys produce bit-identical records, so the cache and
 the scheduler can treat the key as the unit's identity: duplicate keys
@@ -26,6 +27,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.arch.specs import GPUSpec
 from repro.il.module import ILKernel
@@ -33,10 +36,40 @@ from repro.il.text import cached_il_text
 from repro.sim.config import SimConfig
 from repro.telemetry import config_hash
 
-#: Bump whenever a compiler or simulator change can move any measured
-#: number: stale cache entries keyed under the old salt become unreachable
-#: and ``repro cache gc`` reaps them (docs/jobs.md has the policy).
-CODE_VERSION = 1
+if TYPE_CHECKING:
+    from repro.cal.kernel_launch import Event
+
+#: the ``repro`` subpackages whose code can move a measured number or a
+#: verification verdict; with this module, which turns a launch into its
+#: record, they make up the salt.
+SALTED_PACKAGES = (
+    "arch", "il", "kernels", "compiler", "isa", "sim", "cal", "suite", "verify",
+)
+
+
+def code_salt(root: Path) -> str:
+    """Hash the relative path and bytes of every salted source file.
+
+    ``root`` is the ``repro`` package directory.  Any edit to a salted
+    file, a comment included, gives a new salt.
+    """
+    files = sorted(
+        path
+        for package in SALTED_PACKAGES
+        for path in (root / package).rglob("*.py")
+    )
+    files.append(root / "jobs" / "units.py")
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+#: The salt of the result log, the run ledger and the program store:
+#: entries recorded under another salt are unreachable, never wrong, and
+#: ``repro cache gc`` reaps them (docs/jobs.md).
+CODE_SALT = code_salt(Path(__file__).resolve().parent.parent)
 
 
 @dataclass(frozen=True)
@@ -45,9 +78,7 @@ class WorkUnit:
 
     ``figure``/``series``/``value`` locate the unit in its sweep for
     reassembly and telemetry; everything else determines the measured
-    seconds.  ``verify`` is resolved by the planner (not inherited from
-    ambient state) so worker processes reproduce the caller's
-    verification mode exactly.
+    seconds.
 
     A unit is a plain value: the engine dedupes and caches it by
     :attr:`key` and ships it to a pool worker as itself (pickled, with
@@ -63,7 +94,6 @@ class WorkUnit:
     block: tuple[int, int]
     iterations: int
     sim: SimConfig = field(compare=False)
-    verify: bool = True
 
     @cached_property
     def il_text(self) -> str:
@@ -88,7 +118,7 @@ def cache_key(unit: WorkUnit) -> str:
     figures collapse onto one entry.
     """
     material = {
-        "version": CODE_VERSION,
+        "version": CODE_SALT,
         "il": hashlib.sha256(unit.il_text.encode()).hexdigest(),
         "gpu": unit.gpu.chip,
         "gpu_fingerprint": gpu_fingerprint(unit.gpu),
@@ -101,6 +131,16 @@ def cache_key(unit: WorkUnit) -> str:
         json.dumps(material, sort_keys=True).encode()
     ).hexdigest()
     return digest[:40]
+
+
+def launch_record(event: "Event") -> dict:
+    """Reduce one timed launch to its record (see :func:`record_point`)."""
+    return {
+        "seconds": event.seconds,
+        "gprs": event.result.program.gpr_count,
+        "resident_wavefronts": event.counters.resident_wavefronts,
+        "bound": event.bottleneck.value,
+    }
 
 
 def record_point(record: dict) -> dict:

@@ -1,9 +1,9 @@
 """Unit execution: the one function both inline and pooled paths share.
 
-:func:`run_payload` is the whole measurement — compile under the unit's
-verification mode, simulate the launch, and reduce the event with
-:func:`launch_record` to the small JSON-safe record the cache/ledger
-stores.  The engine calls it once per unit inline, or the pool calls it
+:func:`run_payload` is the whole measurement — compile (every compile
+verifies), simulate the launch, and reduce the event with
+:func:`~repro.jobs.units.launch_record` to the small JSON-safe record
+the cache/ledger stores.  The engine calls it once per unit inline, or the pool calls it
 through :func:`run_payloads`, one batch of units at a time.  A
 :class:`~repro.jobs.units.WorkUnit` is a plain picklable value, so the
 pool ships the units themselves.
@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cal.device import Device
-from repro.cal.kernel_launch import Event
 from repro.cal.timing import time_kernel
-from repro.jobs.units import WorkUnit
+from repro.jobs.units import WorkUnit, launch_record
 
 if TYPE_CHECKING:
     from repro.compiler.cache import ProgramStore
@@ -28,28 +27,15 @@ if TYPE_CHECKING:
 
 def run_payload(unit: WorkUnit) -> dict:
     """Run one unit and return a fresh record (see ``units.record_point``)."""
-    from repro.verify import verification
-
-    with verification(unit.verify):
-        event = time_kernel(
-            Device(unit.gpu),
-            unit.kernel,
-            domain=unit.domain,
-            block=unit.block,
-            iterations=unit.iterations,
-            sim=unit.sim,
-        )
+    event = time_kernel(
+        Device(unit.gpu),
+        unit.kernel,
+        domain=unit.domain,
+        block=unit.block,
+        iterations=unit.iterations,
+        sim=unit.sim,
+    )
     return launch_record(event)
-
-
-def launch_record(event: Event) -> dict:
-    """Reduce one timed launch to its record (see ``units.record_point``)."""
-    return {
-        "seconds": event.seconds,
-        "gprs": event.result.program.gpr_count,
-        "resident_wavefronts": event.counters.resident_wavefronts,
-        "bound": event.bottleneck.value,
-    }
 
 
 #: the worker's on-disk program store, opened by :func:`initialize_worker`.

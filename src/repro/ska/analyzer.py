@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.specs import GPUSpec
+from repro.il.module import ILKernel
 from repro.isa.program import ISAProgram
 from repro.isa.stats import ISAStats, collect_stats
 from repro.sim.counters import Bound
@@ -28,7 +29,7 @@ class SKAReport:
     #: the static bottleneck prediction.
     predicted_bound: Bound
     #: verifier findings over the compiled program (empty when clean or
-    #: when ``analyze`` ran without ``verify=True``).
+    #: when ``analyze`` ran without a ``source``).
     diagnostics: tuple = ()
     #: whether the verifier ran (distinguishes "clean" from "not checked").
     verified: bool = False
@@ -52,7 +53,9 @@ class SKAReport:
 
 
 def analyze(
-    program: ISAProgram, gpu: GPUSpec | None = None, verify: bool = False
+    program: ISAProgram,
+    gpu: GPUSpec | None = None,
+    source: ILKernel | None = None,
 ) -> SKAReport:
     """Statically analyze a compiled kernel.
 
@@ -61,9 +64,11 @@ def analyze(
     count rivaling the fetch count -> write bound.  The suite's dynamic
     measurements show where this static picture breaks down.
 
-    ``verify=True`` additionally runs the :mod:`repro.verify` ISA checks
-    and the differential lowering check over the program, folding every
-    finding into the report's ``diagnostics`` (without raising).
+    Given ``source``, the kernel as written, it also runs the
+    :mod:`repro.verify` ISA checks and the differential lowering check of
+    ``program`` against it, folding every finding into the report's
+    ``diagnostics`` (without raising), so drift in a compiler pass shows
+    too.
     """
     stats = collect_stats(program)
     ratio = stats.reported_alu_fetch_ratio
@@ -76,13 +81,10 @@ def analyze(
         predicted = Bound.FETCH
 
     diagnostics: tuple = ()
-    if verify:
-        from repro.verify.differential import check_lowering
-        from repro.verify.isa_checks import check_program
+    if source is not None:
+        from repro.verify.engine import check_compiled
 
-        found = check_program(program)
-        found.extend(check_lowering(program.kernel, program))
-        diagnostics = tuple(found)
+        diagnostics = tuple(check_compiled(source, program))
 
     max_wavefronts = (
         gpu.max_wavefronts_for_gprs(stats.gpr_count) if gpu is not None else None
@@ -94,5 +96,5 @@ def analyze(
         max_wavefronts=max_wavefronts,
         predicted_bound=predicted,
         diagnostics=diagnostics,
-        verified=verify,
+        verified=source is not None,
     )

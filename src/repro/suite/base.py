@@ -163,9 +163,6 @@ class MicroBenchmark(abc.ABC):
                     block=spec.block,
                     iterations=self.iterations,
                     sim=self.sim,
-                    # A miscompile would silently corrupt the measurement,
-                    # so every figure kernel compiles under verification.
-                    verify=True,
                 )
                 planned.append((spec, value, kernel, unit))
         return planned

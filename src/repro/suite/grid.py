@@ -125,11 +125,7 @@ def alu_fetch_grid(
     """
     from repro.jobs.scheduler import JobEngine
     from repro.jobs.units import WorkUnit
-    from repro.verify import default_verify
 
-    # Resolve the ambient verification default once, so pool workers
-    # compile exactly as an inline run would.
-    verify = default_verify()
     units = [
         WorkUnit(
             figure=f"grid-{gpu.chip}",
@@ -145,7 +141,6 @@ def alu_fetch_grid(
             block=block,
             iterations=iterations,
             sim=sim if sim is not None else SimConfig(),
-            verify=verify,
         )
         for n in inputs
         for ratio in ratios

@@ -27,17 +27,14 @@ from repro.verify.differential import (
     PassValidationError,
     check_il_pass,
     check_lowering,
-    run_verified_pass,
     seeded_constants,
     seeded_inputs,
 )
 from repro.verify.engine import (
     LintReport,
     VerificationError,
-    default_verify,
+    check_compiled,
     lint_kernel,
-    set_default_verify,
-    verification,
     verify_compiled,
 )
 from repro.verify.il_checks import check_kernel
@@ -53,12 +50,12 @@ __all__ = [
     "Severity",
     "SourceLocation",
     "VerificationError",
+    "check_compiled",
     "check_il_pass",
     "check_kernel",
     "check_lowering",
     "check_program",
     "dead_instruction_indices",
-    "default_verify",
     "diag",
     "errors",
     "format_diagnostics",
@@ -66,11 +63,8 @@ __all__ = [
     "lint_kernel",
     "max_live_gprs",
     "recomputed_gpr_count",
-    "run_verified_pass",
     "seeded_constants",
     "seeded_inputs",
-    "set_default_verify",
-    "verification",
     "verify_compiled",
     "warnings",
 ]

@@ -213,25 +213,3 @@ def check_lowering(
             )
         ]
     return []
-
-
-def run_verified_pass(
-    kernel: ILKernel,
-    pass_fn,
-    pass_name: str,
-    domain: tuple[int, int] = DEFAULT_DOMAIN,
-) -> ILKernel:
-    """Apply ``pass_fn`` and raise :class:`PassValidationError` on drift.
-
-    ``pass_fn`` takes a kernel and returns a kernel (or a
-    ``(kernel, extra)`` tuple, as ``eliminate_dead_code`` does).
-    """
-    result = pass_fn(kernel)
-    after = result[0] if isinstance(result, tuple) else result
-    diags = check_il_pass(kernel, after, pass_name, domain)
-    if diags:
-        raise PassValidationError(
-            f"differential validation of pass {pass_name!r} failed:\n"
-            + "\n".join(f"  {d}" for d in diags)
-        )
-    return after

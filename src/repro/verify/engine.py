@@ -1,4 +1,4 @@
-"""Verifier entry points: linting, pipeline hooks, and the default switch.
+"""Verifier entry points: linting and the pipeline hook.
 
 Two front doors:
 
@@ -8,21 +8,17 @@ Two front doors:
 * :func:`verify_compiled` — the in-pipeline hook: given a kernel and the
   program it lowered to, run the ISA checks and the differential
   execution and *raise* :class:`VerificationError` on any error-severity
-  finding.  ``compile_kernel(..., verify=True)`` calls this.
+  finding.  ``compile_kernel`` calls this on every compile.
 
-Whether the pipeline verifies by default is controlled three ways, in
-precedence order: the explicit ``verify=`` argument, the
-:func:`verification` context manager / :func:`set_default_verify`, and
-the ``REPRO_VERIFY`` environment variable (unset means off — the figure
-suite and the test suite turn it on).
+Both, and ``repro ska``, collect their post-lowering findings through
+:func:`check_compiled`.  There is no switch: every compile verifies, and
+only the report-don't-raise front ends (``lint_kernel`` and the ``ska``
+command) compile with ``verify=False`` and run the checks themselves.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro import telemetry
 from repro.compiler.errors import CompileError
@@ -46,41 +42,6 @@ class VerificationError(CompileError):
     ) -> None:
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-# ---- default-verify switch -------------------------------------------------
-
-_default_verify: bool | None = None
-
-
-def default_verify() -> bool:
-    """Resolve whether the pipeline should verify when not told explicitly."""
-    if _default_verify is not None:
-        return _default_verify
-    return os.environ.get("REPRO_VERIFY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-def set_default_verify(value: bool | None) -> None:
-    """Set (or with ``None`` clear) the process-wide verify default."""
-    global _default_verify
-    _default_verify = value
-
-
-@contextmanager
-def verification(enabled: bool = True) -> Iterator[None]:
-    """Scope the verify default: ``with verification(): compile_kernel(...)``."""
-    global _default_verify
-    previous = _default_verify
-    _default_verify = enabled
-    try:
-        yield
-    finally:
-        _default_verify = previous
 
 
 # ---- reports ---------------------------------------------------------------
@@ -154,9 +115,7 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
     and V100 would merely duplicate the finding).
     """
     from repro.compiler import pipeline
-    from repro.verify.differential import check_lowering
     from repro.verify.il_checks import check_kernel
-    from repro.verify.isa_checks import check_program
 
     with telemetry.span(
         "verify", kernel=kernel.name, mode=kernel.mode.value
@@ -180,13 +139,13 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
                 )
             else:
                 diagnostics.extend(
-                    check_program(
+                    check_compiled(
+                        kernel,
                         program,
-                        max_tex_per_clause=options.max_tex_per_clause,
-                        max_alu_per_clause=options.max_alu_per_clause,
+                        options.max_tex_per_clause,
+                        options.max_alu_per_clause,
                     )
                 )
-                diagnostics.extend(check_lowering(kernel, program))
         if span:
             span.set(
                 errors=len(errors(diagnostics)),
@@ -201,22 +160,18 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
     return LintReport(kernel, tuple(diagnostics), program)
 
 
-def verify_compiled(
+def check_compiled(
     kernel: ILKernel,
     program: ISAProgram,
     max_tex_per_clause: int = 8,
     max_alu_per_clause: int = 128,
     case=None,
 ) -> list[Diagnostic]:
-    """Post-lowering verification used by ``compile_kernel(verify=True)``.
+    """Every post-lowering finding for ``program``, without raising.
 
-    Returns all findings; raises :class:`VerificationError` if any is an
-    error (warnings — dead ISA writes, oversized clauses — pass through
-    for the caller to report).  ``case`` optionally supplies a pre-built
-    differential test vector (the pipeline shares one across its passes).
-
-    Nothing is memoized here: suite runs put a compile cache in front of
-    every verified compile, so each distinct program verifies once.
+    The ISA legality checks plus the differential IL-vs-ISA execution.
+    ``case`` optionally supplies a pre-built differential test vector
+    (the pipeline shares one across its passes).
     """
     from repro.verify.differential import check_lowering
     from repro.verify.isa_checks import check_program
@@ -227,6 +182,28 @@ def verify_compiled(
         max_alu_per_clause=max_alu_per_clause,
     )
     diagnostics.extend(check_lowering(kernel, program, case=case))
+    return diagnostics
+
+
+def verify_compiled(
+    kernel: ILKernel,
+    program: ISAProgram,
+    max_tex_per_clause: int = 8,
+    max_alu_per_clause: int = 128,
+    case=None,
+) -> list[Diagnostic]:
+    """Post-lowering verification, run by every ``compile_kernel``.
+
+    Returns :func:`check_compiled`'s findings; raises
+    :class:`VerificationError` if any is an error (warnings — dead ISA
+    writes, oversized clauses — pass through for the caller to report).
+
+    Nothing is memoized here: suite runs put a compile cache in front of
+    every compile, so each distinct program verifies once.
+    """
+    diagnostics = check_compiled(
+        kernel, program, max_tex_per_clause, max_alu_per_clause, case
+    )
     broken = errors(diagnostics)
     if broken:
         raise VerificationError(
@@ -241,9 +218,7 @@ __all__ = [
     "LintReport",
     "Severity",
     "VerificationError",
-    "default_verify",
+    "check_compiled",
     "lint_kernel",
-    "set_default_verify",
-    "verification",
     "verify_compiled",
 ]

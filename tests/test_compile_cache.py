@@ -36,14 +36,14 @@ BASE_OPTIONS = CompileOptions()
 class TestCacheKey:
     def test_deterministic(self):
         il = cached_il_text(kernel_n())
-        a = compile_cache_key(il, BASE_OPTIONS, True)
-        b = compile_cache_key(il, BASE_OPTIONS, True)
+        a = compile_cache_key(il, BASE_OPTIONS)
+        b = compile_cache_key(il, BASE_OPTIONS)
         assert a == b
         assert len(a) == 40
 
     def test_il_text_changes_key(self):
-        a = compile_cache_key(cached_il_text(kernel_n(8)), BASE_OPTIONS, True)
-        b = compile_cache_key(cached_il_text(kernel_n(12)), BASE_OPTIONS, True)
+        a = compile_cache_key(cached_il_text(kernel_n(8)), BASE_OPTIONS)
+        b = compile_cache_key(cached_il_text(kernel_n(12)), BASE_OPTIONS)
         assert a != b
 
     def test_key_is_the_compilers_input_not_the_gpu(self):
@@ -53,32 +53,26 @@ class TestCacheKey:
         il = cached_il_text(kernel_n())
         assert CompileOptions.for_gpu(RV770) == CompileOptions.for_gpu(RV670)
         assert compile_cache_key(
-            il, CompileOptions.for_gpu(RV770), True
-        ) == compile_cache_key(il, CompileOptions.for_gpu(RV670), True)
+            il, CompileOptions.for_gpu(RV770)
+        ) == compile_cache_key(il, CompileOptions.for_gpu(RV670))
         tight = CompileOptions(max_tex_per_clause=4)
-        assert compile_cache_key(il, BASE_OPTIONS, True) != (
-            compile_cache_key(il, tight, True)
+        assert compile_cache_key(il, BASE_OPTIONS) != (
+            compile_cache_key(il, tight)
         )
 
     def test_clause_options_change_key(self):
         il = cached_il_text(kernel_n())
         small = CompileOptions(max_alu_per_clause=16)
-        assert compile_cache_key(il, BASE_OPTIONS, True) != (
-            compile_cache_key(il, small, True)
+        assert compile_cache_key(il, BASE_OPTIONS) != (
+            compile_cache_key(il, small)
         )
 
-    def test_verify_flag_changes_key(self):
+    def test_code_salt_changes_key(self, monkeypatch):
+        # A new code salt must orphan every cached program.
         il = cached_il_text(kernel_n())
-        assert compile_cache_key(il, BASE_OPTIONS, True) != (
-            compile_cache_key(il, BASE_OPTIONS, False)
-        )
-
-    def test_code_version_changes_key(self, monkeypatch):
-        # Bumping CODE_VERSION must orphan every cached program.
-        il = cached_il_text(kernel_n())
-        before = compile_cache_key(il, BASE_OPTIONS, True)
-        monkeypatch.setattr(cache_mod, "CODE_VERSION", 999_999)
-        assert compile_cache_key(il, BASE_OPTIONS, True) != before
+        before = compile_cache_key(il, BASE_OPTIONS)
+        monkeypatch.setattr(cache_mod, "CODE_SALT", "other-salt")
+        assert compile_cache_key(il, BASE_OPTIONS) != before
 
 
 class TestMemoryTier:

@@ -24,7 +24,7 @@ from tests.strategies import kernels
 )
 @given(kernels())
 def test_random_kernels_compile_and_round_trip(kernel):
-    program = compile_kernel(kernel, verify=True)
+    program = compile_kernel(kernel)
     text = emit_il(kernel)
     parsed = parse_il(text)
     assert parsed == kernel
@@ -65,7 +65,7 @@ class TestRedefinedTemps:
             inputs=2,
         )
         validate_kernel(kernel)
-        program = compile_kernel(kernel, verify=True)
+        program = compile_kernel(kernel)
         assert check_lowering(kernel, program) == []
 
     def test_fetch_redefined_by_alu_op(self):
@@ -74,5 +74,5 @@ class TestRedefinedTemps:
             "mov r0, r0\n"
             "mov o0, r0\n"
         )
-        program = compile_kernel(kernel, verify=True)
+        program = compile_kernel(kernel)
         assert check_lowering(kernel, program) == []

@@ -1,7 +1,8 @@
 """Tests for the repro.jobs execution engine.
 
 Covers the cache-key invalidation matrix (any input that can move a
-measured number must move the key), cache hit fidelity (bit-identical
+measured number must move the key), the code-derived salt, cache hit
+fidelity (bit-identical
 replay), the run ledger's resume semantics, scheduler deduplication,
 compile-key batching, the worker pool's lifetime and the units it is
 shipped, worker-crash retry, unit timeouts, cache maintenance
@@ -12,12 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
 import os
 import pickle
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -25,10 +28,10 @@ import pytest
 
 import repro.jobs.units as units_mod
 from repro.arch import RV770, RV870
-from repro.compiler.cache import ProgramStore
+from repro.compiler.cache import CompileCache, ProgramStore
 from repro.il.types import DataType, ShaderMode
 from repro.jobs import (
-    CODE_VERSION,
+    CODE_SALT,
     JobEngine,
     JobOptions,
     ResultCache,
@@ -40,6 +43,7 @@ from repro.jobs import (
     run_payload,
 )
 from repro.jobs.scheduler import batch_units
+from repro.jobs.units import launch_record
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import SimConfig
 
@@ -72,7 +76,6 @@ def make_unit(
         block=block,
         iterations=iterations,
         sim=sim if sim is not None else SimConfig(),
-        verify=True,
     )
 
 
@@ -127,10 +130,10 @@ class TestCacheKey:
             sim = dataclasses.replace(base.sim, **{field.name: bumped})
             assert make_unit(sim=sim).key != base.key, field.name
 
-    def test_code_version_salt_invalidates(self, monkeypatch):
+    def test_code_salt_invalidates(self, monkeypatch):
         base = make_unit()
         before = cache_key(base)
-        monkeypatch.setattr(units_mod, "CODE_VERSION", CODE_VERSION + 1)
+        monkeypatch.setattr(units_mod, "CODE_SALT", "other-salt")
         assert cache_key(make_unit()) != before
 
     def test_simconfig_holds_model_parameters_only(self):
@@ -140,6 +143,74 @@ class TestCacheKey:
             assert field.compare, field.name
             assert field.default_factory is dataclasses.MISSING, field.name
             assert isinstance(field.default, (bool, int, float)), field.name
+
+
+class TestCodeSalt:
+    @staticmethod
+    def set_salt(monkeypatch, salt: str) -> None:
+        """Rebind the salt wherever it was imported, as a new import would."""
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                module, "CODE_SALT", None
+            ) == CODE_SALT:
+                monkeypatch.setattr(module, "CODE_SALT", salt)
+
+    def test_one_changed_byte_changes_the_salt(self, tmp_path):
+        root = Path(units_mod.__file__).resolve().parent.parent
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            root, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert units_mod.code_salt(copy) == CODE_SALT
+        # A file outside the salted packages does not move it ...
+        (copy / "cli.py").write_text("# edited\n")
+        assert units_mod.code_salt(copy) == CODE_SALT
+        # ... one flipped byte in a simulator file does.
+        simd = copy / "sim" / "simd.py"
+        data = bytearray(simd.read_bytes())
+        data[len(data) // 2] ^= 1
+        simd.write_bytes(bytes(data))
+        assert units_mod.code_salt(copy) != CODE_SALT
+
+    def test_the_record_reduction_is_salted(self, tmp_path):
+        # ``launch_record`` decides what a cached record holds, so an
+        # edit to the file that defines it must make warm caches miss.
+        root = Path(units_mod.__file__).resolve().parent.parent
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            root, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        source = Path(inspect.getsourcefile(launch_record)).resolve()
+        target = copy / source.relative_to(root)
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 1
+        target.write_bytes(bytes(data))
+        assert units_mod.code_salt(copy) != CODE_SALT
+
+    def test_new_salt_misses_warm_caches(self, tmp_path, monkeypatch):
+        unit = make_unit()
+        ResultCache(tmp_path).put(unit.key, record_point(run_payload(unit)))
+        CompileCache(ProgramStore(tmp_path)).get_or_compile(
+            unit.kernel, unit.gpu
+        )
+
+        def warm() -> tuple[bool, int, int, int]:
+            results = ResultCache(tmp_path)
+            programs = CompileCache(ProgramStore(tmp_path))
+            hit = results.get(make_unit().key) is not None
+            programs.get_or_compile(unit.kernel, unit.gpu)
+            return (
+                hit,
+                programs.disk_hits,
+                results.stats().stale,
+                ProgramStore(tmp_path).scan()[2],
+            )
+
+        assert warm() == (True, 1, 0, 0)
+        self.set_salt(monkeypatch, "other-salt")
+        # Both tiers miss, and the old entries now count as stale, so
+        # ``repro cache gc`` reaps them.
+        assert warm() == (False, 0, 1, 1)
 
 
 class TestCacheRoundTrip:
@@ -170,9 +241,9 @@ class TestCacheRoundTrip:
         unit = make_unit()
         record = record_point(run_payload(unit))
         cache.put(unit.key, record, figure="figX")
-        # A line salted under another code version is stale.
+        # A line recorded under another code salt is stale.
         stale = dict(
-            key="f" * 40, version=CODE_VERSION + 1, figure="old",
+            key="f" * 40, version="other-salt", figure="old",
             created=0.0, record=record,
         )
         with cache.log_path.open("a") as fh:
@@ -217,7 +288,7 @@ class TestCacheRoundTrip:
         record = record_point(run_payload(make_unit()))
         cache.put("a" * 40, record)
         with cache.log_path.open("a") as fh:
-            fh.write(f'{{"version": {CODE_VERSION}, "key": "{"b" * 40}", "rec')
+            fh.write(f'{{"version": "{CODE_SALT}", "key": "{"b" * 40}", "rec')
         fresh = ResultCache(tmp_path)
         assert fresh.get("a" * 40) == record
         assert fresh.get("b" * 40) is None
@@ -226,7 +297,7 @@ class TestCacheRoundTrip:
     def test_later_line_wins_and_repairs_a_corrupt_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         record = record_point(run_payload(make_unit()))
-        corrupt = {"version": CODE_VERSION, "key": "c" * 40, "record": "?"}
+        corrupt = {"version": CODE_SALT, "key": "c" * 40, "record": "?"}
         with cache.log_path.open("a") as fh:
             fh.write(json.dumps(corrupt) + "\n")
         assert cache.get("c" * 40) is None
@@ -267,7 +338,7 @@ class TestCacheRoundTrip:
         legacy = tmp_path / "objects" / "ff" / ("f" * 40 + ".json")
         legacy.parent.mkdir(parents=True)
         legacy.write_text(json.dumps(
-            dict(key="f" * 40, version=CODE_VERSION, record=record)
+            dict(key="f" * 40, version=CODE_SALT, record=record)
         ))
         stats = cache.stats()
         assert stats.entries == 1 and stats.stale == 1
@@ -309,7 +380,7 @@ class TestLedger:
     def test_wrong_salt_ledger_is_ignored(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_text(
-            json.dumps({"type": "ledger", "salt": CODE_VERSION + 1})
+            json.dumps({"type": "ledger", "salt": "other-salt"})
             + "\n"
             + json.dumps({"key": "d" * 40, "record": {"seconds": 1.0}})
             + "\n"
@@ -460,9 +531,7 @@ class TestBatching:
         from repro.compiler.cache import compile_cache_key
         from repro.compiler.pipeline import CompileOptions
 
-        return compile_cache_key(
-            unit.il_text, CompileOptions.for_gpu(unit.gpu), unit.verify
-        )
+        return compile_cache_key(unit.il_text, CompileOptions.for_gpu(unit.gpu))
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 16])
     def test_one_compile_key_per_batch(self, jobs):
@@ -621,7 +690,7 @@ def _blob(writer: int, round_: int, key: str) -> dict:
     """A blob large enough that a torn write would show as a bad digest."""
     payload = f"{writer}:{round_}:{key}:" * 800
     return {
-        "version": CODE_VERSION,
+        "version": CODE_SALT,
         "writer": writer,
         "payload": payload,
         "digest": hashlib.sha256(payload.encode()).hexdigest(),

@@ -9,6 +9,10 @@ and the property that every kernel generator compiles verifier-clean.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,10 +71,8 @@ from repro.verify import (
     lint_kernel,
     max_live_gprs,
     recomputed_gpr_count,
-    run_verified_pass,
     seeded_constants,
     seeded_inputs,
-    verification,
 )
 
 
@@ -292,7 +294,7 @@ class TestValidateOnce:
         monkeypatch.setattr(il_checks, "error_checks", counting)
         validate_kernel(kernel)
         validate_kernel(kernel)
-        compile_kernel(kernel, verify=True)
+        compile_kernel(kernel)
         assert calls == [kernel]
 
     def test_derived_kernels_are_checked_again(self):
@@ -661,16 +663,6 @@ class TestDifferentialValidation:
         found = check_il_pass(simple_kernel, broken, "drop-instr")
         assert codes(found) == {"V202"}
 
-    def test_run_verified_pass_raises_on_drift(self, simple_kernel):
-        with pytest.raises(PassValidationError, match="V201"):
-            run_verified_pass(simple_kernel, _wrong_op_pass, "wrong-op")
-
-    def test_run_verified_pass_returns_result_when_clean(self, simple_kernel):
-        out = run_verified_pass(
-            simple_kernel, lambda k: (k, 0), "identity"
-        )
-        assert out is simple_kernel
-
     def test_lowering_check_is_clean_for_compiled(self, simple_kernel):
         program = compile_kernel(simple_kernel)
         assert check_lowering(simple_kernel, program) == []
@@ -698,7 +690,7 @@ class TestDifferentialValidation:
             pipeline, "eliminate_dead_code", _wrong_op_pass
         )
         with pytest.raises(PassValidationError, match="eliminate_dead_code"):
-            compile_kernel(simple_kernel, verify=True)
+            compile_kernel(simple_kernel)
 
     def test_pipeline_skips_validation_when_verify_off(
         self, simple_kernel, monkeypatch
@@ -708,10 +700,73 @@ class TestDifferentialValidation:
         monkeypatch.setattr(
             pipeline, "eliminate_dead_code", _wrong_op_pass
         )
-        # verify=False compiles without noticing — that is the trade-off
-        # the default-on test/suite configuration exists to cover.
+        # verify=False compiles without noticing: the front ends that use
+        # it (lint_kernel, repro ska) run the post-lowering checks
+        # themselves and report instead of raising.
         program = compile_kernel(simple_kernel, verify=False)
         assert program.gpr_count >= 1
+
+
+#: Run in a fresh interpreter, without this directory's conftest or any
+#: environment variable: a broken DCE pass must fail the plain compile
+#: and an inline grid sweep alike.
+_FRESH_COMPILE_SCRIPT = """
+import repro.compiler.pipeline as pipeline
+from repro.arch import RV770
+from repro.compiler import compile_kernel
+from repro.il.instructions import ALUInstruction
+from repro.il.opcodes import ILOp
+from repro.kernels import KernelParams, generate_generic
+from repro.suite.grid import alu_fetch_grid
+from repro.verify import PassValidationError
+
+
+def wrong_op_pass(kernel, _index=None):
+    body = list(kernel.body)
+    for i, instr in enumerate(body):
+        if isinstance(instr, ALUInstruction) and instr.op is ILOp.ADD:
+            body[i] = ALUInstruction(ILOp.MUL, instr.dest, instr.sources)
+            break
+    return kernel.with_body(tuple(body)), 1
+
+
+pipeline.eliminate_dead_code = wrong_op_pass
+kernel = generate_generic(KernelParams(inputs=4, alu_fetch_ratio=1.0))
+calls = {
+    "compile_kernel": lambda: compile_kernel(kernel),
+    "alu_fetch_grid": lambda: alu_fetch_grid(
+        RV770, inputs=(4,), ratios=(1.0,), domain=(64, 64), iterations=1
+    ),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except PassValidationError:
+        print(name, "raised")
+    else:
+        print(name, "compiled unverified")
+"""
+
+
+def test_every_compile_verifies_in_a_fresh_interpreter():
+    # A bare environment: no variable from this shell can switch
+    # anything on.
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_COMPILE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == [
+        "compile_kernel raised",
+        "alu_fetch_grid raised",
+    ]
 
 
 # ---- the negate-modifier lowering fix --------------------------------------
@@ -735,7 +790,7 @@ class TestNegateLowering:
         return make_kernel(body, name="negate_regression")
 
     def test_negate_survives_lowering(self):
-        program = compile_kernel(self._negate_kernel(), verify=True)
+        program = compile_kernel(self._negate_kernel())
         negated = [
             src
             for clause in program.clauses
@@ -790,18 +845,6 @@ class TestLintKernel:
         assert report.warning_count >= 1
         assert report.exit_code() == 0
         assert report.exit_code(strict=True) == 1
-
-    def test_verification_context_manager(self, simple_kernel, monkeypatch):
-        import repro.compiler.pipeline as pipeline
-
-        monkeypatch.setattr(
-            pipeline, "eliminate_dead_code", _wrong_op_pass
-        )
-        with verification(False):
-            compile_kernel(simple_kernel)  # broken pass goes unnoticed
-        with verification(True):
-            with pytest.raises(PassValidationError):
-                compile_kernel(simple_kernel)
 
 
 # ---- every generator is verifier-clean -------------------------------------
@@ -872,6 +915,24 @@ class TestPipelineVerification:
             d.code == "V108" for d in excinfo.value.diagnostics
         )
 
+    def test_check_compiled_reports_what_verify_compiled_raises(
+        self, simple_kernel
+    ):
+        from repro.verify import check_compiled, verify_compiled
+
+        program = compile_kernel(simple_kernel)
+        assert check_compiled(simple_kernel, program) == []
+        inflated = dataclasses.replace(
+            program, gpr_count=program.gpr_count + 1
+        )
+        # The report-don't-raise front ends get the same findings the
+        # pipeline hook raises on.
+        found = check_compiled(simple_kernel, inflated)
+        assert "V108" in codes(found)
+        with pytest.raises(VerificationError) as excinfo:
+            verify_compiled(simple_kernel, inflated)
+        assert list(excinfo.value.diagnostics) == found
+
     def test_verification_error_is_compile_error(self):
         from repro.compiler import CompileError
 
@@ -883,7 +944,7 @@ class TestPipelineVerification:
 
         manifest = tmp_path / "run.jsonl"
         with telemetry.recording(str(manifest)):
-            compile_kernel(simple_kernel, verify=True)
+            compile_kernel(simple_kernel)
         names = {
             r["name"]
             for r in telemetry.read_manifest(str(manifest))
