@@ -91,7 +91,8 @@ def compile_kernel(
                 # One seeded test vector serves every differential check
                 # of this compile (DCE validation and the lowering check):
                 # the inputs depend only on the kernel name, which DCE
-                # preserves.
+                # preserves, and the original kernel's outputs, executed
+                # here, are kept on it for the lowering check.
                 case = seeded_case(original)
                 drift = check_il_pass(
                     original, kernel, "eliminate_dead_code", case=case

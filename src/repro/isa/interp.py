@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.il.opcodes import ILOp
 from repro.isa.clauses import (
     ALUClause,
     ExportClause,
@@ -28,32 +27,16 @@ from repro.isa.clauses import (
     ValueLocation,
 )
 from repro.isa.program import ISAProgram
+from repro.sim.functional import (
+    ALU_OPS,
+    bind_inputs,
+    constant_array,
+    position_array,
+)
 
 
 class ISAExecutionError(ValueError):
     """Raised when a compiled program cannot be executed numerically."""
-
-
-_UNARY = {
-    ILOp.MOV: lambda a: a,
-    ILOp.FLR: np.floor,
-    ILOp.FRC: lambda a: a - np.floor(a),
-    ILOp.RCP: lambda a: np.reciprocal(a, where=a != 0, out=np.zeros_like(a)),
-    ILOp.RSQ: lambda a: np.where(a > 0, 1.0 / np.sqrt(np.abs(a) + 1e-30), 0.0),
-    ILOp.SQRT: lambda a: np.sqrt(np.abs(a)),
-    ILOp.EXP: np.exp,
-    ILOp.LOG: lambda a: np.log(np.abs(a) + 1e-30),
-    ILOp.SIN: np.sin,
-    ILOp.COS: np.cos,
-}
-
-_BINARY = {
-    ILOp.ADD: np.add,
-    ILOp.SUB: np.subtract,
-    ILOp.MUL: np.multiply,
-    ILOp.MIN: np.minimum,
-    ILOp.MAX: np.maximum,
-}
 
 
 def execute_program(
@@ -82,45 +65,11 @@ def _execute_program(
     domain: tuple[int, int],
     constants: dict[int, np.ndarray | float] | None = None,
 ) -> dict[int, np.ndarray]:
-    kernel = program.kernel
     width, height = domain
-    components = kernel.dtype.components
-    shape = (height, width, components)
+    shape = (height, width, program.kernel.dtype.components)
     constants = constants or {}
-
-    arrays: dict[int, np.ndarray] = {}
-    for decl in kernel.inputs:
-        try:
-            raw = inputs[decl.index]
-        except KeyError:
-            raise ISAExecutionError(f"input {decl.index} not provided") from None
-        arr = np.asarray(raw, dtype=np.float32)
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
-        if arr.shape[:2] != (height, width):
-            raise ISAExecutionError(
-                f"input {decl.index} has shape {arr.shape[:2]}, expected "
-                f"{(height, width)}"
-            )
-        if arr.shape[2] == 1 and components > 1:
-            arr = np.broadcast_to(arr, shape)
-        elif arr.shape[2] != components:
-            raise ISAExecutionError(
-                f"input {decl.index} has {arr.shape[2]} components, kernel "
-                f"expects {components}"
-            )
-        arrays[decl.index] = arr
-
-    # R0 holds the position/thread id.
-    ys, xs = np.meshgrid(
-        np.arange(height, dtype=np.float32),
-        np.arange(width, dtype=np.float32),
-        indexing="ij",
-    )
-    position = np.zeros(shape, dtype=np.float32)
-    position[:, :, 0] = xs
-    if components > 1:
-        position[:, :, 1] = ys
+    arrays = bind_inputs(program.kernel, inputs, shape, ISAExecutionError)
+    position = position_array(shape)  # R0 holds the position/thread id
 
     gprs: dict[int, np.ndarray] = {0: position}
     clause_temps: dict[int, np.ndarray] = {}
@@ -129,45 +78,34 @@ def _execute_program(
     outputs: dict[int, np.ndarray] = {}
 
     def read(value: Value) -> np.ndarray:
-        arr = _read_raw(value)
-        return -arr if value.negate else arr
-
-    def _read_raw(value: Value) -> np.ndarray:
-        if value.location is ValueLocation.GPR:
-            try:
-                return gprs[value.index]
-            except KeyError:
-                raise ISAExecutionError(
-                    f"read of uninitialized R{value.index}"
-                ) from None
-        if value.location is ValueLocation.POSITION:
-            return position
-        if value.location is ValueLocation.CLAUSE_TEMP:
-            try:
-                return clause_temps[value.index]
-            except KeyError:
+        location = value.location
+        if location is ValueLocation.GPR:
+            if value.index not in gprs:
+                raise ISAExecutionError(f"read of uninitialized R{value.index}")
+            arr = gprs[value.index]
+        elif location is ValueLocation.POSITION:
+            arr = position
+        elif location is ValueLocation.CLAUSE_TEMP:
+            if value.index not in clause_temps:
                 raise ISAExecutionError(
                     f"read of dead clause temporary T{value.index}"
-                ) from None
-        if value.location is ValueLocation.PREVIOUS_VECTOR:
-            try:
-                return prev_vector[value.index]
-            except KeyError:
+                )
+            arr = clause_temps[value.index]
+        elif location is ValueLocation.PREVIOUS_VECTOR:
+            if value.index not in prev_vector:
                 raise ISAExecutionError(
                     f"no previous-bundle result in slot {value.index}"
-                ) from None
-        if value.location is ValueLocation.PREVIOUS_SCALAR:
+                )
+            arr = prev_vector[value.index]
+        elif location is ValueLocation.PREVIOUS_SCALAR:
             if prev_scalar is None:
                 raise ISAExecutionError("no previous-bundle t-slot result")
-            return prev_scalar
-        if value.location is ValueLocation.CONSTANT:
-            raw = constants.get(value.index, 0.0)
-            if np.ndim(raw):
-                return np.broadcast_to(
-                    np.asarray(raw, dtype=np.float32).reshape(1, 1, -1), shape
-                )
-            return np.broadcast_to(np.float32(raw), shape)
-        raise ISAExecutionError(f"unreadable value {value}")
+            arr = prev_scalar
+        elif location is ValueLocation.CONSTANT:
+            arr = constant_array(constants.get(value.index, 0.0), shape)
+        else:
+            raise ISAExecutionError(f"unreadable value {value}")
+        return -arr if value.negate else arr
 
     def write(value: Value, data: np.ndarray) -> None:
         if value.location is ValueLocation.GPR:
@@ -177,6 +115,10 @@ def _execute_program(
         else:
             raise ISAExecutionError(f"unwritable destination {value}")
 
+    gpr = ValueLocation.GPR
+    clause_temp = ValueLocation.CLAUSE_TEMP
+    previous_vector = ValueLocation.PREVIOUS_VECTOR
+    f32 = np.dtype(np.float32)
     # float32 overflow in long chains is expected and must match the IL
     # executor's behaviour (see repro.sim.functional).
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,23 +137,26 @@ def _execute_program(
                     next_vector: dict[int, np.ndarray] = {}
                     next_scalar: np.ndarray | None = None
                     for op in bundle.ops:
-                        sources = [read(s) for s in op.sources]
-                        if op.op in _UNARY:
-                            result = _UNARY[op.op](sources[0])
-                        elif op.op in _BINARY:
-                            result = _BINARY[op.op](sources[0], sources[1])
-                        elif op.op is ILOp.MAD:
-                            result = sources[0] * sources[1] + sources[2]
-                        elif op.op is ILOp.DP4:
-                            dot = np.sum(
-                                sources[0] * sources[1], axis=2, keepdims=True
-                            )
-                            result = np.broadcast_to(dot, shape)
-                        else:  # pragma: no cover - defensive
-                            raise ISAExecutionError(
-                                f"unsupported opcode {op.op.mnemonic}"
-                            )
-                        result = np.asarray(result, dtype=np.float32)
+                        sources = []
+                        for value in op.sources:
+                            # GPR, PV and T values are read inline; the
+                            # rest, and a missing value, via read()
+                            location = value.location
+                            if location is gpr:
+                                arr = gprs.get(value.index)
+                            elif location is previous_vector:
+                                arr = prev_vector.get(value.index)
+                            elif location is clause_temp:
+                                arr = clause_temps.get(value.index)
+                            else:
+                                arr = None
+                            if arr is None:
+                                sources.append(read(value))
+                            else:
+                                sources.append(-arr if value.negate else arr)
+                        result = ALU_OPS[op.op.mnemonic](*sources)
+                        if result.dtype is not f32:
+                            result = result.astype(np.float32)
                         if op.dest is not None:
                             staged.append((op.dest, result))
                         if op.slot == "t":

@@ -23,33 +23,100 @@ from repro.il.instructions import (
     SampleInstruction,
 )
 from repro.il.module import ILKernel
-from repro.il.opcodes import ILOp
 
 
 class ExecutionError(ValueError):
     """Raised when a kernel cannot be executed numerically."""
 
 
-_UNARY = {
-    ILOp.MOV: lambda a: a,
-    ILOp.FLR: np.floor,
-    ILOp.FRC: lambda a: a - np.floor(a),
-    ILOp.RCP: lambda a: np.reciprocal(a, where=a != 0, out=np.zeros_like(a)),
-    ILOp.RSQ: lambda a: np.where(a > 0, 1.0 / np.sqrt(np.abs(a) + 1e-30), 0.0),
-    ILOp.SQRT: lambda a: np.sqrt(np.abs(a)),
-    ILOp.EXP: np.exp,
-    ILOp.LOG: lambda a: np.log(np.abs(a) + 1e-30),
-    ILOp.SIN: np.sin,
-    ILOp.COS: np.cos,
+_F32 = np.dtype(np.float32)
+
+#: The float32 semantics of every ALU opcode, keyed by mnemonic.  Both
+#: executors dispatch through this one table (:mod:`repro.isa.interp`
+#: imports it), so the IL executor and the ISA interpreter apply the same
+#: NumPy operations in the same order and agree bitwise.
+ALU_OPS = {
+    "mov": lambda a: a,
+    "flr": np.floor,
+    "frc": lambda a: a - np.floor(a),
+    "rcp": lambda a: np.reciprocal(a, where=a != 0, out=np.zeros_like(a)),
+    "rsq": lambda a: np.where(a > 0, 1.0 / np.sqrt(np.abs(a) + 1e-30), 0.0),
+    "sqrt": lambda a: np.sqrt(np.abs(a)),
+    "exp": np.exp,
+    "log": lambda a: np.log(np.abs(a) + 1e-30),
+    "sin": np.sin,
+    "cos": np.cos,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "min": np.minimum,
+    "max": np.maximum,
+    "mad": lambda a, b, c: a * b + c,
+    "dp4": lambda a, b: np.broadcast_to(
+        np.sum(a * b, axis=2, keepdims=True), a.shape
+    ),
 }
 
-_BINARY = {
-    ILOp.ADD: np.add,
-    ILOp.SUB: np.subtract,
-    ILOp.MUL: np.multiply,
-    ILOp.MIN: np.minimum,
-    ILOp.MAX: np.maximum,
-}
+
+def bind_inputs(
+    kernel: ILKernel,
+    inputs: dict[int, np.ndarray],
+    shape: tuple[int, int, int],
+    error: type[ValueError],
+) -> dict[int, np.ndarray]:
+    """``kernel``'s inputs as float32 arrays of ``shape``, by input index.
+
+    Both executors bind through here; a bad input raises ``error``.
+    """
+    height, width, components = shape
+    arrays: dict[int, np.ndarray] = {}
+    for decl in kernel.inputs:
+        try:
+            raw = inputs[decl.index]
+        except KeyError:
+            raise error(f"input {decl.index} not provided") from None
+        arr = np.asarray(raw, dtype=np.float32)
+        if arr.ndim == 2:
+            arr = arr[:, :, np.newaxis]
+        if arr.shape[:2] != (height, width):
+            raise error(
+                f"input {decl.index} has shape {arr.shape[:2]}, expected "
+                f"{(height, width)}"
+            )
+        if arr.shape[2] == 1 and components > 1:
+            arr = np.broadcast_to(arr, shape)
+        elif arr.shape[2] != components:
+            raise error(
+                f"input {decl.index} has {arr.shape[2]} components, kernel "
+                f"expects {components}"
+            )
+        arrays[decl.index] = arr
+    return arrays
+
+
+def constant_array(value: np.ndarray | float, shape: tuple) -> np.ndarray:
+    """A constant-buffer entry broadcast over the domain."""
+    return np.broadcast_to(
+        np.asarray(value, dtype=np.float32).reshape(1, 1, -1)
+        if np.ndim(value)
+        else np.float32(value),
+        shape,
+    )
+
+
+def position_array(shape: tuple[int, int, int]) -> np.ndarray:
+    """The position/thread-id register: x in component 0, y in 1."""
+    height, width, components = shape
+    ys, xs = np.meshgrid(
+        np.arange(height, dtype=np.float32),
+        np.arange(width, dtype=np.float32),
+        indexing="ij",
+    )
+    arr = np.zeros(shape, dtype=np.float32)
+    arr[:, :, 0] = xs
+    if components > 1:
+        arr[:, :, 1] = ys
+    return arr
 
 
 def execute_kernel(
@@ -65,58 +132,27 @@ def execute_kernel(
     shape (height, width, components).
     """
     width, height = domain
-    components = kernel.dtype.components
-    shape = (height, width, components)
+    shape = (height, width, kernel.dtype.components)
     constants = constants or {}
+    arrays = bind_inputs(kernel, inputs, shape, ExecutionError)
 
-    arrays: dict[int, np.ndarray] = {}
-    for decl in kernel.inputs:
-        try:
-            raw = inputs[decl.index]
-        except KeyError:
-            raise ExecutionError(f"input {decl.index} not provided") from None
-        arr = np.asarray(raw, dtype=np.float32)
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
-        if arr.shape[:2] != (height, width):
-            raise ExecutionError(
-                f"input {decl.index} has shape {arr.shape[:2]}, expected "
-                f"{(height, width)}"
-            )
-        if arr.shape[2] == 1 and components > 1:
-            arr = np.broadcast_to(arr, shape)
-        elif arr.shape[2] != components:
-            raise ExecutionError(
-                f"input {decl.index} has {arr.shape[2]} components, kernel "
-                f"expects {components}"
-            )
-        arrays[decl.index] = arr
-
-    regs: dict[Register, np.ndarray] = {}
+    # Temporaries are keyed by index, so no Register is hashed; any other
+    # register a parsed kernel writes (an ``oN`` destination) by itself.
+    temp_file = RegisterFile.TEMP
+    regs: dict = {}
     outputs: dict[int, np.ndarray] = {}
+
+    def key(reg: Register) -> int | Register:
+        return reg.index if reg.file is temp_file else reg
 
     def read(reg: Register, negate: bool = False) -> np.ndarray:
         if reg.file is RegisterFile.CONST:
-            value = constants.get(reg.index, 0.0)
-            arr = np.broadcast_to(
-                np.asarray(value, dtype=np.float32).reshape(1, 1, -1)
-                if np.ndim(value)
-                else np.float32(value),
-                shape,
-            )
+            arr = constant_array(constants.get(reg.index, 0.0), shape)
         elif reg.file is RegisterFile.POSITION:
-            ys, xs = np.meshgrid(
-                np.arange(height, dtype=np.float32),
-                np.arange(width, dtype=np.float32),
-                indexing="ij",
-            )
-            arr = np.zeros(shape, dtype=np.float32)
-            arr[:, :, 0] = xs
-            if components > 1:
-                arr[:, :, 1] = ys
+            arr = position_array(shape)
         else:
             try:
-                arr = regs[reg]
+                arr = regs[key(reg)]
             except KeyError:
                 raise ExecutionError(f"read of undefined register {reg}") from None
         return -arr if negate else arr
@@ -126,25 +162,26 @@ def execute_kernel(
     # consistently through both this executor and the ISA interpreter.
     with np.errstate(over="ignore", invalid="ignore"):
         for instr in kernel.body:
-            if isinstance(instr, SampleInstruction):
-                regs[instr.dest] = arrays[instr.resource]
+            if isinstance(instr, ALUInstruction):
+                srcs = []
+                for operand in instr.sources:
+                    reg = operand.register
+                    # a defined temporary is read inline; anything else
+                    # (constants, position, an undefined read) via read()
+                    arr = regs.get(reg.index) if reg.file is temp_file else None
+                    if arr is None:
+                        srcs.append(read(reg, operand.negate))
+                    else:
+                        srcs.append(-arr if operand.negate else arr)
+                result = ALU_OPS[instr.op.mnemonic](*srcs)
+                if result.dtype is not _F32:
+                    result = result.astype(np.float32)
+                dest = instr.dest
+                regs[dest.index if dest.file is temp_file else dest] = result
+            elif isinstance(instr, SampleInstruction):
+                regs[key(instr.dest)] = arrays[instr.resource]
             elif isinstance(instr, GlobalLoadInstruction):
-                regs[instr.dest] = arrays[instr.offset]
-            elif isinstance(instr, ALUInstruction):
-                srcs = [read(s.register, s.negate) for s in instr.sources]
-                op = instr.op
-                if op in _UNARY:
-                    result = _UNARY[op](srcs[0])
-                elif op in _BINARY:
-                    result = _BINARY[op](srcs[0], srcs[1])
-                elif op is ILOp.MAD:
-                    result = srcs[0] * srcs[1] + srcs[2]
-                elif op is ILOp.DP4:
-                    dot = np.sum(srcs[0] * srcs[1], axis=2, keepdims=True)
-                    result = np.broadcast_to(dot, shape)
-                else:  # pragma: no cover - defensive
-                    raise ExecutionError(f"unsupported opcode {op.mnemonic}")
-                regs[instr.dest] = np.asarray(result, dtype=np.float32)
+                regs[key(instr.dest)] = arrays[instr.offset]
             elif isinstance(instr, ExportInstruction):
                 outputs[instr.target] = np.array(
                     read(instr.source.register, instr.source.negate),

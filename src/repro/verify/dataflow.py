@@ -18,7 +18,7 @@ By design, neither reads the compiler's index (:mod:`repro.compiler.defuse`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.il.instructions import (
     ExportInstruction,
@@ -27,13 +27,7 @@ from repro.il.instructions import (
     RegisterFile,
 )
 from repro.il.module import ILKernel
-from repro.isa.clauses import (
-    ALUClause,
-    ExportClause,
-    TEXClause,
-    Value,
-    ValueLocation,
-)
+from repro.isa.clauses import ALUClause, ExportClause, TEXClause, ValueLocation
 from repro.isa.program import ISAProgram
 
 
@@ -58,7 +52,7 @@ def dead_instruction_indices(
         defined = [instr.defined_registers() for instr in body]
     if used is None:
         used = [instr.used_registers() for instr in body]
-    live: set[Register] = set()
+    live: set[int] = set()  # indices of the live temporaries
     dead: list[int] = []
     temp_file = RegisterFile.TEMP
     for index in range(len(body) - 1, -1, -1):
@@ -70,15 +64,16 @@ def dead_instruction_indices(
         else:
             keep = False
             for d in defs:
-                if d in live:
+                if d.file is temp_file and d.index in live:
                     keep = True
                     break
         if keep:
             for d in defs:
-                live.discard(d)
+                if d.file is temp_file:
+                    live.discard(d.index)
             for u in used[index]:
                 if u.file is temp_file:
-                    live.add(u)
+                    live.add(u.index)
         else:
             dead.append(index)
     dead.reverse()
@@ -101,36 +96,6 @@ class GPRInterval:
         return self.reads == 0
 
 
-@dataclass
-class _LinearWalk:
-    """Accumulates intervals while walking the clause stream."""
-
-    open: dict[int, GPRInterval] = field(default_factory=dict)
-    closed: list[GPRInterval] = field(default_factory=list)
-    pos: int = 0
-
-    def read(self, index: int) -> None:
-        interval = self.open.get(index)
-        if interval is not None:
-            interval.end = self.pos
-            interval.reads += 1
-
-    def write(self, index: int) -> None:
-        previous = self.open.pop(index, None)
-        if previous is not None:
-            self.closed.append(previous)
-        self.open[index] = GPRInterval(index, self.pos, self.pos)
-
-    def finish(self) -> list[GPRInterval]:
-        self.closed.extend(self.open.values())
-        self.open.clear()
-        return self.closed
-
-
-def _gpr_reads(values: tuple[Value, ...]) -> list[int]:
-    return [v.index for v in values if v.location is ValueLocation.GPR]
-
-
 def gpr_live_intervals(program: ISAProgram) -> list[GPRInterval]:
     """Live intervals of every physical GPR, in linear program order.
 
@@ -140,33 +105,49 @@ def gpr_live_intervals(program: ISAProgram) -> list[GPRInterval]:
     a same-position read+write yields two intervals overlapping at that
     point — matching the allocator's closed-interval release rule.
     """
-    walk = _LinearWalk()
+    gpr = ValueLocation.GPR
+    live: dict[int, GPRInterval] = {}  # the open interval of each GPR
+    closed: list[GPRInterval] = []
+    pos = 0
+
+    def write(index: int) -> None:
+        previous = live.pop(index, None)
+        if previous is not None:
+            closed.append(previous)
+        live[index] = GPRInterval(index, pos, pos)
+
     for clause in program.clauses:
         if isinstance(clause, TEXClause):
             for fetch in clause.fetches:
-                if fetch.dest.location is ValueLocation.GPR:
-                    walk.write(fetch.dest.index)
-                walk.pos += 1
+                if fetch.dest.location is gpr:
+                    write(fetch.dest.index)
+                pos += 1
         elif isinstance(clause, ALUClause):
             for bundle in clause.bundles:
                 writes = []
                 for op in bundle.ops:
-                    for index in _gpr_reads(op.sources):
-                        walk.read(index)
-                    if (
-                        op.dest is not None
-                        and op.dest.location is ValueLocation.GPR
-                    ):
-                        writes.append(op.dest.index)
+                    for src in op.sources:
+                        if src.location is gpr:
+                            interval = live.get(src.index)
+                            if interval is not None:
+                                interval.end = pos
+                                interval.reads += 1
+                    dest = op.dest
+                    if dest is not None and dest.location is gpr:
+                        writes.append(dest.index)
                 for index in writes:
-                    walk.write(index)
-                walk.pos += 1
+                    write(index)
+                pos += 1
         elif isinstance(clause, ExportClause):
             for store in clause.stores:
-                for index in _gpr_reads((store.source,)):
-                    walk.read(index)
-                walk.pos += 1
-    return walk.finish()
+                if store.source.location is gpr:
+                    interval = live.get(store.source.index)
+                    if interval is not None:
+                        interval.end = pos
+                        interval.reads += 1
+                pos += 1
+    closed.extend(live.values())
+    return closed
 
 
 def max_live_gprs(

@@ -8,9 +8,10 @@ break validity) and functionally execute the kernel before and after on
 deterministic pseudo-random inputs, requiring identical results.  The
 final lowering is validated the same way by comparing the IL executor
 (:mod:`repro.sim.functional`) against the ISA interpreter
-(:mod:`repro.isa.interp`) — both use the same float32 NumPy operations
-in the same order, so "preserved semantics" means *bitwise* equality,
-including the overflow-to-infinity behaviour of long add chains.
+(:mod:`repro.isa.interp`) — both dispatch through one table of float32
+NumPy operations (:data:`repro.sim.functional.ALU_OPS`) in the same
+order, so "preserved semantics" means *bitwise* equality, including the
+overflow-to-infinity behaviour of long add chains.
 
 Inputs are seeded from the kernel name (crc32), so reruns and CI are
 reproducible and failures replayable.
@@ -74,19 +75,32 @@ def seeded_constants(
     }
 
 
-@dataclass(frozen=True)
+@dataclass
 class SeededCase:
     """One kernel's deterministic test vector, shared across passes.
 
-    The pipeline runs up to three differential executions per compile
-    (DCE before/after, then IL vs ISA); the inputs depend only on the
-    kernel *name* and domain, so generating them once and passing the
-    case down halves the verification setup cost.
+    The pipeline runs up to two differential checks per compile (DCE
+    before/after, then IL vs ISA), both against the kernel as written.
+    The inputs depend only on the kernel *name* and domain, so they are
+    generated once; that kernel's IL outputs, the reference both checks
+    compare against, are executed once and kept here.
     """
 
     inputs: dict[int, np.ndarray]
     constants: dict[int, float]
     domain: tuple[int, int]
+    #: the seeding kernel's IL-executor outputs, once a check ran it
+    reference: dict[int, np.ndarray] | None = None
+
+    def reference_outputs(self, kernel: ILKernel) -> dict[int, np.ndarray]:
+        """The outputs of ``kernel``, the seeding kernel, run once."""
+        if self.reference is None:
+            from repro.sim.functional import execute_kernel
+
+            self.reference = execute_kernel(
+                kernel, self.inputs, self.domain, self.constants
+            )
+        return self.reference
 
 
 def seeded_case(
@@ -142,10 +156,9 @@ def check_il_pass(
 
     if case is None:
         case = seeded_case(before, domain)
-    inputs, constants = case.inputs, case.constants
     try:
-        out_before = execute_kernel(before, inputs, domain, constants)
-        out_after = execute_kernel(after, inputs, domain, constants)
+        out_before = case.reference_outputs(before)
+        out_after = execute_kernel(after, case.inputs, case.domain, case.constants)
     except ExecutionError as exc:
         diags.append(
             diag(
@@ -162,7 +175,7 @@ def check_il_pass(
                 "V201",
                 f"pass {pass_name!r} changed the output of kernel "
                 f"{before.name!r} on seeded inputs (domain "
-                f"{domain[0]}x{domain[1]})",
+                f"{case.domain[0]}x{case.domain[1]})",
                 pass_name=pass_name,
             )
         )
@@ -177,14 +190,13 @@ def check_lowering(
 ) -> list[Diagnostic]:
     """Validate the full IL→ISA lowering by differential execution."""
     from repro.isa.interp import ISAExecutionError, execute_program
-    from repro.sim.functional import ExecutionError, execute_kernel
+    from repro.sim.functional import ExecutionError
 
     if case is None:
         case = seeded_case(kernel, domain)
-    inputs, constants = case.inputs, case.constants
     try:
-        il_out = execute_kernel(kernel, inputs, domain, constants)
-        isa_out = execute_program(program, inputs, domain, constants)
+        il_out = case.reference_outputs(kernel)
+        isa_out = execute_program(program, case.inputs, case.domain, case.constants)
     except (ExecutionError, ISAExecutionError) as exc:
         return [
             diag(

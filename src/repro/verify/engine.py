@@ -151,13 +151,16 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
                 errors=len(errors(diagnostics)),
                 warnings=len(warnings(diagnostics)),
             )
-            registry = telemetry.metrics()
-            registry.counter("verify.kernels").inc()
-            registry.counter("verify.errors").inc(len(errors(diagnostics)))
-            registry.counter("verify.warnings").inc(
-                len(warnings(diagnostics))
-            )
+            _count(diagnostics)
     return LintReport(kernel, tuple(diagnostics), program)
+
+
+def _count(diagnostics: list[Diagnostic]) -> None:
+    """Add one verified kernel and its findings to the run's counters."""
+    registry = telemetry.metrics()
+    registry.counter("verify.kernels").inc()
+    registry.counter("verify.errors").inc(len(errors(diagnostics)))
+    registry.counter("verify.warnings").inc(len(warnings(diagnostics)))
 
 
 def check_compiled(
@@ -199,11 +202,14 @@ def verify_compiled(
     writes, oversized clauses — pass through for the caller to report).
 
     Nothing is memoized here: suite runs put a compile cache in front of
-    every compile, so each distinct program verifies once.
+    every compile, so each distinct program verifies once.  With
+    telemetry on, it counts the kernel and its findings.
     """
     diagnostics = check_compiled(
         kernel, program, max_tex_per_clause, max_alu_per_clause, case
     )
+    if telemetry.enabled():
+        _count(diagnostics)
     broken = errors(diagnostics)
     if broken:
         raise VerificationError(

@@ -110,10 +110,11 @@ def _check_def_before_use(
     used_by: list[tuple[Register, ...]],
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    defined: set[Register] = set()
+    temp_file = RegisterFile.TEMP
+    defined: set[int] = set()  # indices of the temporaries written so far
     for pos, instr in enumerate(kernel.body):
         for reg in used_by[pos]:
-            if reg.file is RegisterFile.TEMP and reg not in defined:
+            if reg.file is temp_file and reg.index not in defined:
                 diags.append(
                     diag(
                         "V004",
@@ -123,7 +124,9 @@ def _check_def_before_use(
                         register=str(reg),
                     )
                 )
-        defined.update(defined_by[pos])
+        for reg in defined_by[pos]:
+            if reg.file is temp_file:
+                defined.add(reg.index)
     return diags
 
 
@@ -131,18 +134,22 @@ def _check_inputs_used(
     kernel: ILKernel, used_by: list[tuple[Register, ...]]
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    temp_file = RegisterFile.TEMP
     sampled: dict[int, Register] = {}
     global_loaded: dict[int, Register] = {}
-    consumed: set[Register] = set()
+    # What ALU code and stores read: temporaries by index, so no Register
+    # is hashed, and any other register (a fetch may name one) by itself.
+    consumed: set[int | Register] = set()
     for pos, instr in enumerate(kernel.body):
-        if isinstance(instr, SampleInstruction):
+        if isinstance(
+            instr, (ALUInstruction, ExportInstruction, GlobalStoreInstruction)
+        ):
+            for reg in used_by[pos]:
+                consumed.add(reg.index if reg.file is temp_file else reg)
+        elif isinstance(instr, SampleInstruction):
             sampled[instr.resource] = instr.dest
         elif isinstance(instr, GlobalLoadInstruction):
             global_loaded[instr.offset] = instr.dest
-        elif isinstance(
-            instr, (ALUInstruction, ExportInstruction, GlobalStoreInstruction)
-        ):
-            consumed.update(used_by[pos])
 
     for decl in kernel.inputs:
         if decl.space is MemorySpace.TEXTURE:
@@ -161,7 +168,7 @@ def _check_inputs_used(
                     input=decl.index,
                 )
             )
-        elif reg not in consumed:
+        elif (reg.index if reg.file is temp_file else reg) not in consumed:
             diags.append(
                 diag(
                     "V006",

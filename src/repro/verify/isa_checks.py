@@ -17,7 +17,6 @@ from repro.isa.clauses import (
     Bundle,
     ExportClause,
     TEXClause,
-    Value,
     ValueLocation,
 )
 from repro.isa.program import ISAProgram
@@ -28,10 +27,16 @@ from repro.verify.dataflow import (
 )
 from repro.verify.diagnostics import Diagnostic, SourceLocation, diag
 
-_GENERAL_SLOTS = ("x", "y", "z", "w")
+#: VLIW slot -> its bit in the bundle screen of :func:`_check_clause_content`
+_SLOT_BITS = {"x": 1, "y": 2, "z": 4, "w": 8, "t": 16}
+_T_BIT = _SLOT_BITS["t"]
+#: general slot -> its ``PV`` index
+_VECTOR_SLOTS = {"x": 0, "y": 1, "z": 2, "w": 3}
+_PREVIOUS = (ValueLocation.PREVIOUS_VECTOR, ValueLocation.PREVIOUS_SCALAR)
 
 
 def _isa_loc(clause: int, bundle: int | None = None) -> SourceLocation:
+    """A finding's location; the checks build it only when they emit one."""
     return SourceLocation("isa", clause=clause, bundle=bundle)
 
 
@@ -84,26 +89,21 @@ def _check_clause_sizes(
 ) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for ci, clause in enumerate(program.clauses):
-        if isinstance(clause, TEXClause) and clause.count > max_tex:
+        if isinstance(clause, TEXClause):
+            kind, unit, limit = "TEX", "fetches", max_tex
+        elif isinstance(clause, ALUClause):
+            kind, unit, limit = "ALU", "bundles", max_alu
+        else:
+            continue
+        if clause.count > limit:
             diags.append(
                 diag(
                     "V109",
-                    f"TEX clause {ci} holds {clause.count} fetches; the "
-                    f"hardware limit is {max_tex} per clause",
+                    f"{kind} clause {ci} holds {clause.count} {unit}; the "
+                    f"hardware limit is {limit} per clause",
                     _isa_loc(ci),
                     count=clause.count,
-                    limit=max_tex,
-                )
-            )
-        elif isinstance(clause, ALUClause) and clause.count > max_alu:
-            diags.append(
-                diag(
-                    "V109",
-                    f"ALU clause {ci} holds {clause.count} bundles; the "
-                    f"hardware limit is {max_alu} per clause",
-                    _isa_loc(ci),
-                    count=clause.count,
-                    limit=max_alu,
+                    limit=limit,
                 )
             )
     return diags
@@ -112,10 +112,22 @@ def _check_clause_sizes(
 def _check_clause_content(program: ISAProgram) -> list[Diagnostic]:
     """Mixed-space clauses, non-GPR fetch destinations, VLIW slot rules."""
     diags: list[Diagnostic] = []
+    gpr = ValueLocation.GPR
     for ci, clause in enumerate(program.clauses):
-        if isinstance(clause, TEXClause):
-            spaces = {f.space for f in clause.fetches}
-            if len(spaces) > 1:
+        if isinstance(clause, ALUClause):
+            for bi, bundle in enumerate(clause.bundles):
+                # One pass over the slots: each valid, none taken twice, a
+                # transcendental only in t.  Five distinct valid slots also
+                # bound the width, so every V104 rule is screened here.
+                seen = 0
+                for op in bundle.ops:
+                    bit = _SLOT_BITS.get(op.slot, 0)
+                    if not bit or seen & bit or op.op.transcendental and bit != _T_BIT:
+                        diags += _bundle_violations(bundle, ci, bi)
+                        break
+                    seen |= bit
+        elif isinstance(clause, TEXClause):
+            if _mixed(clause.fetches):
                 diags.append(
                     diag(
                         "V110",
@@ -125,7 +137,7 @@ def _check_clause_content(program: ISAProgram) -> list[Diagnostic]:
                     )
                 )
             for fetch in clause.fetches:
-                if fetch.dest.location is not ValueLocation.GPR:
+                if fetch.dest.location is not gpr:
                     diags.append(
                         diag(
                             "V110",
@@ -135,38 +147,38 @@ def _check_clause_content(program: ISAProgram) -> list[Diagnostic]:
                             _isa_loc(ci),
                         )
                     )
-        elif isinstance(clause, ALUClause):
-            for bi, bundle in enumerate(clause.bundles):
-                diags += _check_bundle(bundle, ci, bi)
-        elif isinstance(clause, ExportClause):
-            spaces = {s.space for s in clause.stores}
-            if len(spaces) > 1:
-                diags.append(
-                    diag(
-                        "V110",
-                        f"export clause {ci} mixes color-buffer and global "
-                        "stores",
-                        _isa_loc(ci),
-                    )
+        elif isinstance(clause, ExportClause) and _mixed(clause.stores):
+            diags.append(
+                diag(
+                    "V110",
+                    f"export clause {ci} mixes color-buffer and global stores",
+                    _isa_loc(ci),
                 )
+            )
     return diags
 
 
-def _check_bundle(bundle: Bundle, ci: int, bi: int) -> list[Diagnostic]:
-    """VLIW slot legality, incl. the one-transcendental-per-bundle rule."""
+def _mixed(instrs: tuple) -> bool:
+    """True when ``instrs`` use more than one memory space."""
+    return any(i.space is not instrs[0].space for i in instrs[1:])
+
+
+def _bundle_violations(bundle: Bundle, ci: int, bi: int) -> list[Diagnostic]:
+    """Every V104 finding of a bundle the slot screen rejected."""
     diags: list[Diagnostic] = []
     loc = _isa_loc(ci, bi)
-    slots = [op.slot for op in bundle.ops]
-    if len(bundle.ops) > 5:
+    ops = bundle.ops
+    slots = [op.slot for op in ops]
+    if len(ops) > 5:
         diags.append(
             diag(
                 "V104",
-                f"bundle {bi} of clause {ci} co-issues {len(bundle.ops)} "
+                f"bundle {bi} of clause {ci} co-issues {len(ops)} "
                 "operations; a VLIW word has 5 slots",
                 loc,
             )
         )
-    for slot in set(slots):
+    for slot in dict.fromkeys(slots):  # first-seen order
         if slots.count(slot) > 1:
             diags.append(
                 diag(
@@ -176,8 +188,8 @@ def _check_bundle(bundle: Bundle, ci: int, bi: int) -> list[Diagnostic]:
                     loc,
                 )
             )
-    for op in bundle.ops:
-        if op.slot not in (*_GENERAL_SLOTS, "t"):
+    for op in ops:
+        if op.slot not in _SLOT_BITS:
             diags.append(
                 diag(
                     "V104",
@@ -201,135 +213,26 @@ def _check_bundle(bundle: Bundle, ci: int, bi: int) -> list[Diagnostic]:
 def _check_value_flow(program: ISAProgram) -> list[Diagnostic]:
     """Uninitialized GPRs, clause-temp lifetimes, PV/PS adjacency."""
     diags: list[Diagnostic] = []
+    gpr = ValueLocation.GPR
     defined_gprs: set[int] = {0}  # R0 pre-loads the position/thread id
-
-    def check_temp_index(value: Value, loc: SourceLocation) -> None:
-        if value.index not in (0, 1):
-            diags.append(
-                diag(
-                    "V111",
-                    f"clause temporary T{value.index} does not exist; the "
-                    "hardware provides T0/T1 per wavefront slot",
-                    loc,
-                )
-            )
-        elif value.index >= max(program.clause_temp_count, 0) and (
-            value.index < 2
-        ):
-            diags.append(
-                diag(
-                    "V111",
-                    f"clause temporary T{value.index} is used but the "
-                    f"program declares clause_temp_count="
-                    f"{program.clause_temp_count}",
-                    loc,
-                )
-            )
-
     for ci, clause in enumerate(program.clauses):
-        if isinstance(clause, TEXClause):
+        if isinstance(clause, ALUClause):
+            _alu_value_flow(program, clause, ci, defined_gprs, diags)
+        elif isinstance(clause, TEXClause):
             for fetch in clause.fetches:
-                if fetch.dest.location is ValueLocation.GPR:
+                if fetch.dest.location is gpr:
                     defined_gprs.add(fetch.dest.index)
-        elif isinstance(clause, ALUClause):
-            defined_temps: set[int] = set()
-            prev_vector: set[int] = set()
-            prev_scalar = False
-            for bi, bundle in enumerate(clause.bundles):
-                loc = _isa_loc(ci, bi)
-                bundle_gpr_writes = {
-                    op.dest.index
-                    for op in bundle.ops
-                    if op.dest is not None
-                    and op.dest.location is ValueLocation.GPR
-                }
-                for op in bundle.ops:
-                    for src in op.sources:
-                        if src.location is ValueLocation.GPR:
-                            if src.index in bundle_gpr_writes:
-                                diags.append(
-                                    diag(
-                                        "V105",
-                                        f"bundle {bi} of clause {ci} reads "
-                                        f"R{src.index} which a co-issued "
-                                        "slot writes; it sees the "
-                                        "pre-bundle value",
-                                        loc,
-                                    )
-                                )
-                            if src.index not in defined_gprs:
-                                diags.append(
-                                    diag(
-                                        "V106",
-                                        f"bundle {bi} of clause {ci} reads "
-                                        f"R{src.index} before any write",
-                                        loc,
-                                        register=f"R{src.index}",
-                                    )
-                                )
-                        elif src.location is ValueLocation.CLAUSE_TEMP:
-                            check_temp_index(src, loc)
-                            if src.index not in defined_temps:
-                                diags.append(
-                                    diag(
-                                        "V102",
-                                        f"bundle {bi} of clause {ci} reads "
-                                        f"T{src.index} with no definition "
-                                        "in this clause; clause temps do "
-                                        "not survive clause boundaries "
-                                        "(§II-A)",
-                                        loc,
-                                    )
-                                )
-                        elif src.location is ValueLocation.PREVIOUS_VECTOR:
-                            if src.index not in prev_vector:
-                                diags.append(
-                                    diag(
-                                        "V103",
-                                        f"bundle {bi} of clause {ci} reads "
-                                        f"PV.{'xyzwt'[src.index]} but the "
-                                        "previous bundle produced no "
-                                        "result in that slot",
-                                        loc,
-                                    )
-                                )
-                        elif src.location is ValueLocation.PREVIOUS_SCALAR:
-                            if not prev_scalar:
-                                diags.append(
-                                    diag(
-                                        "V103",
-                                        f"bundle {bi} of clause {ci} reads "
-                                        "PS but the previous bundle "
-                                        "produced no t-slot result",
-                                        loc,
-                                    )
-                                )
-                next_vector: set[int] = set()
-                next_scalar = False
-                for op in bundle.ops:
-                    if op.slot == "t":
-                        next_scalar = True
-                    elif op.slot in _GENERAL_SLOTS:
-                        next_vector.add(_GENERAL_SLOTS.index(op.slot))
-                    if op.dest is not None:
-                        if op.dest.location is ValueLocation.GPR:
-                            defined_gprs.add(op.dest.index)
-                        elif op.dest.location is ValueLocation.CLAUSE_TEMP:
-                            check_temp_index(op.dest, loc)
-                            defined_temps.add(op.dest.index)
-                prev_vector, prev_scalar = next_vector, next_scalar
         elif isinstance(clause, ExportClause):
             for store in clause.stores:
                 src = store.source
-                loc = _isa_loc(ci)
-                if src.location is ValueLocation.GPR:
+                if src.location is gpr:
                     if src.index not in defined_gprs:
                         diags.append(
                             diag(
                                 "V106",
                                 f"export clause {ci} stores R{src.index} "
                                 "before any write",
-                                loc,
+                                _isa_loc(ci),
                                 register=f"R{src.index}",
                             )
                         )
@@ -339,22 +242,130 @@ def _check_value_flow(program: ISAProgram) -> list[Diagnostic]:
                             "V102",
                             f"export clause {ci} stores T{src.index}, but "
                             "clause temps die at the clause switch (§II-A)",
-                            loc,
+                            _isa_loc(ci),
                         )
                     )
-                elif src.location in (
-                    ValueLocation.PREVIOUS_VECTOR,
-                    ValueLocation.PREVIOUS_SCALAR,
-                ):
+                elif src.location in _PREVIOUS:
                     diags.append(
                         diag(
                             "V103",
                             f"export clause {ci} stores {src}, but PV/PS "
                             "do not cross the clause boundary",
-                            loc,
+                            _isa_loc(ci),
                         )
                     )
     return diags
+
+
+def _alu_value_flow(
+    program: ISAProgram,
+    clause: ALUClause,
+    ci: int,
+    defined_gprs: set[int],
+    diags: list[Diagnostic],
+) -> None:
+    """:func:`_check_value_flow` over ALU clause ``ci``: appends its
+    findings to ``diags`` and its GPR writes to ``defined_gprs``."""
+    gpr = ValueLocation.GPR
+    clause_temp = ValueLocation.CLAUSE_TEMP
+    previous_vector = ValueLocation.PREVIOUS_VECTOR
+    previous_scalar = ValueLocation.PREVIOUS_SCALAR
+    declared = program.clause_temp_count
+    usable_temps = (0, 1)[: max(declared, 0)]  # T0/T1 up to the count
+    defined_temps: set[int] = set()
+    prev_vector: list[int] = []
+    prev_scalar = False
+    for bi, bundle in enumerate(clause.bundles):
+        # A bundle's results commit after all of its reads (co-issue), so
+        # stage them before checking the reads.
+        gpr_writes: list[int] = []
+        temp_writes: list[int] = []
+        next_vector: list[int] = []
+        next_scalar = False
+        for op in bundle.ops:
+            if op.slot == "t":
+                next_scalar = True
+            elif op.slot in _VECTOR_SLOTS:
+                next_vector.append(_VECTOR_SLOTS[op.slot])
+            dest = op.dest
+            if dest is not None:
+                if dest.location is gpr:
+                    gpr_writes.append(dest.index)
+                elif dest.location is clause_temp:
+                    temp_writes.append(dest.index)
+        for op in bundle.ops:
+            for src in op.sources:
+                location, index = src.location, src.index
+                if location is gpr:
+                    if index in gpr_writes:
+                        diags.append(
+                            diag(
+                                "V105",
+                                f"bundle {bi} of clause {ci} reads R{index} "
+                                "which a co-issued slot writes; it sees the "
+                                "pre-bundle value",
+                                _isa_loc(ci, bi),
+                            )
+                        )
+                    if index not in defined_gprs:
+                        diags.append(
+                            diag(
+                                "V106",
+                                f"bundle {bi} of clause {ci} reads R{index} "
+                                "before any write",
+                                _isa_loc(ci, bi),
+                                register=f"R{index}",
+                            )
+                        )
+                elif location is clause_temp:
+                    if index not in usable_temps:
+                        diags.append(_temp_index_diag(index, declared, ci, bi))
+                    if index not in defined_temps:
+                        diags.append(
+                            diag(
+                                "V102",
+                                f"bundle {bi} of clause {ci} reads T{index} "
+                                "with no definition in this clause; clause "
+                                "temps do not survive clause boundaries "
+                                "(§II-A)",
+                                _isa_loc(ci, bi),
+                            )
+                        )
+                elif location is previous_vector:
+                    if index not in prev_vector:
+                        diags.append(
+                            diag(
+                                "V103",
+                                f"bundle {bi} of clause {ci} reads "
+                                f"PV.{'xyzwt'[index]} but the previous bundle "
+                                "produced no result in that slot",
+                                _isa_loc(ci, bi),
+                            )
+                        )
+                elif location is previous_scalar and not prev_scalar:
+                    diags.append(
+                        diag(
+                            "V103",
+                            f"bundle {bi} of clause {ci} reads PS but the "
+                            "previous bundle produced no t-slot result",
+                            _isa_loc(ci, bi),
+                        )
+                    )
+        defined_gprs.update(gpr_writes)
+        for index in temp_writes:
+            if index not in usable_temps:
+                diags.append(_temp_index_diag(index, declared, ci, bi))
+            defined_temps.add(index)
+        prev_vector, prev_scalar = next_vector, next_scalar
+
+
+def _temp_index_diag(index: int, declared: int, ci: int, bi: int) -> Diagnostic:
+    """V111 for a clause temporary outside the program's usable ones."""
+    if index not in (0, 1):
+        problem = "does not exist; the hardware provides T0/T1 per wavefront slot"
+    else:
+        problem = f"is used but the program declares clause_temp_count={declared}"
+    return diag("V111", f"clause temporary T{index} {problem}", _isa_loc(ci, bi))
 
 
 def _check_dead_writes(intervals: list[GPRInterval]) -> list[Diagnostic]:

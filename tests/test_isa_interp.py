@@ -12,8 +12,30 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.apps import matmul_pass_kernel, merge_kernels, montecarlo_kernel
 from repro.compiler import compile_kernel
 from repro.il import DataType, ILBuilder, ShaderMode
+from repro.il.instructions import (
+    ALUInstruction,
+    ExportInstruction,
+    Operand,
+    SampleInstruction,
+    const,
+    position,
+    temp,
+)
+from repro.il.module import ConstantDecl, ILKernel, InputDecl, OutputDecl
 from repro.il.opcodes import ILOp
+from repro.il.types import MemorySpace
 from repro.isa import ISAExecutionError, ValueLocation, execute_program
+from repro.isa.clauses import (
+    ALUClause,
+    ALUOp,
+    Bundle,
+    ExportClause,
+    FetchInstr,
+    StoreInstr,
+    TEXClause,
+    Value,
+)
+from repro.isa.program import ISAProgram
 from repro.kernels import (
     KernelParams,
     generate_clause_usage,
@@ -179,3 +201,185 @@ class TestISAInterpErrors:
                 {0: np.zeros((2, 2)), 1: np.zeros((8, 8))},
                 (2, 2),
             )
+
+
+
+# ---- a hand-built program reading every operand kind ----------------------
+
+R, T = ValueLocation.GPR, ValueLocation.CLAUSE_TEMP
+PV, PS = ValueLocation.PREVIOUS_VECTOR, ValueLocation.PREVIOUS_SCALAR
+KC, R0 = ValueLocation.CONSTANT, ValueLocation.POSITION
+
+
+def v(location, index=0, negate=False):
+    return Value(location, index, negate)
+
+
+def bundle(*ops):
+    return Bundle(tuple(ALUOp(*op) for op in ops))
+
+
+def il_alu(op, dest, *sources):
+    """``sources``: (register, negate) pairs."""
+    return ALUInstruction(
+        op, temp(dest), tuple(Operand(reg, neg) for reg, neg in sources)
+    )
+
+
+def reads_kernel():
+    """The IL side: ``o0 = (-rcp(dp4(-(-(a-b)*c), a)) - pos) * (a-b) - c``
+    and ``o1 = rcp(...) * pos``, over FLOAT4 so DP4 and pos.y matter."""
+    r = temp
+    return ILKernel(
+        name="reads",
+        mode=ShaderMode.PIXEL,
+        dtype=DataType.FLOAT4,
+        inputs=tuple(
+            InputDecl(i, MemorySpace.TEXTURE, DataType.FLOAT4)
+            for i in range(2)
+        ),
+        outputs=tuple(
+            OutputDecl(i, MemorySpace.COLOR_BUFFER, DataType.FLOAT4)
+            for i in range(2)
+        ),
+        constants=(ConstantDecl(0, DataType.FLOAT),),
+        body=(
+            SampleInstruction(r(0), 0, Operand(position())),
+            SampleInstruction(r(1), 1, Operand(position())),
+            il_alu(ILOp.ADD, 2, (r(0), False), (r(1), True)),
+            il_alu(ILOp.MUL, 3, (r(2), True), (const(0), False)),
+            il_alu(ILOp.DP4, 4, (r(3), True), (r(0), False)),
+            il_alu(ILOp.RCP, 5, (r(4), False)),
+            il_alu(ILOp.ADD, 6, (r(5), True), (position(), True)),
+            il_alu(ILOp.MUL, 8, (r(5), False), (position(), False)),
+            il_alu(
+                ILOp.MAD, 7, (r(6), False), (r(2), False), (const(0), True)
+            ),
+            ExportInstruction(0, Operand(r(7))),
+            ExportInstruction(1, Operand(r(8))),
+        ),
+    )
+
+
+def reads_program(alu_clauses, stores):
+    """Fetch inputs 0/1 into R1/R2, run ``alu_clauses``, store ``stores``."""
+    fetches = tuple(
+        FetchInstr(v(R, i + 1), i, MemorySpace.TEXTURE) for i in range(2)
+    )
+    return ISAProgram(
+        kernel=reads_kernel(),
+        clauses=(
+            TEXClause(fetches),
+            *(ALUClause(bundles) for bundles in alu_clauses),
+            ExportClause(
+                tuple(
+                    StoreInstr(target, MemorySpace.COLOR_BUFFER, value)
+                    for target, value in enumerate(stores)
+                )
+            ),
+        ),
+        gpr_count=7,
+        clause_temp_count=1,
+    )
+
+
+class TestHandBuiltReads:
+    """The ISA side of :func:`reads_kernel` reads ``R``, ``T0``, ``PV.x``,
+    ``PS``, ``KC0`` and ``R0``, each both negated and plain."""
+
+    DOMAIN = (4, 3)  # width x height: position x and y differ
+    CONSTANTS = {0: 1.25}
+
+    def inputs(self):
+        width, height = self.DOMAIN
+        rng = np.random.default_rng(7)
+        return {
+            i: rng.uniform(0.25, 1.75, (height, width, 4)).astype(np.float32)
+            for i in range(2)
+        }
+
+    def test_outputs_are_bitwise_the_il_executors_and_numpys(self):
+        program = reads_program(
+            [
+                (
+                    bundle(("x", ILOp.ADD, v(T), (v(R, 1), v(R, 2, True)))),
+                    bundle(("x", ILOp.MUL, v(R, 3), (v(T, 0, True), v(KC)))),
+                    bundle(("x", ILOp.DP4, None, (v(PV, 0, True), v(R, 1)))),
+                    bundle(("t", ILOp.RCP, None, (v(PV),))),
+                    bundle(
+                        ("x", ILOp.ADD, v(R, 4), (v(PS, 0, True), v(R0, 0, True))),
+                        ("y", ILOp.MUL, v(R, 6), (v(PS), v(R0))),
+                    ),
+                    bundle(
+                        ("x", ILOp.MAD, v(R, 5), (v(R, 4), v(T), v(KC, 0, True)))
+                    ),
+                )
+            ],
+            [v(R, 5), v(R, 6)],
+        )
+        inputs = self.inputs()
+        il_out = execute_kernel(
+            program.kernel, inputs, self.DOMAIN, self.CONSTANTS
+        )
+        isa_out = execute_program(program, inputs, self.DOMAIN, self.CONSTANTS)
+
+        width, height = self.DOMAIN
+        a, b, c = inputs[0], inputs[1], np.float32(1.25)
+        pos = np.zeros((height, width, 4), np.float32)
+        pos[:, :, 0] = np.arange(width, dtype=np.float32)[np.newaxis, :]
+        pos[:, :, 1] = np.arange(height, dtype=np.float32)[:, np.newaxis]
+        diff = a + -b
+        scaled = -diff * c
+        dot = np.sum(-scaled * a, axis=2, keepdims=True)
+        inverse = np.reciprocal(np.broadcast_to(dot, a.shape))
+        expected = {0: (-inverse + -pos) * diff + -c, 1: inverse * pos}
+
+        assert il_out.keys() == isa_out.keys() == expected.keys()
+        for key, want in expected.items():
+            assert il_out[key].dtype == isa_out[key].dtype == np.float32
+            assert il_out[key].tobytes() == want.tobytes()
+            assert isa_out[key].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "alu_clauses, message",
+        [
+            (
+                [(bundle(("x", ILOp.MOV, v(R, 3), (v(R, 6),))),)],
+                "read of uninitialized R6",
+            ),
+            (
+                # T0 is written in one clause and read in the next
+                [
+                    (bundle(("x", ILOp.MOV, v(T), (v(R, 1),))),),
+                    (bundle(("x", ILOp.MOV, v(R, 3), (v(T),))),),
+                ],
+                "read of dead clause temporary T0",
+            ),
+            (
+                [
+                    (
+                        bundle(("x", ILOp.MOV, v(R, 3), (v(R, 1),))),
+                        bundle(("x", ILOp.MOV, v(R, 3), (v(PV, 1),))),
+                    )
+                ],
+                "no previous-bundle result in slot 1",
+            ),
+            (
+                [
+                    (
+                        bundle(("x", ILOp.MOV, v(R, 3), (v(R, 1),))),
+                        bundle(("x", ILOp.MOV, v(R, 3), (v(PS),))),
+                    )
+                ],
+                "no previous-bundle t-slot result",
+            ),
+        ],
+        ids=["R", "T", "PV", "PS"],
+    )
+    def test_missing_values_raise(self, alu_clauses, message):
+        program = reads_program(alu_clauses, [v(R, 3)])
+        with pytest.raises(ISAExecutionError) as excinfo:
+            execute_program(
+                program, self.inputs(), self.DOMAIN, self.CONSTANTS
+            )
+        assert str(excinfo.value) == message

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from repro.il import DataType, ILBuilder, MemorySpace, ShaderMode
 from repro.il.opcodes import ILOp
 from repro.kernels import KernelParams, generate_generic
-from repro.sim.functional import ExecutionError, execute_kernel
+from repro.sim.functional import ALU_OPS, ExecutionError, execute_kernel
 
 
 def chain_weights(inputs: int, alu_ops: int) -> np.ndarray:
@@ -120,6 +120,16 @@ class TestOpcodes:
         vc = np.full((2, 2), 4.0, np.float32)
         out_arr = execute_kernel(kernel, {0: va, 1: vb, 2: vc}, (2, 2))[0]
         assert np.allclose(out_arr, 10.0)
+
+    def test_one_table_covers_every_opcode(self):
+        # both executors dispatch through ALU_OPS by mnemonic
+        assert set(ALU_OPS) == {op.mnemonic for op in ILOp}
+
+    @pytest.mark.parametrize("op", list(ILOp), ids=lambda op: op.mnemonic)
+    def test_every_op_returns_float32_of_the_domain_shape(self, op):
+        data = np.linspace(-2.0, 2.0, 24, dtype=np.float32).reshape(2, 3, 4)
+        result = ALU_OPS[op.mnemonic](*[data] * op.arity)
+        assert result.dtype == np.float32 and result.shape == data.shape
 
     def test_rcp_handles_zero(self):
         kernel = self.build_unary(ILOp.RCP)

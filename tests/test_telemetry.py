@@ -260,6 +260,24 @@ class TestInstrumentationIntegration:
         registry = telemetry.metrics()
         assert registry.get("suite.points{figure=fig13}").value > 0
 
+    def test_pipeline_verification_is_counted(self):
+        from repro.compiler import compile_kernel
+        from repro.kernels import KernelParams, generate_generic
+
+        kernels = [
+            generate_generic(KernelParams(inputs=n, alu_fetch_ratio=1.0))
+            for n in (2, 4)
+        ]
+        with telemetry.recording() as tracer:
+            for kernel in kernels:
+                compile_kernel(kernel)
+        spans = [s for s in tracer.finished() if s.name == "verify"]
+        registry = telemetry.metrics()
+        assert len(spans) == 2
+        assert registry.get("verify.kernels").value == len(spans)
+        assert registry.get("verify.errors").value == 0
+        assert registry.get("verify.warnings").value == 0
+
     def test_launch_summary_reports_bound_and_per_iteration(self):
         from repro.compiler import compile_kernel
         from repro.kernels import KernelParams, generate_generic
