@@ -41,22 +41,18 @@ from repro.cal import CALError, Device, time_kernel
 from repro.compiler import compile_kernel
 from repro.il import DataType, MemorySpace, ShaderMode, emit_il, parse_il
 from repro.isa import disassemble
-from repro.kernels import (
-    KernelParams,
-    generate_clause_usage,
-    generate_generic,
-    generate_register_usage,
-)
+from repro.kernels import KernelParams, KernelRecipe
 from repro.reporting import ascii_chart, experiment_report
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationError
 from repro.ska import analyze, format_report
 from repro.suite import BENCHMARKS, run_benchmark, run_suite
 
+#: ``--generator`` choice -> ``KernelRecipe`` generator name.
 _GENERATORS = {
-    "generic": generate_generic,
-    "register": generate_register_usage,
-    "clause": generate_clause_usage,
+    "generic": "generic",
+    "register": "register_usage",
+    "clause": "clause_usage",
 }
 
 
@@ -90,30 +86,38 @@ def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--step", type=int, default=0)
 
 
+class KernelSourceError(Exception):
+    """The command line's kernel could not be read, parsed or generated."""
+
+
 def _kernel_from_args(args: argparse.Namespace):
-    if args.il:
-        text = (
-            sys.stdin.read()
-            if args.il == "-"
-            else Path(args.il).read_text()
+    try:
+        if args.il:
+            text = (
+                sys.stdin.read()
+                if args.il == "-"
+                else Path(args.il).read_text()
+            )
+            return parse_il(text)
+        params = KernelParams(
+            inputs=args.inputs,
+            outputs=args.outputs,
+            constants=args.constants,
+            alu_fetch_ratio=args.ratio,
+            alu_ops=args.alu_ops,
+            dtype=DataType.from_name(args.dtype),
+            mode=ShaderMode.from_name(args.mode),
+            input_space=(
+                MemorySpace.GLOBAL if args.global_inputs
+                else MemorySpace.TEXTURE
+            ),
+            output_space=(MemorySpace.GLOBAL if args.global_outputs else None),
+            space=args.space,
+            step=args.step,
         )
-        return parse_il(text)
-    params = KernelParams(
-        inputs=args.inputs,
-        outputs=args.outputs,
-        constants=args.constants,
-        alu_fetch_ratio=args.ratio,
-        alu_ops=args.alu_ops,
-        dtype=DataType.from_name(args.dtype),
-        mode=ShaderMode.from_name(args.mode),
-        input_space=(
-            MemorySpace.GLOBAL if args.global_inputs else MemorySpace.TEXTURE
-        ),
-        output_space=(MemorySpace.GLOBAL if args.global_outputs else None),
-        space=args.space,
-        step=args.step,
-    )
-    return _GENERATORS[args.generator](params)
+        return KernelRecipe(_GENERATORS[args.generator], params).build()
+    except (OSError, ValueError) as exc:  # ILParseError is a ValueError
+        raise KernelSourceError(str(exc)) from None
 
 
 def _gpu(name: str) -> GPUSpec:
@@ -385,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with recorder:
             code = _dispatch(args)
-    except (CALError, SimulationError) as exc:
+    except (CALError, SimulationError, KernelSourceError) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1
     if telemetry_path is not None and code == 0:

@@ -54,10 +54,9 @@ def emit_il(kernel: ILKernel) -> str:
 def cached_il_text(kernel: ILKernel) -> str:
     """:func:`emit_il`, memoized on the kernel instance.
 
-    The canonical IL text is the kernel's content identity for both the
-    result cache and the compiled-program cache; when ``plan_units``
-    shares one kernel object across sweep points, every consumer renders
-    it exactly once.
+    The canonical IL text is the kernel's content identity for the
+    compiled-program cache; when the jobs engine shares one kernel
+    object across units, every consumer renders it exactly once.
     """
     text = kernel.__dict__.get("_il_text")
     if text is None:

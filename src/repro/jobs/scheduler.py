@@ -13,8 +13,9 @@ it consults, in priority order:
    key (identical launches shared between figures simulate once), run
    either inline (``jobs <= 1``, the deterministic default) or across
    the engine's one ``ProcessPoolExecutor``, in batches that share a
-   compile key (:func:`batch_units`), with a per-unit timeout budget and
-   one retry after a worker-pool crash.  Both run each unit through
+   kernel recipe and clause options (:func:`batch_units`), with a
+   per-unit timeout budget and one retry after a worker-pool crash.
+   Both build kernels for these units only and run each through
    :func:`~repro.jobs.worker.run_payload`; the pool receives the
    :class:`~repro.jobs.units.WorkUnit` values themselves.
 
@@ -40,7 +41,7 @@ from typing import Sequence
 from repro import telemetry
 from repro.jobs.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.jobs.ledger import RunLedger
-from repro.jobs.units import WorkUnit, record_point
+from repro.jobs.units import WorkUnit, build_kernels, record_point
 from repro.jobs.worker import initialize_worker, run_payload, run_payloads
 
 
@@ -90,20 +91,19 @@ class JobOptions:
 
 
 def batch_units(units: Sequence[WorkUnit], jobs: int) -> list[list[WorkUnit]]:
-    """Split ``units`` into pool batches, one compile key per batch.
+    """Split ``units`` into pool batches, one program per batch.
 
-    Units are grouped by the compile key of their program, groups in
-    first-appearance order, so a worker compiles each program once per
-    batch.  A group larger than ``ceil(len(units) / jobs)`` is cut into
-    chunks of that size, so one kernel swept over many launch shapes
-    still spreads across every worker.
+    Units are grouped by kernel recipe and clause options, groups in
+    first-appearance order, so a worker builds and compiles each program
+    once per batch.  A group larger than ``ceil(len(units) / jobs)`` is
+    cut into chunks of that size, so one kernel swept over many launch
+    shapes still spreads across every worker.
     """
-    from repro.compiler.cache import compile_cache_key
     from repro.compiler.pipeline import CompileOptions
 
-    groups: dict[str, list[WorkUnit]] = {}
+    groups: dict[tuple, list[WorkUnit]] = {}
     for unit in units:
-        key = compile_cache_key(unit.il_text, CompileOptions.for_gpu(unit.gpu))
+        key = (unit.recipe, CompileOptions.for_gpu(unit.gpu))
         groups.setdefault(key, []).append(unit)
     size = math.ceil(len(units) / jobs)
     return [
@@ -189,6 +189,7 @@ class JobEngine:
                 if self.options.jobs > 1:
                     self._run_pool(pending, results)
                 else:
+                    build_kernels(pending)
                     # The pool's per-unit function, looked up at call
                     # time: perfbench rebinds this module's binding.
                     for unit in pending:

@@ -6,7 +6,8 @@ compile+simulate unit.  :class:`WorkUnit` captures exactly that, and
 :func:`cache_key` derives a stable content address from everything the
 simulated seconds depend on:
 
-* the canonical IL text of the kernel (what the compiler sees),
+* the ``repr`` of the kernel's :class:`~repro.kernels.KernelRecipe`
+  (the salt covers the generators, so it fixes the IL text),
 * the GPU spec (chip name plus a fingerprint of its parameters),
 * the launch shape: domain, block, iterations,
 * the :class:`~repro.sim.config.SimConfig` model parameters (via
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -33,6 +35,7 @@ from typing import TYPE_CHECKING
 from repro.arch.specs import GPUSpec
 from repro.il.module import ILKernel
 from repro.il.text import cached_il_text
+from repro.kernels.params import KernelRecipe
 from repro.sim.config import SimConfig
 from repro.telemetry import config_hash
 
@@ -82,13 +85,13 @@ class WorkUnit:
 
     A unit is a plain value: the engine dedupes and caches it by
     :attr:`key` and ships it to a pool worker as itself (pickled, with
-    the cached key and IL text riding along).
+    the cached key riding along and the built kernel left behind).
     """
 
     figure: str
     series: str
     value: float
-    kernel: ILKernel = field(compare=False)
+    recipe: KernelRecipe = field(compare=False)
     gpu: GPUSpec = field(compare=False)
     domain: tuple[int, int]
     block: tuple[int, int]
@@ -96,13 +99,32 @@ class WorkUnit:
     sim: SimConfig = field(compare=False)
 
     @cached_property
-    def il_text(self) -> str:
-        """The canonical IL — the compiler-facing identity of the kernel."""
-        return cached_il_text(self.kernel)
+    def kernel(self) -> ILKernel:
+        """The built kernel; the engine fills it in before running the
+        unit (:func:`build_kernels`)."""
+        return self.recipe.build()
 
     @cached_property
     def key(self) -> str:
         return cache_key(self)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("kernel", None)
+        return state
+
+
+def build_kernels(units: Iterable[WorkUnit]) -> None:
+    """Build each distinct recipe of ``units`` once, render its IL text,
+    and hand the kernel to every unit that names it (for as long as the
+    units live: one engine run inline, one batch in a pool worker)."""
+    built: dict[KernelRecipe, ILKernel] = {}
+    for unit in units:
+        kernel = built.get(unit.recipe)
+        if kernel is None:
+            kernel = built[unit.recipe] = unit.recipe.build()
+            cached_il_text(kernel)
+        unit.__dict__["kernel"] = kernel  # fills the cached property
 
 
 def gpu_fingerprint(gpu: GPUSpec) -> str:
@@ -119,7 +141,7 @@ def cache_key(unit: WorkUnit) -> str:
     """
     material = {
         "version": CODE_SALT,
-        "il": hashlib.sha256(unit.il_text.encode()).hexdigest(),
+        "recipe": repr(unit.recipe),
         "gpu": unit.gpu.chip,
         "gpu_fingerprint": gpu_fingerprint(unit.gpu),
         "sim": config_hash(unit.sim),

@@ -6,7 +6,8 @@ verifies), simulate the launch, and reduce the event with
 the cache/ledger stores.  The engine calls it once per unit inline, or the pool calls it
 through :func:`run_payloads`, one batch of units at a time.  A
 :class:`~repro.jobs.units.WorkUnit` is a plain picklable value, so the
-pool ships the units themselves.
+pool ships the units themselves, each with its kernel recipe; kernels
+are built before the units run, never inside a measurement.
 
 The simulator is deterministic, so the record is bit-identical whether
 the unit runs inline, in a worker process, or is replayed from cache —
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.cal.device import Device
 from repro.cal.timing import time_kernel
-from repro.jobs.units import WorkUnit, launch_record
+from repro.jobs.units import WorkUnit, build_kernels, launch_record
 
 if TYPE_CHECKING:
     from repro.compiler.cache import ProgramStore
@@ -58,11 +59,12 @@ def initialize_worker(program_root: str | None = None) -> None:
 def run_payloads(units: list[WorkUnit]) -> list[dict]:
     """Pool entry point: one batch of units in, their records out.
 
-    The batch runs under its own compile cache, so a program shared by
-    its units compiles (or loads from the store) once, and the memory it
-    holds is released when the batch ends.
+    The batch builds its kernels and runs under its own compile cache,
+    so a kernel shared by its units is built and compiled (or loaded)
+    once, and the memory both hold is released when the batch ends.
     """
     from repro.compiler.cache import CompileCache, compile_cache_scope
 
+    build_kernels(units)
     with compile_cache_scope(CompileCache(_store)):
         return [run_payload(unit) for unit in units]

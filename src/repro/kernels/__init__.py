@@ -14,13 +14,14 @@ inputs — with per-benchmark variations:
   front (constant GPR count).
 """
 
-from repro.kernels.params import KernelParams, alu_ops_for_ratio
+from repro.kernels.params import KernelParams, KernelRecipe, alu_ops_for_ratio
 from repro.kernels.generic import generate_generic
 from repro.kernels.register_usage import generate_register_usage
 from repro.kernels.clause_usage import generate_clause_usage
 
 __all__ = [
     "KernelParams",
+    "KernelRecipe",
     "alu_ops_for_ratio",
     "generate_clause_usage",
     "generate_generic",

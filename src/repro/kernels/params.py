@@ -1,9 +1,11 @@
-"""Kernel-generation parameters shared by all generators."""
+"""Kernel-generation parameters shared by all generators, and recipes."""
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, replace
 
+from repro.il.module import ILKernel
 from repro.il.types import DataType, MemorySpace, ShaderMode
 
 
@@ -95,3 +97,23 @@ class KernelParams:
             f"in{self.inputs}_out{self.outputs}_r{self.alu_fetch_ratio:g}_"
             f"{self.dtype.value}_{self.mode.value}"
         )
+
+
+@dataclass(frozen=True)
+class KernelRecipe:
+    """A generator and its parameters: every figure and grid kernel.
+
+    ``generator`` names ``repro.kernels.<generator>.generate_<generator>``
+    (``generic``, ``register_usage`` or ``clause_usage``).  Equal recipes
+    build content-identical kernels, so work units carry the recipe and
+    the jobs engine builds a kernel only for a unit it runs.
+    """
+
+    generator: str
+    params: KernelParams
+
+    def build(self) -> ILKernel:
+        """Generate the kernel.  The generator is looked up on its module
+        at call time, so a rebound ``generate_*`` sees every build."""
+        module = importlib.import_module(f"repro.kernels.{self.generator}")
+        return getattr(module, f"generate_{self.generator}")(self.params)

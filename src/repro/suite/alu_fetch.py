@@ -19,9 +19,8 @@ Figure variants are expressed through the constructor:
 from __future__ import annotations
 
 from repro.arch.specs import GPUSpec
-from repro.il.module import ILKernel
 from repro.il.types import MemorySpace, ShaderMode
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import KernelParams, KernelRecipe
 from repro.sim.config import NAIVE_BLOCK
 from repro.suite.base import MicroBenchmark, SeriesSpec, standard_series
 
@@ -108,13 +107,7 @@ class ALUFetchBenchmark(MicroBenchmark):
             specs = [s for s in specs if s.gpu.chip != "RV670"]
         return specs
 
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
-        # build_kernel depends on the ratio, mode and dtype (plus fixed
-        # constructor parameters) but not spec.gpu/spec.block: one kernel
-        # serves every GPU's series at a given sweep point.
-        return (value, spec.mode, spec.dtype)
-
-    def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
+    def build_kernel(self, value: float, spec: SeriesSpec) -> KernelRecipe:
         params = KernelParams(
             inputs=self.inputs,
             outputs=self.outputs,
@@ -124,4 +117,4 @@ class ALUFetchBenchmark(MicroBenchmark):
             input_space=self.input_space,
             output_space=self.output_space,
         )
-        return generate_generic(params)
+        return KernelRecipe("generic", params)

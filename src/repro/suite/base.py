@@ -1,8 +1,8 @@
 """Micro-benchmark machinery shared by all five benchmarks.
 
 Each benchmark produces, for every (GPU, shader mode, data type) series,
-one kernel per sweep value; the harness compiles it, allocates its
-streams, runs it the paper's 5000 iterations on the simulated chip, and
+one kernel recipe per sweep value; the harness builds and compiles the
+kernel, runs it the paper's 5000 iterations on the simulated chip, and
 records the seconds.  RV670 series in compute mode are skipped (the chip
 predates compute shader support — §IV), matching the figures' legends.
 A sweep is planned into work units, run by a jobs engine, and assembled.
@@ -19,8 +19,8 @@ from repro import telemetry
 from repro.arch.registry import all_gpus
 from repro.arch.specs import GPUSpec
 from repro.cal.timing import time_kernel
-from repro.il.module import ILKernel
 from repro.il.types import DataType, ShaderMode
+from repro.kernels.params import KernelRecipe
 from repro.sim.config import NAIVE_BLOCK, PAPER_ITERATIONS, SimConfig
 from repro.suite.results import ResultSet, Series, SeriesPoint
 
@@ -72,7 +72,7 @@ def standard_series(
 
 
 class MicroBenchmark(abc.ABC):
-    """Base class: subclasses define the sweep and the kernel factory."""
+    """Base class: subclasses define the sweep and the kernel recipe."""
 
     #: experiment id, e.g. ``"fig7"`` (see DESIGN.md §5).
     name: str = ""
@@ -95,22 +95,9 @@ class MicroBenchmark(abc.ABC):
         """The x-axis values (fast mode may subsample for tests)."""
 
     @abc.abstractmethod
-    def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
-        """The kernel measured at one sweep point of one series."""
-
-    @abc.abstractmethod
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
-        """Hashable identity of ``build_kernel(value, spec)``'s result.
-
-        Two sweep points whose keys compare equal are guaranteed (by the
-        subclass) to build content-identical kernels, so ``plan_units``
-        builds once and shares the object — downstream the shared
-        instance also collapses the IL-text rendering and the compile
-        into one apiece.  The paper's generators never read ``spec.gpu``
-        or ``spec.block``, so every benchmark keys on ``(mode, dtype)``
-        plus whatever of ``value``/its own parameters the kernel body
-        actually uses.
-        """
+    def build_kernel(self, value: float, spec: SeriesSpec) -> KernelRecipe:
+        """The recipe of the kernel measured at one sweep point of one
+        series (``.build()`` generates it)."""
 
     def series_specs(self, gpus: tuple[GPUSpec, ...]) -> list[SeriesSpec]:
         """Which series to measure (overridable per benchmark/figure)."""
@@ -120,7 +107,7 @@ class MicroBenchmark(abc.ABC):
         """Launch domain at one sweep point (the domain benchmark varies it)."""
         return self.domain
 
-    def x_of(self, value: float, kernel: ILKernel, gprs: int) -> float:
+    def x_of(self, value: float, gprs: int) -> float:
         """Map the sweep value to the plotted x (register benchmark plots
         the *measured* GPR count, not the step)."""
         return value
@@ -130,41 +117,34 @@ class MicroBenchmark(abc.ABC):
         self,
         gpus: tuple[GPUSpec, ...] | None = None,
         fast: bool = False,
-    ) -> list[tuple[SeriesSpec, float, ILKernel, "WorkUnit"]]:
+    ) -> list[tuple[SeriesSpec, float, "WorkUnit"]]:
         """Decompose the sweep into independent, content-addressed units.
 
         The plan is ordered series-major, sweep-minor — the figure's own
         order — so :meth:`assemble` rebuilds it in one pass whichever way
-        the units execute.  Kernels are built here (the canonical IL text
-        is the cache key's backbone); compile+simulate happens in the
-        engine.  Sweep points that :meth:`kernel_key` declares
-        identical share one kernel object (the domain sweep is one
-        kernel × many launch shapes; series differing only by GPU share
-        everything).
+        the units execute.  Each unit carries its kernel's recipe; the
+        engine builds a kernel only for units it runs, once per distinct
+        recipe (the domain sweep is one kernel × many launch shapes;
+        series differing only by GPU share everything).
         """
         from repro.jobs.units import WorkUnit
 
         gpus = gpus if gpus is not None else all_gpus()
-        planned: list[tuple[SeriesSpec, float, ILKernel, WorkUnit]] = []
-        built: dict[object, ILKernel] = {}
+        planned: list[tuple[SeriesSpec, float, WorkUnit]] = []
         for spec in self.series_specs(gpus):
             for value in self.sweep_values(fast):
-                key = self.kernel_key(value, spec)
-                kernel = built.get(key)
-                if kernel is None:
-                    kernel = built[key] = self.build_kernel(value, spec)
                 unit = WorkUnit(
                     figure=self.name,
                     series=spec.label,
                     value=value,
-                    kernel=kernel,
+                    recipe=self.build_kernel(value, spec),
                     gpu=spec.gpu,
                     domain=self.domain_for(value, spec),
                     block=spec.block,
                     iterations=self.iterations,
                     sim=self.sim,
                 )
-                planned.append((spec, value, kernel, unit))
+                planned.append((spec, value, unit))
         return planned
 
     def run(
@@ -188,7 +168,7 @@ class MicroBenchmark(abc.ABC):
 
     def assemble(
         self,
-        planned: list[tuple[SeriesSpec, float, ILKernel, "WorkUnit"]],
+        planned: list[tuple[SeriesSpec, float, "WorkUnit"]],
         records: list[dict],
         fast: bool,
     ) -> ResultSet:
@@ -211,10 +191,10 @@ class MicroBenchmark(abc.ABC):
                 with telemetry.span(
                     "series", figure=self.name, label=spec.label
                 ):
-                    for (_spec, value, kernel, _unit), record in points:
+                    for (_spec, value, _unit), record in points:
                         series.add(
                             SeriesPoint(
-                                x=self.x_of(value, kernel, record["gprs"]),
+                                x=self.x_of(value, record["gprs"]),
                                 seconds=record["seconds"],
                                 gprs=record["gprs"],
                                 resident_wavefronts=(

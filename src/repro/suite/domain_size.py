@@ -13,9 +13,8 @@ busy".
 from __future__ import annotations
 
 from repro.arch.specs import GPUSpec
-from repro.il.module import ILKernel
 from repro.il.types import DataType, ShaderMode
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import KernelParams, KernelRecipe
 from repro.suite.base import MicroBenchmark, SeriesSpec, standard_series
 
 PIXEL_STEP = 8
@@ -85,13 +84,9 @@ class DomainSizeBenchmark(MicroBenchmark):
         edge = int(value)
         return (edge, edge)
 
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
-        # The kernel ignores the sweep value entirely (only the launch
-        # domain varies) and never reads spec.gpu: the whole figure is
-        # one kernel per (mode, dtype), built and compiled exactly once.
-        return (spec.mode, spec.dtype)
-
-    def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
+    def build_kernel(self, value: float, spec: SeriesSpec) -> KernelRecipe:
+        # The sweep value only sizes the launch domain: the whole figure
+        # is one recipe per (mode, dtype), built and compiled once.
         params = KernelParams(
             inputs=8,
             outputs=1,
@@ -99,4 +94,4 @@ class DomainSizeBenchmark(MicroBenchmark):
             dtype=spec.dtype,
             mode=spec.mode,
         )
-        return generate_generic(params)
+        return KernelRecipe("generic", params)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.knees import find_knee
 from repro.arch.specs import GPUSpec
 from repro.il.types import DataType, ShaderMode
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import KernelParams, KernelRecipe
 from repro.sim.config import NAIVE_BLOCK, PAPER_ITERATIONS, SimConfig
 
 if TYPE_CHECKING:
@@ -131,10 +131,11 @@ def alu_fetch_grid(
             figure=f"grid-{gpu.chip}",
             series=f"{mode.value}-{dtype.value}-n{n}",
             value=ratio,
-            kernel=generate_generic(
+            recipe=KernelRecipe(
+                "generic",
                 KernelParams(
                     inputs=n, alu_fetch_ratio=ratio, dtype=dtype, mode=mode
-                )
+                ),
             ),
             gpu=gpu,
             domain=domain,

@@ -13,9 +13,8 @@ and RV870 — is exposed directly.
 
 from __future__ import annotations
 
-from repro.il.module import ILKernel
 from repro.il.types import MemorySpace
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import KernelParams, KernelRecipe
 from repro.suite.base import MicroBenchmark, SeriesSpec
 
 INPUT_SWEEP = list(range(2, 19))
@@ -59,12 +58,7 @@ class ReadLatencyBenchmark(MicroBenchmark):
     def sweep_values(self, fast: bool = False) -> list[float]:
         return [float(v) for v in (FAST_SWEEP if fast else INPUT_SWEEP)]
 
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
-        # Input count, mode and dtype fully determine the kernel; the
-        # GPU does not participate, so series share sweep-point kernels.
-        return (value, spec.mode, spec.dtype)
-
-    def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
+    def build_kernel(self, value: float, spec: SeriesSpec) -> KernelRecipe:
         inputs = int(value)
         params = KernelParams(
             inputs=inputs,
@@ -76,4 +70,4 @@ class ReadLatencyBenchmark(MicroBenchmark):
             mode=spec.mode,
             input_space=self.input_space,
         )
-        return generate_generic(params)
+        return KernelRecipe("generic", params)

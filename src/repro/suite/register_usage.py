@@ -21,13 +21,8 @@ operations across clauses.
 from __future__ import annotations
 
 from repro.arch.specs import GPUSpec
-from repro.il.module import ILKernel
 from repro.il.types import ShaderMode
-from repro.kernels import (
-    KernelParams,
-    generate_clause_usage,
-    generate_register_usage,
-)
+from repro.kernels import KernelParams, KernelRecipe
 from repro.sim.config import NAIVE_BLOCK
 from repro.suite.base import MicroBenchmark, SeriesSpec, standard_series
 
@@ -102,13 +97,7 @@ class RegisterUsageBenchmark(MicroBenchmark):
     def series_specs(self, gpus: tuple[GPUSpec, ...]) -> list[SeriesSpec]:
         return standard_series(gpus, modes=self.modes, block=self.block)
 
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
-        # The generators read only (step, mode, dtype) plus constructor
-        # parameters — never spec.gpu/spec.block — so all GPUs of one
-        # series grid share each sweep point's kernel.
-        return (value, spec.mode, spec.dtype)
-
-    def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
+    def build_kernel(self, value: float, spec: SeriesSpec) -> KernelRecipe:
         params = KernelParams(
             inputs=self.inputs,
             outputs=1,
@@ -118,11 +107,10 @@ class RegisterUsageBenchmark(MicroBenchmark):
             space=self.space,
             step=int(value),
         )
-        if self.control:
-            return generate_clause_usage(params)
-        return generate_register_usage(params)
+        generator = "clause_usage" if self.control else "register_usage"
+        return KernelRecipe(generator, params)
 
-    def x_of(self, value: float, kernel: ILKernel, gprs: int) -> float:
+    def x_of(self, value: float, gprs: int) -> float:
         if self.control:
             # The control kernel's GPR count is constant by design; plot
             # against the step so the flat curve is visible.

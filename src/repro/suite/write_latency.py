@@ -14,9 +14,8 @@ the float:float4 time ratio is 1:4.
 from __future__ import annotations
 
 from repro.arch.specs import GPUSpec
-from repro.il.module import ILKernel
 from repro.il.types import MemorySpace, ShaderMode
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import KernelParams, KernelRecipe
 from repro.suite.base import MicroBenchmark, SeriesSpec, standard_series
 
 OUTPUT_SWEEP = list(range(1, 9))
@@ -77,12 +76,7 @@ class WriteLatencyBenchmark(MicroBenchmark):
             return standard_series(gpus, modes=(ShaderMode.PIXEL,))
         return standard_series(gpus)
 
-    def kernel_key(self, value: float, spec: SeriesSpec) -> object:
-        # Output count, mode and dtype fully determine the kernel; the
-        # GPU does not participate, so series share sweep-point kernels.
-        return (value, spec.mode, spec.dtype)
-
-    def build_kernel(self, value: float, spec: SeriesSpec) -> ILKernel:
+    def build_kernel(self, value: float, spec: SeriesSpec) -> KernelRecipe:
         params = KernelParams(
             inputs=self.inputs,
             outputs=int(value),
@@ -91,4 +85,4 @@ class WriteLatencyBenchmark(MicroBenchmark):
             mode=spec.mode,
             output_space=self.output_space,
         )
-        return generate_generic(params)
+        return KernelRecipe("generic", params)

@@ -77,6 +77,7 @@ CODE_CATALOG: dict[str, tuple[Severity, str]] = {
     "V008": (Severity.WARNING, "dead write: result never reaches an output"),
     "V009": (Severity.ERROR, "instruction after the terminal store"),
     "V010": (Severity.WARNING, "output written more than once"),
+    "V011": (Severity.ERROR, "ALU writes a non-temporary or reads an output"),
     # ---- ISA-level clause/VLIW/register checks (V1xx) --------------------
     "V100": (Severity.ERROR, "compilation failed"),
     "V101": (Severity.ERROR, "illegal clause ordering"),

@@ -3,11 +3,11 @@
 These subsume the first-error checks :mod:`repro.il.validate` has always
 enforced (the paper's §III compiler interactions: kernels must have
 outputs, every input must be fetched *and* used) and extend them with
-dataflow diagnostics: uninitialized reads, dead writes, code after the
-terminal store, and double-written outputs.  ``validate_kernel`` runs
-:func:`error_checks` (every check that can raise an error) and raises
-the first error; callers that want the full picture, warnings included,
-use :func:`check_kernel` directly.
+dataflow diagnostics: uninitialized reads, misplaced ALU operands, dead
+writes, code after the terminal store, and double-written outputs.
+``validate_kernel`` runs :func:`error_checks` (every check that can
+raise an error) and raises the first error; callers that want the full
+picture, warnings included, use :func:`check_kernel` directly.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def error_checks(
         used = [instr.used_registers() for instr in kernel.body]
     diags: list[Diagnostic] = []
     diags += _check_outputs(kernel)
-    diags += _check_def_before_use(kernel, defined, used)
+    diags += _check_registers(kernel, defined, used)
     diags += _check_inputs_used(kernel, used)
     diags += _check_outputs_written(kernel)
     diags += _check_terminal_stores(kernel)
@@ -104,30 +104,51 @@ def _check_outputs(kernel: ILKernel) -> list[Diagnostic]:
     return diags
 
 
-def _check_def_before_use(
+def _check_registers(
     kernel: ILKernel,
     defined_by: list[tuple[Register, ...]],
     used_by: list[tuple[Register, ...]],
 ) -> list[Diagnostic]:
+    """V004 (read before write); V011 (an ALU op writes a non-``rN``
+    or reads an ``oN``: docs/il_reference.md)."""
     diags: list[Diagnostic] = []
-    temp_file = RegisterFile.TEMP
+    temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
     defined: set[int] = set()  # indices of the temporaries written so far
     for pos, instr in enumerate(kernel.body):
         for reg in used_by[pos]:
-            if reg.file is temp_file and reg.index not in defined:
-                diags.append(
-                    diag(
-                        "V004",
-                        f"kernel {kernel.name!r}: instruction {pos} "
-                        f"({instr}) reads {reg} before it is written",
-                        _il_loc(pos),
-                        register=str(reg),
+            if reg.file is temp_file:
+                if reg.index not in defined:
+                    diags.append(
+                        diag(
+                            "V004",
+                            f"kernel {kernel.name!r}: instruction {pos} "
+                            f"({instr}) reads {reg} before it is written",
+                            _il_loc(pos),
+                            register=str(reg),
+                        )
                     )
-                )
+            elif reg.file is output_file and isinstance(instr, ALUInstruction):
+                rule = "output registers are write-only"
+                diags.append(_alu_operand(kernel, pos, "reads", reg, rule))
         for reg in defined_by[pos]:
             if reg.file is temp_file:
                 defined.add(reg.index)
+            elif isinstance(instr, ALUInstruction):
+                rule = "ALU results go to temporaries (rN)"
+                diags.append(_alu_operand(kernel, pos, "writes", reg, rule))
     return diags
+
+
+def _alu_operand(
+    kernel: ILKernel, pos: int, verb: str, reg: Register, rule: str
+) -> Diagnostic:
+    return diag(
+        "V011",
+        f"kernel {kernel.name!r}: instruction {pos} ({kernel.body[pos]}) "
+        f"{verb} {reg}; {rule}",
+        _il_loc(pos),
+        register=str(reg),
+    )
 
 
 def _check_inputs_used(

@@ -448,7 +448,41 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
+#: IL text the parser rejects on its second line.
+MALFORMED_IL = "il_ps_2_0\nbogus line here\nend\n"
+
+#: every verb that takes its kernel from ``--il`` or the generator flags.
+KERNEL_VERBS = [
+    "generate", "compile", "lint", "ska", "time", "advise", "trace", "profile"
+]
+
+
 class TestUserErrors:
+    @pytest.mark.parametrize("verb", KERNEL_VERBS)
+    def test_every_kernel_verb_reports_a_malformed_il_file(
+        self, verb, capsys, tmp_path
+    ):
+        malformed = tmp_path / "malformed.il"
+        malformed.write_text(MALFORMED_IL)
+        assert _exit_code([verb, "--il", str(malformed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "repro: line 2: unrecognized instruction: 'bogus line here'"
+        ]
+        assert captured.out == ""
+
+    def test_lint_reports_an_alu_write_to_an_output_register(
+        self, capsys, tmp_path
+    ):
+        from tests.test_verify import ALU_OUTPUT_IL
+
+        path = tmp_path / "alu_output.il"
+        path.write_text(ALU_OUTPUT_IL)
+        assert _exit_code(["lint", "--il", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "V011 error" in captured.out
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "argv, code, message",
         [
@@ -468,12 +502,36 @@ class TestUserErrors:
                 1,
                 "repro: RV670 does not support compute shader mode",
             ),
+            (
+                ["lint", "--il", "{malformed}"],
+                1,
+                "repro: line 2: unrecognized instruction",
+            ),
+            (
+                ["compile", "--il", "{missing}"],
+                1,
+                "repro: [Errno 2] No such file or directory",
+            ),
+            (
+                ["time", "--inputs", "1"],
+                1,
+                "repro: at least two inputs are required",
+            ),
         ],
-        ids=["compute-on-rv670", "out-of-memory", "unknown-gpu", "trace-rv670"],
+        ids=[
+            "compute-on-rv670", "out-of-memory", "unknown-gpu", "trace-rv670",
+            "malformed-il", "missing-il-file", "one-input",
+        ],
     )
     def test_expected_errors_report_without_traceback(
-        self, argv, code, message, capsys
+        self, argv, code, message, capsys, tmp_path
     ):
+        malformed = tmp_path / "malformed.il"
+        malformed.write_text(MALFORMED_IL)
+        argv = [
+            arg.format(malformed=malformed, missing=tmp_path / "missing.il")
+            for arg in argv
+        ]
         assert _exit_code(argv) == code
         captured = capsys.readouterr()
         assert message in captured.err

@@ -215,21 +215,20 @@ class TestTelemetryCounters:
 
 
 class TestSweepPlanning:
-    def test_domain_sweep_shares_one_kernel_object(self):
+    def test_domain_sweep_shares_one_recipe(self):
         # fig15 is one kernel swept over launch shapes: every planned
-        # unit of a (mode, dtype) series must carry the *same* kernel
-        # object, which is what collapses the sweep to one compile.
+        # unit of a (mode, dtype) series must carry an equal recipe,
+        # which is what collapses the sweep to one build and one compile.
         bench = BENCHMARKS["fig15a"]()
         planned = bench.plan_units(gpus=(RV770, RV670), fast=True)
         by_key = {}
-        for spec, value, kernel, unit in planned:
-            by_key.setdefault((spec.mode, spec.dtype), set()).add(id(kernel))
+        for spec, _value, unit in planned:
+            by_key.setdefault((spec.mode, spec.dtype), set()).add(unit.recipe)
         assert by_key  # the sweep planned something
-        for identities in by_key.values():
-            assert len(identities) == 1
+        for recipes in by_key.values():
+            assert len(recipes) == 1
         # ...and the sharing crosses GPUs: generators never read the GPU.
-        distinct_kernels = {id(k) for _, _, k, _ in planned}
-        assert len(distinct_kernels) == len(by_key)
+        assert len({unit.recipe for *_, unit in planned}) == len(by_key)
 
     def test_engine_domain_sweep_compiles_exactly_once(self, tmp_path):
         engine = JobEngine(JobOptions(ledger_path=tmp_path / "ledger.jsonl"))
@@ -254,9 +253,9 @@ class TestSweepPlanning:
         distinct = set()
         for name in figures:
             bench = BENCHMARKS[name]()
-            for spec, _value, kernel, _unit in bench.plan_units(fast=True):
+            for spec, _value, unit in bench.plan_units(fast=True):
                 options = CompileOptions.for_gpu(spec.gpu)
-                distinct.add((cached_il_text(kernel), options))
+                distinct.add((cached_il_text(unit.recipe.build()), options))
         with telemetry.recording() as tracer:
             results = run_suite(figures=figures, fast=True)
         spans = tracer.finished()

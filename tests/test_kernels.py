@@ -149,6 +149,11 @@ class TestGenericGenerator:
         params = KernelParams(
             inputs=inputs, outputs=outputs, alu_fetch_ratio=ratio
         )
+        if outputs > params.total_alu_ops:
+            # Too few chain values for the outputs: rejected, never built.
+            with pytest.raises(ValueError, match="outputs"):
+                generate_generic(params)
+            return
         kernel = generate_generic(params)  # build() validates
         assert kernel.alu_instruction_count() == params.total_alu_ops
 

@@ -7,7 +7,9 @@ live in test_figures_shape.py against the session-scoped suite results.
 import pytest
 
 from repro.arch import RV770, all_gpus
+from repro.il.text import emit_il
 from repro.il.types import DataType, MemorySpace, ShaderMode
+from repro.kernels import KernelRecipe
 from repro.sim.config import PAPER_ITERATIONS
 from repro.suite import (
     ALUFetchBenchmark,
@@ -19,7 +21,7 @@ from repro.suite import (
     run_benchmark,
     run_suite,
 )
-from repro.suite.base import MicroBenchmark, SeriesSpec, standard_series
+from repro.suite.base import SeriesSpec, standard_series
 
 
 class TestSeriesSpecs:
@@ -73,7 +75,7 @@ class TestALUFetchBenchmark:
         bench = ALUFetchBenchmark.figure9()
         kernel = bench.build_kernel(
             1.0, SeriesSpec(RV770, ShaderMode.PIXEL, DataType.FLOAT)
-        )
+        ).build()
         assert kernel.input_space() is MemorySpace.GLOBAL
         assert kernel.output_space() is MemorySpace.COLOR_BUFFER
 
@@ -81,7 +83,7 @@ class TestALUFetchBenchmark:
         bench = ALUFetchBenchmark.figure10()
         kernel = bench.build_kernel(
             1.0, SeriesSpec(RV770, ShaderMode.PIXEL, DataType.FLOAT)
-        )
+        ).build()
         assert kernel.input_space() is MemorySpace.GLOBAL
         assert kernel.output_space() is MemorySpace.GLOBAL
 
@@ -116,7 +118,7 @@ class TestReadLatencyBenchmark:
         bench = ReadLatencyBenchmark.figure11()
         kernel = bench.build_kernel(
             10, SeriesSpec(RV770, ShaderMode.PIXEL, DataType.FLOAT)
-        )
+        ).build()
         assert kernel.alu_instruction_count() == 9
         assert kernel.fetch_instruction_count() == 10
 
@@ -124,7 +126,7 @@ class TestReadLatencyBenchmark:
         bench = ReadLatencyBenchmark.figure12()
         kernel = bench.build_kernel(
             4, SeriesSpec(RV770, ShaderMode.PIXEL, DataType.FLOAT)
-        )
+        ).build()
         assert kernel.input_space() is MemorySpace.GLOBAL
 
 
@@ -220,19 +222,16 @@ class TestHarnessDefaults:
 
 
 class TestOneSweepPath:
-    def test_kernel_key_is_required(self):
-        # A benchmark that does not say which sweep points share a
-        # kernel cannot be planned, so it cannot be instantiated.
-        class NoKey(MicroBenchmark):
-            def sweep_values(self, fast=False):
-                return [1.0]
-
-            def build_kernel(self, value, spec):
-                raise AssertionError("never planned")
-
-        assert NoKey.__abstractmethods__ == {"kernel_key"}
-        with pytest.raises(TypeError, match="kernel_key"):
-            NoKey()
+    @pytest.mark.parametrize("figure", sorted(BENCHMARKS))
+    def test_build_kernel_returns_a_stable_recipe(self, figure):
+        # Units carry recipes, and the cache key holds the recipe instead
+        # of the IL text: building one twice must give the same text.
+        bench = BENCHMARKS[figure]()
+        spec = bench.series_specs(all_gpus())[0]
+        for value in bench.sweep_values(fast=True)[:3]:
+            recipe = bench.build_kernel(value, spec)
+            assert isinstance(recipe, KernelRecipe)
+            assert emit_il(recipe.build()) == emit_il(recipe.build())
 
     def test_default_engine_runs_each_unit_through_the_pool_function(
         self, monkeypatch

@@ -29,6 +29,7 @@ from repro.il.instructions import (
     SampleInstruction,
 )
 from repro.il.module import ILKernel, InputDecl, OutputDecl
+from repro.il.parser import parse_il
 from repro.il.opcodes import ILOp
 from repro.il.types import DataType, MemorySpace, ShaderMode
 from repro.il.validate import ILValidationError, validate_kernel
@@ -166,6 +167,23 @@ class TestDiagnosticEngine:
 
 # ---- IL-level known-bad kernels --------------------------------------------
 
+#: an ALU op writes an output register and the next reads it back.  DCE
+#: keeps only temporaries live, so it used to drop the ``o2`` write, leave
+#: input 1 unused and crash ``repro lint`` on the post-DCE validation.
+ALU_OUTPUT_IL = """\
+il_ps_2_0
+dcl_input_position_interp(linear_noperspective) v0.xy__
+dcl_resource_id(0)_type(2d,unnorm)_fmt(float)
+dcl_resource_id(1)_type(2d,unnorm)_fmt(float)
+dcl_output_generic o0
+sample_resource(0)_sampler(0) r0, v0
+sample_resource(1)_sampler(1) r1, v0
+add o2, r0, r1
+add r2, o2, r0
+mov o0, r2
+end
+"""
+
 #: known-bad IL kernels, by the error each was written to show.
 INVALID_KERNELS = {
     "V001": lambda: make_kernel([sample(0, 0)], inputs=1, outputs=0),
@@ -186,6 +204,7 @@ INVALID_KERNELS = {
     "V009": lambda: make_kernel(
         [sample(0, 0), add(1, 0, 0), export(0, 1), add(2, 1, 1)]
     ),
+    "V011": lambda: parse_il(ALU_OUTPUT_IL),
     "collect-all": lambda: make_kernel(
         [add(1, 7, 7), export(0, 1)], inputs=1, outputs=2
     ),
@@ -244,6 +263,22 @@ class TestILDiagnostics:
         found = check_kernel(kernel)
         v010 = next(d for d in found if d.code == "V010")
         assert v010.severity is Severity.WARNING
+
+    def test_v011_alu_writes_or_reads_an_output_register(self):
+        kernel = INVALID_KERNELS["V011"]()
+        found = [d for d in check_kernel(kernel) if d.code == "V011"]
+        assert [(d.location.instruction, d.severity) for d in found] == [
+            (2, Severity.ERROR),
+            (3, Severity.ERROR),
+        ]
+        assert "writes o2" in found[0].message
+        assert "reads o2" in found[1].message
+        # Rejected before DCE, and reported (not raised) by the linter.
+        with pytest.raises(ILValidationError, match="writes o2"):
+            compile_kernel(kernel)
+        report = lint_kernel(kernel, RV770)
+        assert "V011" in codes(report.diagnostics)
+        assert report.exit_code() == 1
 
     def test_collect_all_reports_every_problem(self):
         # Uninitialized read + unused input + unwritten output, at once.

@@ -112,7 +112,8 @@ def verifier_record(name: str) -> str:
     kernels = error_count = warning_count = 0
     for spec in bench.series_specs(all_gpus()):
         for value in bench.sweep_values(fast=True):
-            report = lint_kernel(bench.build_kernel(value, spec), gpu=spec.gpu)
+            kernel = bench.build_kernel(value, spec).build()
+            report = lint_kernel(kernel, gpu=spec.gpu)
             kernels += 1
             error_count += report.error_count
             warning_count += report.warning_count
