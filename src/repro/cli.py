@@ -39,7 +39,14 @@ from repro.arch import all_gpus, gpu_by_name, hardware_feature_table
 from repro.arch.specs import GPUSpec
 from repro.cal import CALError, Device, time_kernel
 from repro.compiler import compile_kernel
-from repro.il import DataType, MemorySpace, ShaderMode, emit_il, parse_il
+from repro.il import (
+    DataType,
+    ILValidationError,
+    MemorySpace,
+    ShaderMode,
+    emit_il,
+    parse_il,
+)
 from repro.isa import disassemble
 from repro.kernels import KernelParams, KernelRecipe
 from repro.reporting import ascii_chart, experiment_report
@@ -389,7 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with recorder:
             code = _dispatch(args)
-    except (CALError, SimulationError, KernelSourceError) as exc:
+    except (
+        CALError, SimulationError, KernelSourceError, ILValidationError
+    ) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1
     if telemetry_path is not None and code == 0:

@@ -6,9 +6,10 @@ compilation, the last uncached stage.  A :class:`CompileCache` fronts
 
 1. an **in-process LRU** of live :class:`~repro.isa.program.ISAProgram`
    objects — the compile-once guarantee inside a run or pool batch;
-2. an optional **on-disk shard store** (:class:`ProgramStore`, one
-   blob per program) holding the stable JSON serialization from
-   :mod:`repro.isa.serialize` — warm-start across processes and runs.
+2. an optional **on-disk program log** (:class:`ProgramStore`, one
+   line per program in ``programs.jsonl``) holding the stable JSON
+   serialization from :mod:`repro.isa.serialize` — warm-start across
+   processes and runs.
 
 Keys hash exactly what the compiler reads: the canonical IL text, the
 clause-size options, :data:`~repro.jobs.units.CODE_SALT` (which covers
@@ -34,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -43,10 +43,16 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import telemetry
 from repro.il.text import cached_il_text
+from repro.jobs.ledger import (
+    append_line,
+    compact,
+    count_blobs,
+    reap_tree,
+    scan_lines,
+)
 from repro.jobs.units import CODE_SALT
 from repro.isa.serialize import (
     SCHEMA_VERSION,
-    SerializationError,
     program_from_json,
     program_to_json,
 )
@@ -78,138 +84,133 @@ def compile_cache_key(il_text: str, options: "CompileOptions") -> str:
 
 
 class ProgramStore:
-    """On-disk compiled programs: ``<root>/programs/ab/<key>.json``.
+    """On-disk compiled programs: one append-only log, ``<root>/programs.jsonl``.
 
-    One small JSON blob per key, sharded by key prefix.  Writes are
-    atomic (temp file + ``os.replace``, so a killed process leaves no
-    half-written blob), a corrupt blob reads as a miss, and maintenance
-    is salt-aware (``gc`` reaps blobs recorded under another
-    ``CODE_SALT``).  Concurrent pool workers write and load each
-    other's programs through it.  Shares the result cache's root by
-    default (``results/cache/``), in its own subtree, so
+    Each save appends one line through :func:`repro.jobs.ledger.append_line`
+    (the result log's writer)::
+
+        {"version": "<salt>", "key": "<key>", "created": ..., "program": {...}}
+
+    The store indexes the log by each line's salt and key, read from the
+    line's leading bytes without decoding the program.  On a miss it
+    indexes only the complete lines appended past the last one it read,
+    so concurrent pool workers find each other's programs.  A hit reads
+    its one line and validates it fully (JSON, salt, key, decode); a
+    corrupt, torn or stale line reads as a miss, and the fresh ``save``
+    repairs it, because for a key the last line wins.  Shares the result
+    cache's root by default (``results/cache/``), so
     ``repro cache stats/gc/clear`` maintain both tiers together.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-
-    # ---- paths -----------------------------------------------------------
-    @property
-    def objects_dir(self) -> Path:
-        return self.root / "programs"
-
-    def blob_path(self, key: str) -> Path:
-        return self.objects_dir / key[:2] / f"{key}.json"
-
-    # ---- blob I/O --------------------------------------------------------
-    def read(self, key: str) -> dict | None:
-        """The stored blob for ``key``, or ``None`` (missing or corrupt)."""
-        try:
-            blob = json.loads(self.blob_path(key).read_text())
-        except (OSError, ValueError):
-            return None
-        return blob if isinstance(blob, dict) else None
-
-    def write(self, key: str, blob: dict) -> None:
-        """Store ``blob`` under ``key`` atomically (temp file + rename)."""
-        path = self.blob_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(blob, sort_keys=True))
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def fresh(blob: dict | None) -> bool:
-        """Whether ``blob`` was recorded under the current code salt."""
-        return blob is not None and blob.get("version") == CODE_SALT
+        self.log_path = self.root / "programs.jsonl"
+        #: the pre-log layout: one blob per program, read by nothing.
+        self.legacy_dir = self.root / "programs"
+        #: the leading bytes of every line written under this salt.
+        self._prefix = f'{{"version": {json.dumps(CODE_SALT)}, "key": "'.encode()
+        self._index: dict[str, tuple[int, int]] = {}  #: key -> (offset, length)
+        self._scanned = 0  #: bytes of the log indexed so far
+        self._inode = -1  #: the indexed log file (``gc`` replaces it)
 
     def load(
         self, key: str, kernel: "ILKernel | None" = None
     ) -> "ISAProgram | None":
         """Deserialize the stored program, or ``None`` (counted a miss).
 
-        A corrupt or stale blob reads as a miss — the caller recompiles
-        and the fresh ``save`` repairs the entry.  ``kernel`` attaches
-        the caller's kernel instead of re-parsing the payload's IL text
-        (sound whenever ``key`` was derived from that kernel's IL hash);
-        this is what makes a warm load parse-free.
+        ``kernel`` attaches the caller's kernel instead of re-parsing the
+        payload's IL text (sound whenever ``key`` was derived from that
+        kernel's IL hash); this is what makes a warm load parse-free.
         """
-        blob = self.read(key)
-        if not self.fresh(blob):
-            return None
+        entry = self._index.get(key)
+        if entry is None:
+            self._index_tail()
+            entry = self._index.get(key)
+            if entry is None:
+                return None
+        offset, length = entry
         try:
-            return program_from_json(blob["program"], kernel=kernel)
-        except (KeyError, SerializationError):
-            return None
+            fd = os.open(self.log_path, os.O_RDONLY)
+            try:
+                line = json.loads(os.pread(fd, length, offset))
+            finally:
+                os.close(fd)
+            if line["version"] == CODE_SALT and line["key"] == key:
+                return program_from_json(line["program"], kernel=kernel)
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # SerializationError and JSON errors are ValueErrors
+        # A later line for this key (the repairing save) is indexed by
+        # the next tail scan.
+        del self._index[key]
+        return None
 
     def save(self, key: str, program: "ISAProgram") -> None:
-        self.write(
-            key,
+        """Append ``program`` under ``key`` as one log line."""
+        append_line(
+            self.log_path,
             {
-                "key": key,
                 "version": CODE_SALT,
+                "key": key,
                 "created": time.time(),
                 "program": program_to_json(program),
             },
         )
 
-    # ---- maintenance -----------------------------------------------------
-    def iter_blobs(self) -> Iterator[tuple[Path, dict | None]]:
-        """Yield ``(path, blob | None)`` for every stored program."""
-        if not self.objects_dir.is_dir():
+    def _index_tail(self) -> None:
+        """Index the complete lines past the last one read."""
+        try:
+            with open(self.log_path, "rb") as fh:
+                st = os.fstat(fh.fileno())
+                if st.st_ino != self._inode or st.st_size < self._scanned:
+                    self._forget()  # a new, rewritten or truncated log
+                    self._inode = st.st_ino
+                fh.seek(self._scanned)
+                tail = fh.read()
+        except OSError:
+            self._forget()
             return
-        for path in sorted(self.objects_dir.glob("*/*.json")):
-            try:
-                blob = json.loads(path.read_text())
-            except (OSError, ValueError):
-                blob = None
-            yield path, blob if isinstance(blob, (dict, type(None))) else None
+        prefix, skip = self._prefix, len(self._prefix)
+        end = tail.rfind(b"\n") + 1  # a torn or in-flight line waits
+        pos = 0
+        while pos < end:
+            stop = tail.index(b"\n", pos)
+            if tail.startswith(prefix, pos):
+                close = tail.find(b'"', pos + skip, stop)
+                if close > 0:
+                    key = tail[pos + skip:close].decode("latin-1")
+                    self._index[key] = (self._scanned + pos, stop - pos)
+            pos = stop + 1
+        self._scanned += end
 
+    def _forget(self) -> None:
+        self._index.clear()
+        self._scanned = 0
+        self._inode = -1
+
+    # ---- maintenance -----------------------------------------------------
     def scan(self) -> tuple[int, int, int]:
-        """``(entries, bytes, stale)`` over the whole store."""
-        entries = size = stale = 0
-        for path, blob in self.iter_blobs():
-            entries += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                pass
-            if not self.fresh(blob):
-                stale += 1
-        return entries, size, stale
+        """``(entries, bytes, stale)``: distinct keys with a fresh line,
+        the log's size, and the lines ``gc`` would drop plus legacy blobs."""
+        latest, dropped = scan_lines(self.log_path, "program")
+        try:
+            size = self.log_path.stat().st_size
+        except OSError:
+            size = 0
+        return len(latest), size, dropped + count_blobs(self.legacy_dir)
 
     def gc(self) -> int:
-        """Delete unreadable blobs and ones recorded under another salt."""
-        removed = 0
-        for path, blob in self.iter_blobs():
-            if not self.fresh(blob):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        """Keep the last fresh line per key and reap the legacy blob tree;
+        returns the lines and blobs dropped.  Run it between runs."""
+        removed = compact(self.log_path, "program") + reap_tree(self.legacy_dir)
+        self._forget()
         return removed
 
     def clear(self) -> int:
         """Delete every entry; returns the removed count."""
-        removed = 0
-        for path, _blob in self.iter_blobs():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        latest, dropped = scan_lines(self.log_path, "program")
+        self.log_path.unlink(missing_ok=True)
+        self._forget()
+        return len(latest) + dropped + reap_tree(self.legacy_dir)
 
 
 class CompileCache:

@@ -38,8 +38,6 @@ from repro.il.instructions import (
 from repro.il.module import ILKernel
 from repro.isa.clauses import (
     ALUClause,
-    ALUOp,
-    Bundle,
     Clause,
     ExportClause,
     FetchInstr,
@@ -47,6 +45,7 @@ from repro.isa.clauses import (
     TEXClause,
     Value,
     ValueLocation,
+    interned_bundle,
     interned_value,
 )
 from repro.il.types import MemorySpace
@@ -91,7 +90,9 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause], index: DefUse) -> ISAPr
     ``proto`` holds every instruction of ``kernel.body`` in program
     order, and ``index`` is the body's def-use index.  Each value is
     keyed by the body position that wrote it, so a temporary written
-    twice is two values with two live ranges.
+    twice is two values with two live ranges.  Bundles are built from
+    their encodings through ``interned_bundle``, so equal bundles are
+    one shared object across every program of the process.
     """
     clause_of, bundle_of, step_of, slot_of, last_use = _place(kernel.body, proto, index)
     location, number, temp_count = _decide_storage(
@@ -122,7 +123,7 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause], index: DefUse) -> ISAPr
             for b_index, bundle in enumerate(clause.bundles):
                 ops = []
                 for slot, instr in bundle:
-                    values = []
+                    sources = []
                     for operand, def_pos in zip(instr.sources, index[pos]):
                         # Fetches sit in TEX clauses, so a value from the
                         # previous bundle of this clause is an ALU result.
@@ -138,10 +139,18 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause], index: DefUse) -> ISAPr
                                 )
                         else:
                             value = _source(operand, def_pos, stored)
-                        values.append(value)
-                    ops.append(ALUOp(slot, instr.op, stored[pos], tuple(values)))
+                        sources.append(value.code)
+                    dest = stored[pos]
+                    ops.append(
+                        (
+                            slot,
+                            instr.op.mnemonic,
+                            None if dest is None else dest.code,
+                            tuple(sources),
+                        )
+                    )
                     pos += 1
-                bundles.append(Bundle(tuple(ops)))
+                bundles.append(interned_bundle(tuple(ops)))
             clauses.append(ALUClause(tuple(bundles)))
         else:
             stores = []

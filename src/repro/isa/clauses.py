@@ -51,6 +51,11 @@ class Value:
     index: int = 0
     negate: bool = False  #: source modifier: read as the negated value
 
+    @functools.cached_property
+    def code(self) -> tuple[str, int, bool]:
+        """The value's encoding: ``(location name, index, negate)``."""
+        return (self.location.name, self.index, self.negate)
+
     def __str__(self) -> str:
         sign = "-" if self.negate else ""
         if self.location is ValueLocation.PREVIOUS_VECTOR:
@@ -120,6 +125,71 @@ class Bundle:
     @property
     def width(self) -> int:
         return len(self.ops)
+
+    @functools.cached_property
+    def code(self) -> tuple:
+        """The bundle's encoding, one ``(slot, mnemonic, dest, sources)``
+        tuple per op, operands as :attr:`Value.code` (``dest`` may be
+        ``None``): the key of :func:`interned_bundle` and an entry of a
+        serialized program's bundle table.  Computed once per bundle."""
+        return tuple(
+            (
+                op.slot,
+                op.op.mnemonic,
+                None if op.dest is None else op.dest.code,
+                tuple([s.code for s in op.sources]),
+            )
+            for op in self.ops
+        )
+
+
+#: the bundle intern table, keyed by canonical encoding; see
+#: :func:`interned_bundle`.
+_BUNDLES: dict[tuple, Bundle] = {}
+_BUNDLES_MAX = 8192
+
+
+def interned_bundle(code: tuple) -> Bundle:
+    """The one shared :class:`Bundle` whose encoding is ``code``.
+
+    Generated kernels are long chains of a few op shapes (the default
+    sweep's 240 programs hold ~31k ALU bundles but ~110 distinct ones),
+    so the register allocator and the program decoder build every
+    bundle through here: a repeat is one dict probe, and the
+    :class:`ALUOp`/:class:`Bundle` constructor checks run on the first
+    sighting of each distinct encoding.  ``code`` must be hashable (the
+    decoder turns JSON lists into tuples); a code that is equal to a
+    canonical one but not identical, such as an index ``1.0``, decodes
+    to the same bundle.  Bundles are frozen and compare by fields, so
+    sharing them is observationally identical.  The table is dropped
+    when it reaches ``_BUNDLES_MAX`` entries.
+    """
+    bundle = _BUNDLES.get(code)
+    if bundle is None:
+        bundle = Bundle(
+            tuple(
+                ALUOp(
+                    slot,
+                    ILOp.from_mnemonic(mnemonic),
+                    value_from_code(dest),
+                    tuple([value_from_code(s) for s in sources]),
+                )
+                for slot, mnemonic, dest, sources in code
+            )
+        )
+        if len(_BUNDLES) >= _BUNDLES_MAX:
+            _BUNDLES.clear()
+        bundle = _BUNDLES.setdefault(bundle.code, bundle)
+    return bundle
+
+
+def value_from_code(code) -> Value | None:
+    """The interned :class:`Value` whose :attr:`~Value.code` is ``code``
+    (``None`` for ``None``)."""
+    if code is None:
+        return None
+    location, index, negate = code
+    return interned_value(ValueLocation[location], int(index), bool(negate))
 
 
 @dataclass(frozen=True)

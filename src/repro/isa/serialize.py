@@ -6,16 +6,23 @@ deserialized program executes bitwise-identically in the ISA
 interpreter and reports the same ``gpr_count``/clause structure.  Two
 properties make that hold:
 
-* the kernel travels as its canonical IL text (``emit_il`` →
-  ``parse_il``), the same representation the work-unit cache keys on;
+* the kernel travels as its canonical IL text (``cached_il_text`` →
+  ``parse_il``), the same text the compile cache keys on;
 * clauses are encoded field-by-field from the frozen dataclasses in
   :mod:`repro.isa.clauses` — enums by name, never by Python identity —
   and rebuilt through the same constructors, so ``__post_init__``
-  validation re-runs on load and a corrupt blob fails loudly instead of
-  simulating garbage.
+  validation re-runs on load and a corrupt payload fails loudly instead
+  of simulating garbage.
+
+VLIW bundles are stored once per program: the payload's ``bundles``
+table lists each distinct :attr:`Bundle.code`, and an ALU clause lists
+indices into it.  Decoding goes through
+:func:`~repro.isa.clauses.interned_bundle`, so a bundle shape the
+process has seen before is a dict probe, and the constructor checks run
+on the first sighting of each distinct encoding.
 
 :data:`SCHEMA_VERSION` is baked into both the payload and the cache key:
-changing the encoding orphans old blobs rather than misreading them.
+changing the encoding orphans old entries rather than misreading them.
 :func:`program_digest` hashes the canonical encoding — the program's
 content identity.
 """
@@ -25,112 +32,61 @@ from __future__ import annotations
 import hashlib
 import json
 
-from repro.il.opcodes import ILOp
-from repro.il.text import emit_il
+from repro.il.text import cached_il_text
 from repro.il.types import MemorySpace
 from repro.isa.clauses import (
     ALUClause,
-    ALUOp,
     Bundle,
     Clause,
     ExportClause,
     FetchInstr,
     StoreInstr,
     TEXClause,
-    Value,
-    ValueLocation,
-    interned_value,
+    interned_bundle,
+    value_from_code,
 )
 from repro.isa.program import ISAProgram
 
 #: bump when the encoding below changes shape; participates in the
-#: compiled-program cache key, so old blobs become unreachable, not wrong.
-SCHEMA_VERSION = 1
+#: compiled-program cache key, so old entries become unreachable, not wrong.
+SCHEMA_VERSION = 2
 
 
 class SerializationError(ValueError):
     """A payload does not decode to a valid :class:`ISAProgram`."""
 
 
-# ---- values and instructions -------------------------------------------------
+# ---- values and clauses ------------------------------------------------------
 
-def _encode_value(value: Value | None) -> list | None:
-    if value is None:
-        return None
-    return [value.location.name, value.index, value.negate]
-
-
-def _decode_value(data: list | None) -> Value | None:
-    if data is None:
-        return None
-    location, index, negate = data
-    return interned_value(ValueLocation[location], int(index), bool(negate))
-
-
-_BUNDLE_CACHE: dict[tuple, Bundle] = {}
-
-
-def _decode_bundle(bundle: list) -> Bundle:
-    """Decode one VLIW bundle, interning the result.
-
-    Generated kernels are long chains of a few op shapes (a fig16 store
-    holds ~10k bundle encodings with <100 distinct), so decoding by
-    dict hit instead of reconstruction is the difference between a warm
-    program load being parse-bound or I/O-bound.  Bundles are frozen and
-    compare by fields; sharing instances is observationally identical,
-    and a real reconstruction (with ``__post_init__`` validation)
-    still guards the first sighting of every distinct encoding.
-    """
-    key = tuple(
+def _bundle_code(entry: list) -> tuple:
+    """A bundle-table entry as a hashable encoding (JSON gives lists)."""
+    return tuple(
         (
             slot,
             mnemonic,
-            None if dest is None else (dest[0], dest[1], dest[2]),
-            tuple((s[0], s[1], s[2]) for s in sources),
+            None if dest is None else tuple(dest),
+            tuple([tuple(source) for source in sources]),
         )
-        for slot, mnemonic, dest, sources in bundle
+        for slot, mnemonic, dest, sources in entry
     )
-    cached = _BUNDLE_CACHE.get(key)
-    if cached is None:
-        if len(_BUNDLE_CACHE) >= 8192:
-            _BUNDLE_CACHE.clear()
-        cached = Bundle(
-            tuple(
-                ALUOp(
-                    slot,
-                    ILOp.from_mnemonic(mnemonic),
-                    _decode_value(dest),
-                    tuple(_decode_value(s) for s in sources),
-                )
-                for slot, mnemonic, dest, sources in bundle
-            )
-        )
-        _BUNDLE_CACHE[key] = cached
-    return cached
 
 
-def _encode_clause(clause: Clause) -> dict:
+def _encode_clause(clause: Clause, table: dict[tuple, int]) -> dict:
     if isinstance(clause, TEXClause):
         return {
             "kind": "tex",
             "fetches": [
-                [_encode_value(f.dest), f.resource, f.space.name]
+                [f.dest.code, f.resource, f.space.name]
                 for f in clause.fetches
             ],
         }
     if isinstance(clause, ALUClause):
+        # setdefault evaluates len(table) first: a new encoding takes
+        # the next index.
         return {
             "kind": "alu",
             "bundles": [
-                [
-                    [
-                        op.slot,
-                        op.op.mnemonic,
-                        _encode_value(op.dest),
-                        [_encode_value(s) for s in op.sources],
-                    ]
-                    for op in bundle.ops
-                ]
+                table.setdefault(bundle.code, len(table))
                 for bundle in clause.bundles
             ],
         }
@@ -139,33 +95,35 @@ def _encode_clause(clause: Clause) -> dict:
             "kind": "exp",
             "done": clause.done,
             "stores": [
-                [s.target, s.space.name, _encode_value(s.source)]
+                [s.target, s.space.name, s.source.code]
                 for s in clause.stores
             ],
         }
     raise SerializationError(f"unknown clause kind {type(clause).__name__}")
 
 
-def _decode_clause(data: dict) -> Clause:
+def _decode_clause(data: dict, bundles: list[Bundle]) -> Clause:
     kind = data.get("kind")
     if kind == "tex":
         return TEXClause(
             tuple(
                 FetchInstr(
-                    _decode_value(dest), int(resource), MemorySpace[space]
+                    value_from_code(dest), int(resource), MemorySpace[space]
                 )
                 for dest, resource, space in data["fetches"]
             )
         )
     if kind == "alu":
-        return ALUClause(
-            tuple(_decode_bundle(bundle) for bundle in data["bundles"])
-        )
+        indices = data["bundles"]
+        # A negative index would silently read from the table's end.
+        if min(indices) < 0:
+            raise SerializationError(f"negative bundle index {min(indices)}")
+        return ALUClause(tuple([bundles[i] for i in indices]))
     if kind == "exp":
         return ExportClause(
             tuple(
                 StoreInstr(
-                    int(target), MemorySpace[space], _decode_value(source)
+                    int(target), MemorySpace[space], value_from_code(source)
                 )
                 for target, space, source in data["stores"]
             ),
@@ -177,13 +135,22 @@ def _decode_clause(data: dict) -> Clause:
 # ---- programs ----------------------------------------------------------------
 
 def program_to_json(program: ISAProgram) -> dict:
-    """Encode ``program`` as a JSON-safe dict (see :func:`program_from_json`)."""
+    """Encode ``program`` as a JSON-safe dict (see :func:`program_from_json`).
+
+    Operands and bundle-table entries are tuples (JSON writes them as
+    arrays).  The table lists each distinct bundle encoding once, in
+    order of first use, so equal programs encode equally whether or not
+    their bundles are shared objects.
+    """
+    table: dict[tuple, int] = {}
+    clauses = [_encode_clause(c, table) for c in program.clauses]
     return {
         "schema": SCHEMA_VERSION,
-        "il": emit_il(program.kernel),
+        "il": cached_il_text(program.kernel),
         "gpr_count": program.gpr_count,
         "clause_temp_count": program.clause_temp_count,
-        "clauses": [_encode_clause(c) for c in program.clauses],
+        "bundles": list(table),
+        "clauses": clauses,
     }
 
 
@@ -205,15 +172,18 @@ def program_from_json(data: dict, kernel=None) -> ISAProgram:
             from repro.il.parser import parse_il
 
             kernel = parse_il(data["il"])
+        bundles = [
+            interned_bundle(_bundle_code(entry)) for entry in data["bundles"]
+        ]
         return ISAProgram(
             kernel=kernel,
-            clauses=tuple(_decode_clause(c) for c in data["clauses"]),
+            clauses=tuple(_decode_clause(c, bundles) for c in data["clauses"]),
             gpr_count=int(data["gpr_count"]),
             clause_temp_count=int(data["clause_temp_count"]),
         )
     except SerializationError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise SerializationError(f"malformed program payload: {exc}") from exc
 
 

@@ -21,13 +21,17 @@ deletes the one-blob-per-record ``objects/`` tree of older caches.
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.jobs.ledger import append_line, scan_lines
+from repro.jobs.ledger import (
+    append_line,
+    compact,
+    count_blobs,
+    reap_tree,
+    scan_lines,
+)
 from repro.jobs.units import CODE_SALT
 
 #: default cache root, relative to the working directory.
@@ -118,7 +122,7 @@ class ResultCache:
         stats = CacheStats(
             entries=len(latest),
             bytes=self.log_path.stat().st_size if latest or dropped else 0,
-            stale=dropped + len(list(self.legacy_dir.glob("*/*.json"))),
+            stale=dropped + count_blobs(self.legacy_dir),
             hits=self.hits,
             misses=self.misses,
             puts=self.puts,
@@ -142,23 +146,12 @@ class ResultCache:
         )
         return self.index_path
 
-    def _reap_legacy(self) -> int:
-        """Delete the legacy blob tree; returns how many blobs it held."""
-        count = len(list(self.legacy_dir.glob("*/*.json")))
-        shutil.rmtree(self.legacy_dir, ignore_errors=True)
-        return count
-
     def gc(self) -> int:
         """Keep the last fresh line per key and reap the legacy tree;
         returns the lines and blobs dropped.  Lines a run appends while
         the log is rewritten are lost, so run it between runs."""
-        latest, dropped = scan_lines(self.log_path)
-        if dropped:
-            tmp = self.root / "records.jsonl.tmp"
-            tmp.write_text("".join(json.dumps(x) + "\n" for x in latest.values()))
-            os.replace(tmp, self.log_path)
+        removed = compact(self.log_path) + reap_tree(self.legacy_dir)
         self._records = None
-        removed = dropped + self._reap_legacy()
         if self.index_path.exists():
             self.write_index()
         return removed
@@ -169,4 +162,4 @@ class ResultCache:
         self.log_path.unlink(missing_ok=True)
         self.index_path.unlink(missing_ok=True)
         self._records = None
-        return len(latest) + dropped + self._reap_legacy()
+        return len(latest) + dropped + reap_tree(self.legacy_dir)

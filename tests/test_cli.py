@@ -484,6 +484,24 @@ class TestUserErrors:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "verb", ["compile", "time", "advise", "trace", "profile", "ska"]
+    )
+    def test_every_compiling_verb_reports_an_invalid_kernel(
+        self, verb, capsys, tmp_path
+    ):
+        # The kernel parses but fails validation (V011) when compiled.
+        from tests.test_verify import ALU_OUTPUT_IL
+
+        path = tmp_path / "alu_output.il"
+        path.write_text(ALU_OUTPUT_IL)
+        assert _exit_code([verb, "--il", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "repro: kernel 'parsed': instruction 2 (add o2, r0, r1) writes "
+            "o2; ALU results go to temporaries (rN)"
+        ]
+
+    @pytest.mark.parametrize(
         "argv, code, message",
         [
             (

@@ -7,6 +7,7 @@ and the CLI surface that reports and maintains the store.
 """
 
 import json
+import multiprocessing
 
 from repro import telemetry
 from repro.arch import RV670, RV770
@@ -20,8 +21,11 @@ from repro.compiler.cache import (
     compile_cache_key,
     compile_cache_scope,
 )
+from repro.il import text as text_mod
 from repro.il.text import cached_il_text
+from repro.isa import serialize as serialize_mod
 from repro.jobs import JobEngine, JobOptions
+from repro.jobs.units import CODE_SALT
 from repro.kernels import KernelParams, generate_generic
 from repro.suite import BENCHMARKS, run_benchmark, run_suite
 
@@ -139,13 +143,15 @@ class TestDiskTier:
         reader.get_or_compile(kernel, RV770)
         assert reader.memory_hits == 1
 
-    def test_corrupt_blob_reads_as_miss_and_is_repaired(self, tmp_path):
+    def test_corrupt_line_reads_as_miss_and_is_repaired(self, tmp_path):
         kernel = kernel_n()
         store = ProgramStore(tmp_path)
         writer = CompileCache(store)
         writer.get_or_compile(kernel, RV770)
-        (blob,) = list(store.objects_dir.rglob("*.json"))
-        blob.write_text("{definitely not json")
+        (line,) = store.log_path.read_bytes().splitlines()
+        # The salt and key still lead the line, so it is indexed; the
+        # full read on a hit finds it broken.
+        store.log_path.write_bytes(line[: len(line) // 2] + b"\n")
 
         reader = CompileCache(ProgramStore(tmp_path))
         program = reader.get_or_compile(kernel, RV770)
@@ -156,19 +162,99 @@ class TestDiskTier:
             program.clauses
         )
         assert repaired.disk_hits == 1
+        assert ProgramStore(tmp_path).scan()[2] == 1
+        assert ProgramStore(tmp_path).gc() == 1
 
-    def test_stale_code_version_reads_as_miss(self, tmp_path):
+    def test_torn_tail_reads_as_miss_and_is_repaired(self, tmp_path):
         kernel = kernel_n()
         store = ProgramStore(tmp_path)
         CompileCache(store).get_or_compile(kernel, RV770)
-        (blob,) = list(store.objects_dir.rglob("*.json"))
-        data = json.loads(blob.read_text())
-        data["version"] = -1
-        blob.write_text(json.dumps(data))
+        data = store.log_path.read_bytes()
+        store.log_path.write_bytes(data[: len(data) // 2])  # killed mid-line
+
+        reader = CompileCache(ProgramStore(tmp_path))
+        program = reader.get_or_compile(kernel, RV770)
+        assert (reader.misses, reader.serialized) == (1, 1)
+        # The repairing line starts a line of its own: it reads whole.
+        lines = store.log_path.read_bytes().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[1])["key"] == json.loads(data)["key"]
+        repaired = CompileCache(ProgramStore(tmp_path))
+        assert repaired.get_or_compile(kernel, RV770).clauses == (
+            program.clauses
+        )
+        assert repaired.disk_hits == 1
+        assert ProgramStore(tmp_path).scan() == (
+            1, store.log_path.stat().st_size, 1
+        )
+
+    def test_other_salt_line_is_skipped_and_gc_drops_it(self, tmp_path):
+        kernel = kernel_n()
+        store = ProgramStore(tmp_path)
+        CompileCache(store).get_or_compile(kernel, RV770)
+        line = json.loads(store.log_path.read_text())
+        line["version"] = "other-salt"
+        store.log_path.write_text(json.dumps(line) + "\n")
         reader = CompileCache(ProgramStore(tmp_path))
         reader.get_or_compile(kernel, RV770)
         assert reader.disk_hits == 0
         assert reader.misses == 1
+        assert ProgramStore(tmp_path).scan()[::2] == (1, 1)
+        assert ProgramStore(tmp_path).gc() == 1
+        (kept,) = store.log_path.read_text().splitlines()
+        assert json.loads(kept)["version"] == CODE_SALT
+        assert ProgramStore(tmp_path).scan()[::2] == (1, 0)
+
+    def test_a_line_appended_after_the_first_scan_is_found(self, tmp_path):
+        kernel = kernel_n()
+        program = compile_kernel(kernel, RV770)
+        key = compile_cache_key(cached_il_text(kernel), BASE_OPTIONS)
+        store = ProgramStore(tmp_path)
+        store.save("0" * 40, program)
+        assert store.load(key) is None  # indexed the log as it was
+
+        # Another process (a pool worker) appends the program.
+        writer = multiprocessing.get_context("fork").Process(
+            target=ProgramStore(tmp_path).save, args=(key, program)
+        )
+        writer.start()
+        writer.join(timeout=60)
+        assert writer.exitcode == 0
+
+        found = store.load(key, kernel=kernel)
+        assert found is not None
+        assert found.clauses == program.clauses
+
+    def test_legacy_blob_tree_is_stale_and_reaped(self, tmp_path):
+        kernel = kernel_n()
+        store = ProgramStore(tmp_path)
+        CompileCache(store).get_or_compile(kernel, RV770)
+        legacy = store.legacy_dir / "ab" / ("ab" + "0" * 38 + ".json")
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text("{}")
+        assert store.scan()[::2] == (1, 1)
+        assert store.gc() == 1
+        assert not store.legacy_dir.exists()
+        assert store.scan()[::2] == (1, 0)
+        assert CompileCache(ProgramStore(tmp_path)).get_or_compile(
+            kernel, RV770
+        ).kernel is kernel
+
+    def test_saving_a_rendered_kernel_renders_no_il(self, tmp_path, monkeypatch):
+        kernel = kernel_n()
+        program = compile_kernel(kernel, RV770)
+        key = compile_cache_key(cached_il_text(kernel), BASE_OPTIONS)
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return ""
+
+        # Every binding a save could render through.
+        monkeypatch.setattr(text_mod, "emit_il", counting)
+        monkeypatch.setattr(serialize_mod, "emit_il", counting, raising=False)
+        ProgramStore(tmp_path).save(key, program)
+        assert calls == []
 
 
 class TestScopedInstall:

@@ -9,6 +9,7 @@ corrupt or schema-mismatched payloads raise :class:`SerializationError`
 rather than decoding to garbage.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.arch import RV670, RV770, RV870
 from repro.compiler import compile_kernel
 from repro.il import DataType, ShaderMode
 from repro.isa import execute_program
+from repro.isa.clauses import ALUClause, ALUOp, Bundle
 from repro.isa.serialize import (
     SCHEMA_VERSION,
     SerializationError,
@@ -125,7 +127,10 @@ def test_kernel_shortcut_attaches_caller_kernel():
 
 class TestRejectsBadPayloads:
     def payload(self):
-        return program_to_json(compile_kernel(KERNELS["generic"](), RV770))
+        # Through a JSON string, as the store reads it: memoized bundle
+        # encodings are tuples and cannot be edited in place.
+        program = compile_kernel(KERNELS["generic"](), RV770)
+        return json.loads(json.dumps(program_to_json(program)))
 
     def test_non_dict(self):
         with pytest.raises(SerializationError):
@@ -155,11 +160,69 @@ class TestRejectsBadPayloads:
         with pytest.raises(SerializationError):
             program_from_json(data)
 
-    def test_corrupt_bundle_operand(self):
+    @pytest.mark.parametrize("mnemonic", ["frobnicate", 7])
+    def test_corrupt_bundle_operand(self, mnemonic):
         data = self.payload()
-        for clause in data["clauses"]:
-            if clause["kind"] == "alu":
-                clause["bundles"][0][0][1] = "frobnicate"  # bad mnemonic
-                break
+        data["bundles"][0][0][1] = mnemonic
         with pytest.raises(SerializationError):
             program_from_json(data)
+
+    @pytest.mark.parametrize("index", [-1, 10_000])
+    def test_out_of_range_bundle_index(self, index):
+        data = self.payload()
+        alu = next(c for c in data["clauses"] if c["kind"] == "alu")
+        alu["bundles"][0] = index
+        with pytest.raises(SerializationError):
+            program_from_json(data)
+
+
+class TestBundleTable:
+    def test_equal_kernels_share_bundle_objects(self):
+        first = compile_kernel(KERNELS["generic_float4"](), RV770)
+        second = compile_kernel(KERNELS["generic_float4"](), RV770)
+        bundles = [
+            (a, b)
+            for ca, cb in zip(first.clauses, second.clauses)
+            if isinstance(ca, ALUClause)
+            for a, b in zip(ca.bundles, cb.bundles)
+        ]
+        assert bundles
+        assert all(a is b for a, b in bundles)
+
+    def test_table_lists_each_distinct_bundle_once(self):
+        program = compile_kernel(KERNELS["register_usage"](), RV770)
+        data = program_to_json(program)
+        alu = [c for c in program.clauses if isinstance(c, ALUClause)]
+        distinct = {b.code for c in alu for b in c.bundles}
+        assert sum(len(c.bundles) for c in alu) > len(distinct)
+        assert len(data["bundles"]) == len(distinct)
+        assert set(data["bundles"]) == distinct
+
+    def test_shared_and_unshared_bundles_encode_equally(self):
+        program = compile_kernel(KERNELS["clause_usage"](), RV770)
+        # Fresh, unshared copies of every bundle (not interned).
+        copied = tuple(
+            ALUClause(
+                tuple(
+                    Bundle(
+                        tuple(
+                            ALUOp(op.slot, op.op, op.dest, op.sources)
+                            for op in b.ops
+                        )
+                    )
+                    for b in c.bundles
+                )
+            )
+            if isinstance(c, ALUClause) else c
+            for c in program.clauses
+        )
+        assert not any(
+            a is b
+            for ca, cb in zip(copied, program.clauses)
+            if isinstance(ca, ALUClause)
+            for a, b in zip(ca.bundles, cb.bundles)
+        )
+        unshared = dataclasses.replace(program, clauses=copied)
+        assert json.dumps(program_to_json(unshared)) == json.dumps(
+            program_to_json(program)
+        )

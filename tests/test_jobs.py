@@ -30,9 +30,11 @@ import pytest
 
 import repro.jobs.units as units_mod
 from repro.arch import RV770, RV870
+from repro.compiler import compile_kernel
 from repro.compiler.cache import CompileCache, ProgramStore
 from repro.il.text import cached_il_text
 from repro.il.types import DataType, MemorySpace, ShaderMode
+from repro.isa.serialize import program_from_json, program_to_json
 from repro.jobs import (
     CODE_SALT,
     JobEngine,
@@ -813,12 +815,15 @@ class TestUnitTimeout:
         assert records == [record_point(run_payload(unit))]
 
 
-#: the keys every concurrent writer fights over (two shards' worth).
+#: the keys every concurrent writer fights over.
 SHARED_KEYS = [
     f"{shard:02x}{index:038x}" for shard in (0xAB, 0xCD) for index in range(8)
 ]
 WRITERS = 4
 ROUNDS = 5
+#: two compiled programs whose log lines exceed 64 KiB, one per writer
+#: parity; filled before the writers fork.
+BIG_PROGRAMS: list = []
 
 
 def _blob(writer: int, round_: int, key: str) -> dict:
@@ -842,35 +847,63 @@ def _complete(blob: dict | None) -> bool:
     )
 
 
+def _whole_program(program) -> bool:
+    """Whether ``program`` is one of the programs the writers store."""
+    return program is not None and any(
+        program.clauses == big.clauses and program.gpr_count == big.gpr_count
+        for big in BIG_PROGRAMS
+    )
+
+
+def _big_kernel():
+    """The kernel loads attach instead of parsing a 3000-line IL text;
+    the line itself is still read, parsed and decoded whole."""
+    return BIG_PROGRAMS[0].kernel
+
+
 def _hammer(root: str, writer: int) -> None:
     """One forked writer: write and read back every shared key each round.
 
     A key this writer has already written exists for good, so reading it
-    must give a complete blob, never ``None``.
+    must give a complete entry, never ``None``.
     """
     results = ResultCache(root)
     programs = ProgramStore(root)
     written: set[str] = set()
     for round_ in range(ROUNDS):
         for key in SHARED_KEYS:
-            blob = _blob(writer, round_, key)
-            results.put(key, blob, figure=f"writer{writer}")
-            programs.write(key, blob)
+            results.put(key, _blob(writer, round_, key), figure=f"writer{writer}")
+            programs.save(key, BIG_PROGRAMS[writer % 2])
             written.add(key)
             for probe in SHARED_KEYS:
-                for got in (results.get(probe), programs.read(probe)):
-                    if got is None:
-                        assert probe not in written, probe
-                    else:
-                        assert _complete(got), probe
+                got = results.get(probe)
+                if got is None:
+                    assert probe not in written, probe
+                else:
+                    assert _complete(got), probe
+                program = programs.load(probe, kernel=_big_kernel())
+                if program is None:
+                    assert probe not in written, probe
+                else:
+                    assert _whole_program(program), probe
 
 
 class TestConcurrentWriters:
     def test_forked_writers_share_one_cache_root(self, tmp_path):
-        # Pool workers share one ProgramStore (and runs one ResultCache)
-        # root; the programs' temp-file-and-rename writes and the record
-        # log's one-write appends must keep every read whole while
-        # several processes overwrite the same keys.
+        # Pool workers share one program log (and runs one record log)
+        # per root; one-write appends of lines larger than 64 KiB must
+        # keep every line whole while several processes append the same
+        # keys and read each other's lines back.
+        BIG_PROGRAMS[:] = [
+            compile_kernel(
+                KernelRecipe(
+                    "generic", KernelParams(inputs=8, alu_ops=alu_ops)
+                ).build()
+            )
+            for alu_ops in (3000, 3500)
+        ]
+        sizes = [len(json.dumps(program_to_json(p))) for p in BIG_PROGRAMS]
+        assert min(sizes) > 64 * 1024
         context = multiprocessing.get_context("fork")
         writers = [
             context.Process(target=_hammer, args=(str(tmp_path), w))
@@ -887,7 +920,7 @@ class TestConcurrentWriters:
         programs = ProgramStore(tmp_path)
         for key in SHARED_KEYS:
             assert _complete(results.get(key)), key
-            assert _complete(programs.read(key)), key
+            assert _whole_program(programs.load(key, kernel=_big_kernel())), key
         assert list(tmp_path.rglob("*.tmp")) == []
         # A reader keeps the last valid line per key, so a torn or
         # interleaved append would hide behind a later whole one: every
@@ -896,3 +929,10 @@ class TestConcurrentWriters:
         assert len(lines) == WRITERS * ROUNDS * len(SHARED_KEYS)
         for raw in lines:
             assert _complete(json.loads(raw)["record"]), raw
+        lines = programs.log_path.read_bytes().splitlines()
+        assert len(lines) == WRITERS * ROUNDS * len(SHARED_KEYS)
+        for raw in lines:
+            line = json.loads(raw)
+            assert line["key"] in SHARED_KEYS
+            program = program_from_json(line["program"], kernel=_big_kernel())
+            assert _whole_program(program), raw

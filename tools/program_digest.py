@@ -27,9 +27,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-#: (sha256, distinct programs) of the full sweep.
+#: (sha256, distinct programs) of the full sweep, serialized with
+#: program schema 2 (the bundle table).  Under schema 1 the same
+#: programs digest to 9d98151ac2c97a75...; a change of encoding alone
+#: moves this pin, so check the compiler's output against the old
+#: encoder before re-pinning.
 EXPECTED = (
-    "9d98151ac2c97a755aac171252a5032fab696d3ffd7f5aa82cf624b05adee5a2",
+    "d84e9e3ab6c8c9e8700e7329a5aa62d6b2170c9c3747dfa9a55a0e361dc6046d",
     570,
 )
 
