@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from repro.il.opcodes import ILOp
 
@@ -46,15 +47,21 @@ class Register:
         # alongside cached state, and a perfect hash for small indices.
         return self.index * 8 + self.file._code
 
+    # Memos on the interned instance (plain attribute reads once set):
+    # emitted IL renders a register per operand, builders coerce them.
+    @functools.cached_property
+    def text(self) -> str:
+        if self.file is RegisterFile.CONST:
+            return f"cb0[{self.index}]"
+        return f"{self.file._prefix}{self.index}"
+
+    @functools.cached_property
+    def as_operand(self) -> "Operand":
+        """The plain (non-negated) operand reading this register."""
+        return Operand(self)
+
     def __str__(self) -> str:
-        text = self.__dict__.get("_str")
-        if text is None:
-            if self.file is RegisterFile.CONST:
-                text = f"cb0[{self.index}]"
-            else:
-                text = f"{self.file._prefix}{self.index}"
-            object.__setattr__(self, "_str", text)
-        return text
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -64,21 +71,18 @@ class Operand:
     register: Register
     negate: bool = False
 
-    def __str__(self) -> str:
-        text = str(self.register)
+    @functools.cached_property
+    def text(self) -> str:
+        text = self.register.text
         return f"-{text}" if self.negate else text
 
+    @property
+    def as_operand(self) -> "Operand":
+        """Itself: registers and operands coerce alike."""
+        return self
 
-def _as_operand(value: "Operand | Register") -> Operand:
-    if type(value) is Operand:
-        return value
-    # Memoize the plain (non-negated) wrapper on the register itself:
-    # builders coerce the same interned registers over and over.
-    op = value.__dict__.get("_as_op")
-    if op is None:
-        op = Operand(value)
-        object.__setattr__(value, "_as_op", op)
-    return op
+    def __str__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class SampleInstruction(ILInstruction):
     def __str__(self) -> str:
         return (
             f"sample_resource({self.resource})_sampler({self.resource}) "
-            f"{self.dest}, {self.coord}"
+            f"{self.dest.text}, {self.coord.text}"
         )
 
     def defined_registers(self) -> tuple[Register, ...]:
@@ -130,7 +134,7 @@ class GlobalLoadInstruction(ILInstruction):
 
     def __str__(self) -> str:
         suffix = f" + {self.offset}" if self.offset else ""
-        return f"mov {self.dest}, g[{self.address}{suffix}]"
+        return f"mov {self.dest.text}, g[{self.address.text}{suffix}]"
 
     def defined_registers(self) -> tuple[Register, ...]:
         return (self.dest,)
@@ -149,7 +153,7 @@ class GlobalStoreInstruction(ILInstruction):
 
     def __str__(self) -> str:
         suffix = f" + {self.offset}" if self.offset else ""
-        return f"mov g[{self.address}{suffix}], {self.source}"
+        return f"mov g[{self.address.text}{suffix}], {self.source.text}"
 
     def used_registers(self) -> tuple[Register, ...]:
         return (self.address.register, self.source.register)
@@ -163,36 +167,47 @@ class ExportInstruction(ILInstruction):
     source: Operand
 
     def __str__(self) -> str:
-        return f"mov o{self.target}, {self.source}"
+        return f"mov o{self.target}, {self.source.text}"
 
     def used_registers(self) -> tuple[Register, ...]:
         return (self.source.register,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ALUInstruction(ILInstruction):
     """An arithmetic instruction, e.g. ``add r3, r1, r2``."""
 
     op: ILOp
     dest: Register
-    sources: tuple[Operand, ...] = field(default_factory=tuple)
+    sources: tuple[Operand, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.sources) != self.op.arity:
+    def __init__(
+        self, op: ILOp, dest: Register, sources: tuple[Operand, ...] = ()
+    ) -> None:
+        # Hand-written: generators build tens of thousands of these, and
+        # the generated frozen ``__init__`` plus a check cost far more.
+        if len(sources) != op.arity:
             raise ValueError(
-                f"{self.op.mnemonic} expects {self.op.arity} sources, "
-                f"got {len(self.sources)}"
+                f"{op.mnemonic} expects {op.arity} sources, got {len(sources)}"
             )
+        _setattr(self, "op", op)
+        _setattr(self, "dest", dest)
+        _setattr(self, "sources", sources)
 
     def __str__(self) -> str:
-        srcs = ", ".join(str(s) for s in self.sources)
-        return f"{self.op.mnemonic} {self.dest}, {srcs}"
+        return ", ".join(
+            [f"{self.op.mnemonic} {self.dest.text}", *map(_text, self.sources)]
+        )
 
     def defined_registers(self) -> tuple[Register, ...]:
         return (self.dest,)
 
     def used_registers(self) -> tuple[Register, ...]:
         return tuple(s.register for s in self.sources)
+
+
+_setattr = object.__setattr__
+_text = operator.attrgetter("text")
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +234,7 @@ def position() -> Register:
 
 def operand(value: Operand | Register, negate: bool = False) -> Operand:
     """Coerce a register to an operand, optionally negated."""
-    op = _as_operand(value)
+    op = value.as_operand
     if negate:
         return Operand(op.register, negate=not op.negate)
     return op

@@ -46,7 +46,7 @@ def emit_il(kernel: ILKernel) -> str:
         else:
             lines.append(f"dcl_global_output({decl.index})_fmt({fmt})")
 
-    lines.extend(str(instr) for instr in kernel.body)
+    lines.extend(map(str, kernel.body))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.il.instructions import (
     ExportInstruction,
     GlobalStoreInstruction,
-    Register,
     RegisterFile,
 )
 from repro.il.module import ILKernel
@@ -33,33 +32,21 @@ from repro.isa.program import ISAProgram
 
 # ---- IL level --------------------------------------------------------------
 
-def dead_instruction_indices(
-    kernel: ILKernel,
-    defined: list[tuple[Register, ...]] | None = None,
-    used: list[tuple[Register, ...]] | None = None,
-) -> list[int]:
+def dead_instruction_indices(kernel: ILKernel) -> list[int]:
     """Body indices whose results never reach a store or export.
 
     The backward-liveness recomputation is intentionally independent of
     :func:`repro.compiler.optimize.eliminate_dead_code` so the verifier
-    can cross-check the optimizer rather than trust it.  ``defined`` and
-    ``used`` accept per-instruction register tuples a caller has already
-    collected (the checks in :mod:`repro.verify.il_checks` walk the same
-    body several times).
+    can cross-check the optimizer rather than trust it.
     """
     body = kernel.body
-    if defined is None:
-        defined = [instr.defined_registers() for instr in body]
-    if used is None:
-        used = [instr.used_registers() for instr in body]
     live: set[int] = set()  # indices of the live temporaries
     dead: list[int] = []
     temp_file = RegisterFile.TEMP
     for index in range(len(body) - 1, -1, -1):
-        defs = defined[index]
-        if isinstance(
-            body[index], (ExportInstruction, GlobalStoreInstruction)
-        ):
+        instr = body[index]
+        defs = instr.defined_registers()
+        if isinstance(instr, (ExportInstruction, GlobalStoreInstruction)):
             keep = True
         else:
             keep = False
@@ -71,7 +58,7 @@ def dead_instruction_indices(
             for d in defs:
                 if d.file is temp_file:
                     live.discard(d.index)
-            for u in used[index]:
+            for u in instr.used_registers():
                 if u.file is temp_file:
                     live.add(u.index)
         else:

@@ -12,6 +12,8 @@ picture, warnings included, use :func:`check_kernel` directly.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.il.instructions import (
     ALUInstruction,
     ExportInstruction,
@@ -33,38 +35,110 @@ def _il_loc(index: int) -> SourceLocation:
 
 def check_kernel(kernel: ILKernel) -> list[Diagnostic]:
     """Run every IL check and return all findings (possibly empty)."""
-    # The passes walk the same straight-line body; collect each
-    # instruction's register tuples once instead of once per pass.
-    defined = [instr.defined_registers() for instr in kernel.body]
-    used = [instr.used_registers() for instr in kernel.body]
-    return error_checks(kernel, defined, used) + _check_dead_writes(
-        kernel, defined, used
-    )
+    return error_checks(kernel) + _check_dead_writes(kernel)
 
 
-def error_checks(
-    kernel: ILKernel,
-    defined: list[tuple[Register, ...]] | None = None,
-    used: list[tuple[Register, ...]] | None = None,
-) -> list[Diagnostic]:
+def error_checks(kernel: ILKernel) -> list[Diagnostic]:
     """Every check that can report an error-severity finding.
 
     This is :func:`check_kernel` minus the dead-write liveness pass, whose
     V008 findings are warnings only; callers that keep just the errors
     (``validate_kernel``, differential pass validation) run this.  The
     findings may still include V010 warnings.
+
+    One walk over the body collects what every check needs, keyed on
+    temporary indices, and reads ALU instructions (nearly all of a
+    generated body) through their fields.  Findings come out grouped by
+    check, each group in body or declaration order: V001-V003,
+    V004/V011, V005/V006, V007/V010, V009.
     """
-    if defined is None:
-        defined = [instr.defined_registers() for instr in kernel.body]
-    if used is None:
-        used = [instr.used_registers() for instr in kernel.body]
-    diags: list[Diagnostic] = []
-    diags += _check_outputs(kernel)
-    diags += _check_registers(kernel, defined, used)
-    diags += _check_inputs_used(kernel, used)
-    diags += _check_outputs_written(kernel)
-    diags += _check_terminal_stores(kernel)
-    return diags
+    temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
+    unwritten = "before it is written"
+    registers: list[Diagnostic] = []  # V004, V011
+    terminal: list[Diagnostic] = []  # V009
+    defined: set[int] = set()  # indices of the temporaries written so far
+    # What ALU code and stores read: temporaries by index, so no Register
+    # is hashed, and any other register (a fetch may name one) by itself.
+    consumed: set[int | Register] = set()
+    define, consume = defined.add, consumed.add
+    sampled: dict[int, Register] = {}
+    loaded: dict[int, Register] = {}
+    exported: Counter[int] = Counter()
+    stored: Counter[int] = Counter()
+    first_store: int | None = None
+
+    def flag(code: str, pos: int, reg: Register, what: str) -> None:
+        registers.append(
+            diag(
+                code,
+                f"kernel {kernel.name!r}: instruction {pos} "
+                f"({kernel.body[pos]}) {what}",
+                _il_loc(pos),
+                register=str(reg),
+            )
+        )
+
+    for pos, instr in enumerate(kernel.body):
+        kind = type(instr)
+        if kind is ALUInstruction:
+            for source in instr.sources:
+                reg = source.register
+                if reg.file is temp_file:
+                    index = reg.index
+                    if index not in defined:
+                        flag("V004", pos, reg, f"reads {reg} {unwritten}")
+                    consume(index)
+                else:
+                    if reg.file is output_file:
+                        rule = "output registers are write-only"
+                        flag("V011", pos, reg, f"reads {reg}; {rule}")
+                    consume(reg)
+            reg = instr.dest
+            if reg.file is temp_file:
+                define(reg.index)
+            else:
+                rule = "ALU results go to temporaries (rN)"
+                flag("V011", pos, reg, f"writes {reg}; {rule}")
+        else:
+            store = kind is ExportInstruction or kind is GlobalStoreInstruction
+            for reg in instr.used_registers():
+                temp = reg.file is temp_file
+                if temp and reg.index not in defined:
+                    flag("V004", pos, reg, f"reads {reg} {unwritten}")
+                if store:
+                    consume(reg.index if temp else reg)
+            for reg in instr.defined_registers():
+                if reg.file is temp_file:
+                    define(reg.index)
+            if kind is SampleInstruction:
+                sampled[instr.resource] = instr.dest
+            elif kind is GlobalLoadInstruction:
+                loaded[instr.offset] = instr.dest
+            elif kind is ExportInstruction:
+                exported[instr.target] += 1
+            elif kind is GlobalStoreInstruction:
+                stored[instr.offset] += 1
+            if store:
+                if first_store is None:
+                    first_store = pos
+                continue
+        if first_store is not None:  # fetch/ALU code after a store
+            terminal.append(
+                diag(
+                    "V009",
+                    f"kernel {kernel.name!r}: instruction {pos} ({instr}) "
+                    f"follows the store at {first_store}; exports terminate "
+                    "the program",
+                    _il_loc(pos),
+                )
+            )
+    return (
+        _check_outputs(kernel)
+        + registers
+        + _check_inputs_used(kernel, sampled, loaded, consumed)
+        + _check_outputs_written(kernel, exported, stored)
+        + terminal
+    )
 
 
 def _check_outputs(kernel: ILKernel) -> list[Diagnostic]:
@@ -104,81 +178,18 @@ def _check_outputs(kernel: ILKernel) -> list[Diagnostic]:
     return diags
 
 
-def _check_registers(
-    kernel: ILKernel,
-    defined_by: list[tuple[Register, ...]],
-    used_by: list[tuple[Register, ...]],
-) -> list[Diagnostic]:
-    """V004 (read before write); V011 (an ALU op writes a non-``rN``
-    or reads an ``oN``: docs/il_reference.md)."""
-    diags: list[Diagnostic] = []
-    temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
-    defined: set[int] = set()  # indices of the temporaries written so far
-    for pos, instr in enumerate(kernel.body):
-        for reg in used_by[pos]:
-            if reg.file is temp_file:
-                if reg.index not in defined:
-                    diags.append(
-                        diag(
-                            "V004",
-                            f"kernel {kernel.name!r}: instruction {pos} "
-                            f"({instr}) reads {reg} before it is written",
-                            _il_loc(pos),
-                            register=str(reg),
-                        )
-                    )
-            elif reg.file is output_file and isinstance(instr, ALUInstruction):
-                rule = "output registers are write-only"
-                diags.append(_alu_operand(kernel, pos, "reads", reg, rule))
-        for reg in defined_by[pos]:
-            if reg.file is temp_file:
-                defined.add(reg.index)
-            elif isinstance(instr, ALUInstruction):
-                rule = "ALU results go to temporaries (rN)"
-                diags.append(_alu_operand(kernel, pos, "writes", reg, rule))
-    return diags
-
-
-def _alu_operand(
-    kernel: ILKernel, pos: int, verb: str, reg: Register, rule: str
-) -> Diagnostic:
-    return diag(
-        "V011",
-        f"kernel {kernel.name!r}: instruction {pos} ({kernel.body[pos]}) "
-        f"{verb} {reg}; {rule}",
-        _il_loc(pos),
-        register=str(reg),
-    )
-
-
 def _check_inputs_used(
-    kernel: ILKernel, used_by: list[tuple[Register, ...]]
+    kernel: ILKernel,
+    sampled: dict[int, Register],
+    loaded: dict[int, Register],
+    consumed: set[int | Register],
 ) -> list[Diagnostic]:
+    """V005 (an input never fetched); V006 (its value never read)."""
     diags: list[Diagnostic] = []
-    temp_file = RegisterFile.TEMP
-    sampled: dict[int, Register] = {}
-    global_loaded: dict[int, Register] = {}
-    # What ALU code and stores read: temporaries by index, so no Register
-    # is hashed, and any other register (a fetch may name one) by itself.
-    consumed: set[int | Register] = set()
-    for pos, instr in enumerate(kernel.body):
-        if isinstance(
-            instr, (ALUInstruction, ExportInstruction, GlobalStoreInstruction)
-        ):
-            for reg in used_by[pos]:
-                consumed.add(reg.index if reg.file is temp_file else reg)
-        elif isinstance(instr, SampleInstruction):
-            sampled[instr.resource] = instr.dest
-        elif isinstance(instr, GlobalLoadInstruction):
-            global_loaded[instr.offset] = instr.dest
-
     for decl in kernel.inputs:
-        if decl.space is MemorySpace.TEXTURE:
-            reg = sampled.get(decl.index)
-            kind = "sampled"
-        else:
-            reg = global_loaded.get(decl.index)
-            kind = "loaded"
+        texture = decl.space is MemorySpace.TEXTURE
+        reg = (sampled if texture else loaded).get(decl.index)
+        kind = "sampled" if texture else "loaded"
         if reg is None:
             diags.append(
                 diag(
@@ -189,7 +200,9 @@ def _check_inputs_used(
                     input=decl.index,
                 )
             )
-        elif (reg.index if reg.file is temp_file else reg) not in consumed:
+        elif (
+            reg.index if reg.file is RegisterFile.TEMP else reg
+        ) not in consumed:
             diags.append(
                 diag(
                     "V006",
@@ -202,19 +215,15 @@ def _check_inputs_used(
     return diags
 
 
-def _check_outputs_written(kernel: ILKernel) -> list[Diagnostic]:
+def _check_outputs_written(
+    kernel: ILKernel, exported: Counter[int], stored: Counter[int]
+) -> list[Diagnostic]:
+    """V007 (an output never written); V010 (written more than once)."""
     diags: list[Diagnostic] = []
-    exported: dict[int, int] = {}
-    stored: dict[int, int] = {}
-    for instr in kernel.body:
-        if isinstance(instr, ExportInstruction):
-            exported[instr.target] = exported.get(instr.target, 0) + 1
-        elif isinstance(instr, GlobalStoreInstruction):
-            stored[instr.offset] = stored.get(instr.offset, 0) + 1
     for decl in kernel.outputs:
-        counts = exported if decl.space is MemorySpace.COLOR_BUFFER else stored
-        kind = "color" if decl.space is MemorySpace.COLOR_BUFFER else "global"
-        written = counts.get(decl.index, 0)
+        color = decl.space is MemorySpace.COLOR_BUFFER
+        written = (exported if color else stored)[decl.index]
+        kind = "color" if color else "global"
         if written == 0:
             diags.append(
                 diag(
@@ -237,34 +246,9 @@ def _check_outputs_written(kernel: ILKernel) -> list[Diagnostic]:
     return diags
 
 
-def _check_terminal_stores(kernel: ILKernel) -> list[Diagnostic]:
-    """Fetch/ALU code after the first store never executes (EXP_DONE)."""
+def _check_dead_writes(kernel: ILKernel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    first_store: int | None = None
-    for pos, instr in enumerate(kernel.body):
-        if isinstance(instr, (ExportInstruction, GlobalStoreInstruction)):
-            if first_store is None:
-                first_store = pos
-        elif first_store is not None:
-            diags.append(
-                diag(
-                    "V009",
-                    f"kernel {kernel.name!r}: instruction {pos} ({instr}) "
-                    f"follows the store at {first_store}; exports terminate "
-                    "the program",
-                    _il_loc(pos),
-                )
-            )
-    return diags
-
-
-def _check_dead_writes(
-    kernel: ILKernel,
-    defined_by: list[tuple[Register, ...]],
-    used_by: list[tuple[Register, ...]],
-) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    for pos in dead_instruction_indices(kernel, defined_by, used_by):
+    for pos in dead_instruction_indices(kernel):
         instr = kernel.body[pos]
         diags.append(
             diag(

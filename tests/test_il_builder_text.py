@@ -1,5 +1,7 @@
 """Tests for the IL builder, emitter, parser and validator."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +14,16 @@ from repro.il import (
     emit_il,
     parse_il,
 )
+from repro.il.instructions import ALUInstruction, operand, temp
 from repro.il.module import ILKernel
+from repro.il.opcodes import ILOp
 from repro.il.parser import ILParseError
-from repro.kernels import KernelParams, generate_generic
+from repro.kernels import (
+    KernelParams,
+    generate_clause_usage,
+    generate_generic,
+    generate_register_usage,
+)
 from repro.verify import check_kernel
 from repro.verify.diagnostics import errors
 
@@ -71,6 +80,69 @@ class TestBuilder:
         # the constant makes it valid despite one input.
         kernel_text = emit_il(builder.build())
         assert "cb0[0]" in kernel_text
+
+
+#: one recipe per generator, each with more than one ALU source shape.
+GENERATED = {
+    "generic": lambda: generate_generic(
+        KernelParams(inputs=4, constants=2, alu_fetch_ratio=3.0)
+    ),
+    "register_usage": lambda: generate_register_usage(
+        KernelParams(inputs=16, space=4, step=2, alu_fetch_ratio=1.0)
+    ),
+    "clause_usage": lambda: generate_clause_usage(
+        KernelParams(inputs=16, space=4, step=2, alu_fetch_ratio=1.0)
+    ),
+}
+
+
+class TestBuilderFastPath:
+    """The builder's cheap ALU construction and operand coercion: its
+    instructions must be indistinguishable from parsed ones."""
+
+    def test_arity_error_matches_the_constructor(self):
+        builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
+        a, b = builder.fresh(), builder.fresh()
+        with pytest.raises(ValueError) as direct:
+            ALUInstruction(ILOp.MAD, temp(9), (operand(a), operand(b)))
+        with pytest.raises(ValueError) as built:
+            builder.alu(ILOp.MAD, a, b)
+        assert str(built.value) == str(direct.value)
+        assert str(built.value) == "mad expects 3 sources, got 2"
+
+    @pytest.mark.parametrize("generator", sorted(GENERATED))
+    def test_built_body_equals_parsed_body(self, generator):
+        kernel = GENERATED[generator]()
+        parsed = parse_il(emit_il(kernel))
+        assert len(kernel.body) == len(parsed.body)
+        for built, reread in zip(kernel.body, parsed.body):
+            assert type(built) is type(reread)
+            assert built == reread
+            assert hash(built) == hash(reread)
+            assert repr(built) == repr(reread)
+        assert kernel.body == parsed.body
+
+    @pytest.mark.parametrize("generator", sorted(GENERATED))
+    def test_built_body_survives_pickling(self, generator):
+        kernel = GENERATED[generator]()
+        body = pickle.loads(pickle.dumps(kernel.body))
+        assert body == kernel.body
+        assert [hash(i) for i in body] == [hash(i) for i in kernel.body]
+        assert [str(i) for i in body] == [str(i) for i in kernel.body]
+
+    def test_negated_operand_renders_with_a_minus(self):
+        builder = ILBuilder("k", ShaderMode.PIXEL, DataType.FLOAT)
+        src = builder.declare_input()
+        out = builder.declare_output()
+        value = builder.sample(src)
+        dest = builder.sub(value, operand(value, negate=True))
+        builder.store(out, dest)
+        kernel = builder.build()
+        line = f"sub {dest}, {value}, -{value}"
+        assert str(kernel.body[1]) == line
+        assert line in emit_il(kernel).splitlines()
+        assert str(operand(value, negate=True)) == f"-{value}"
+        assert str(operand(value)) == str(value)
 
 
 def assert_rejected(builder: ILBuilder, match: str) -> None:
