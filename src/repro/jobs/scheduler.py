@@ -23,9 +23,9 @@ A default ``JobEngine()`` runs inline with no ledger, result cache or
 pool, so it needs no :meth:`JobEngine.close`.
 
 Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call,
-a ``unit`` span per unit with its resolution source, and the
-``jobs.cache.hit`` / ``jobs.cache.miss`` / ``jobs.resumed`` /
-``jobs.simulated`` counters documented in docs/telemetry.md.
+a ``kernels`` span per build, a ``unit`` span per unit with its
+resolution source, and the ``jobs.cache.hit`` / ``jobs.cache.miss`` /
+``jobs.resumed`` / ``jobs.simulated`` counters (docs/telemetry.md).
 """
 
 from __future__ import annotations

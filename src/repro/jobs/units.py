@@ -32,6 +32,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro import telemetry
 from repro.arch.specs import GPUSpec
 from repro.il.module import ILKernel
 from repro.il.text import cached_il_text
@@ -117,14 +118,18 @@ class WorkUnit:
 def build_kernels(units: Iterable[WorkUnit]) -> None:
     """Build each distinct recipe of ``units`` once, render its IL text,
     and hand the kernel to every unit that names it (for as long as the
-    units live: one engine run inline, one batch in a pool worker)."""
+    units live: one engine run inline, one batch in a pool worker), in
+    one ``kernels`` span whose ``recipes`` counts the recipes built."""
     built: dict[KernelRecipe, ILKernel] = {}
-    for unit in units:
-        kernel = built.get(unit.recipe)
-        if kernel is None:
-            kernel = built[unit.recipe] = unit.recipe.build()
-            cached_il_text(kernel)
-        unit.__dict__["kernel"] = kernel  # fills the cached property
+    with telemetry.span("kernels") as span:
+        for unit in units:
+            kernel = built.get(unit.recipe)
+            if kernel is None:
+                kernel = built[unit.recipe] = unit.recipe.build()
+                cached_il_text(kernel)
+            unit.__dict__["kernel"] = kernel  # fills the cached property
+        if span:
+            span.set(recipes=len(built))
 
 
 def gpu_fingerprint(gpu: GPUSpec) -> str:

@@ -260,6 +260,31 @@ class TestInstrumentationIntegration:
         registry = telemetry.metrics()
         assert registry.get("suite.points{figure=fig13}").value > 0
 
+    def test_kernel_builds_are_a_named_stage(self, tmp_path):
+        from repro.jobs.scheduler import JobEngine, JobOptions
+        from repro.suite import BENCHMARKS, run_suite
+
+        def record():
+            engine = JobEngine(JobOptions(cache_dir=tmp_path))
+            try:
+                with telemetry.recording() as tracer:
+                    run_suite(["fig11"], fast=True, engine=engine)
+            finally:
+                engine.close()
+            return tracer.finished()
+
+        cold = record()
+        kernels = [s for s in cold if s.name == "kernels"]
+        scheduler = next(s for s in cold if s.name == "scheduler")
+        assert [s.parent_id for s in kernels] == [scheduler.span_id]
+        plan = BENCHMARKS["fig11"]().plan_units(fast=True)
+        recipes = {unit.recipe for *_, unit in plan}
+        assert kernels[0].attributes == {"recipes": len(recipes)}
+        # A warm rerun replays every unit from the cache: nothing to build.
+        warm = record()
+        assert not [s for s in warm if s.name == "kernels"]
+        assert any(s.name == "scheduler" for s in warm)
+
     def test_pipeline_verification_is_counted(self):
         from repro.compiler import compile_kernel
         from repro.kernels import KernelParams, generate_generic
