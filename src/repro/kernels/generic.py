@@ -61,15 +61,12 @@ def generate_generic(params: KernelParams, name: str | None = None) -> ILKernel:
         remaining -= 1
 
     # dependent-chain filler: r[k] = r[k-1] + r[k-2] (or a constant)
-    const_cursor = 0
-    while remaining > 0:
+    for k in range(remaining):
         if constants:
-            second = constants[const_cursor % len(constants)]
-            const_cursor += 1
+            second = constants[k % len(constants)]
         else:
             second = chain[-2] if len(chain) >= 2 else sampled[0]
         chain.append(builder.add(chain[-1], second))
-        remaining -= 1
 
     # outputs read the chain tail: output[j] <- chain[-1-j]
     for j, out in enumerate(outputs):
