@@ -60,11 +60,12 @@ def _timed_compiles(figure: str, store: Path):
     return cache, time.perf_counter() - t0
 
 
-def _figure(figure: str, store: Path, ledger: Path):
-    """One engine run against ``store`` with the result cache off."""
-    engine = JobEngine(JobOptions(program_cache_dir=store, ledger_path=ledger))
+def _figure(figure: str, store: Path):
+    """One engine run against ``store``; the benchmark never puts a
+    result log there before this run, so every unit simulates."""
+    engine = JobEngine(JobOptions(cache_dir=store))
     result = run_benchmark(figure, fast=True, engine=engine)
-    engine.close(success=True)
+    engine.close()
     return result, engine
 
 
@@ -84,10 +85,8 @@ def test_warm_compile_cache_speedup(tmp_path):
     assert warm_cache.disk_hits == cold_cache.misses
 
     # The warm store must reproduce the cold figure byte for byte.
-    cold_result, _ = _figure("fig16", tmp_path / "store-fresh", tmp_path / "c.jsonl")
-    warm_result, warm_engine = _figure(
-        "fig16", tmp_path / "store-0", tmp_path / "w.jsonl"
-    )
+    cold_result, _ = _figure("fig16", tmp_path / "store-fresh")
+    warm_result, warm_engine = _figure("fig16", tmp_path / "store-0")
     assert warm_engine.programs.misses == 0
     identical = warm_result.to_csv() == cold_result.to_csv()
 
@@ -121,13 +120,13 @@ def test_warm_compile_cache_speedup(tmp_path):
     assert speedup >= WARM_SPEEDUP_FLOOR
 
 
-def test_domain_sweep_compiles_exactly_once(tmp_path):
+def test_domain_sweep_compiles_exactly_once():
     # Figure 15 is one kernel x many launch shapes; compile-once planning
     # means the whole sweep costs a single compile.
-    engine = JobEngine(JobOptions(ledger_path=tmp_path / "ledger.jsonl"))
+    engine = JobEngine()
     with telemetry.recording() as tracer:
         result = run_benchmark("fig15a", gpus=(RV770,), fast=True, engine=engine)
-    engine.close(success=True)
+    engine.close()
 
     compiles = sum(1 for s in tracer.finished() if s.name == "compile")
     points = sum(len(series.points) for series in result.series)

@@ -36,7 +36,7 @@ def _timed_suite(engine):
     t0 = time.perf_counter()
     results = run_suite(fast=True, engine=engine)
     seconds = time.perf_counter() - t0
-    engine.close(success=True)
+    engine.close()
     return results, seconds
 
 
@@ -64,19 +64,15 @@ def test_warm_cache_is_5x_faster_than_cold(tmp_path):
     assert speedup >= WARM_SPEEDUP_FLOOR
 
 
-def test_four_workers_beat_serial_cold(tmp_path):
+def test_four_workers_beat_serial_cold():
     cpus = os.cpu_count() or 1
     if cpus < 2:
         pytest.skip(f"needs a multi-core host (os.cpu_count()={cpus})")
 
-    serial_engine = JobEngine(
-        JobOptions(ledger_path=tmp_path / "serial-ledger.jsonl")
-    )
+    serial_engine = JobEngine()
     serial_results, serial_seconds = _timed_suite(serial_engine)
 
-    pool_engine = JobEngine(
-        JobOptions(jobs=4, ledger_path=tmp_path / "pool-ledger.jsonl")
-    )
+    pool_engine = JobEngine(JobOptions(jobs=4))
     pool_results, pool_seconds = _timed_suite(pool_engine)
     assert pool_engine.simulated > 0
 

@@ -23,8 +23,8 @@ JSONL manifest (see docs/telemetry.md).
 
 ``figure``, ``suite`` and ``grid`` accept ``--jobs N`` (parallel
 workers), ``--cache`` (content-addressed result reuse under
-``results/cache/``) and ``--resume`` (continue an interrupted run from
-its ledger) — see docs/jobs.md.
+``results/cache/``) and ``--resume`` (the same, spelled for continuing
+an interrupted cached run) — see docs/jobs.md.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _add_jobs_arguments(parser: argparse.ArgumentParser) -> None:
     jobs.add_argument(
         "--resume",
         action="store_true",
-        help="continue an interrupted run from its ledger",
+        help="continue an interrupted cached run (same as --cache)",
     )
     jobs.add_argument(
         "--unit-timeout",
@@ -196,30 +196,21 @@ def _engine_from_args(args: argparse.Namespace):
     from repro.jobs import DEFAULT_CACHE_DIR, JobEngine, JobOptions
 
     cache_dir = None
-    if args.cache or args.cache_dir is not None:
+    if args.cache or args.resume or args.cache_dir is not None:
         cache_dir = args.cache_dir if args.cache_dir else DEFAULT_CACHE_DIR
     return JobEngine(
-        JobOptions(
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            resume=args.resume,
-            timeout=args.unit_timeout,
-        )
+        JobOptions(jobs=args.jobs, cache_dir=cache_dir, timeout=args.unit_timeout)
     )
 
 
 @contextmanager
 def _engine_scope(args: argparse.Namespace):
-    """Build the engine and close it with the right outcome: a clean
-    exit drops the run ledger, an exception preserves it so the next
-    ``--resume`` picks up where this run died."""
+    """Build the engine and close it however the run ends."""
     engine = _engine_from_args(args)
     try:
         yield engine
-    except BaseException:
-        engine.close(success=False)
-        raise
-    engine.close(success=True)
+    finally:
+        engine.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

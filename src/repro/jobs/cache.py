@@ -3,14 +3,16 @@
 Layout (default root ``results/cache/``)::
 
     results/cache/
-      records.jsonl  # one line per unit record, in the run ledger's format
+      records.jsonl  # the record log: one line per unit record
       index.json     # entry metadata, rewritten from the log
 
-A ``put`` appends one line (:mod:`repro.jobs.ledger`); the first ``get``
-or ``put`` reads the log into a ``key -> record`` dict, so a lookup is a
-dict probe.  For a key the last valid line wins: a corrupt line reads as
-a miss and the fresh ``put`` repairs it.  The index is a tooling aid, not
-a lookup dependency.
+The log is read and appended through one
+:class:`~repro.jobs.ledger.RunLedger`: a ``put`` appends one line, and
+the first ``get`` or ``put`` reads the log into a ``key -> record`` dict
+of validated records, so a lookup is a dict probe.  For a key the last
+valid line wins: a corrupt line or record reads as a miss and the fresh
+``put`` repairs it.  The index is a tooling aid, not a lookup
+dependency.
 
 Because :data:`~repro.jobs.units.CODE_SALT` participates in the key
 and stamps every line, an edit to any salted source file makes old
@@ -21,12 +23,11 @@ deletes the one-blob-per-record ``objects/`` tree of older caches.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.jobs.ledger import (
-    append_line,
+    RunLedger,
     compact,
     count_blobs,
     reap_tree,
@@ -74,7 +75,8 @@ class ResultCache:
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.log_path = self.root / "records.jsonl"
+        self.log = RunLedger(self.root / "records.jsonl")
+        self.log_path = self.log.path
         self.index_path = self.root / "index.json"
         #: the pre-log layout: one blob per record, read by nothing.
         self.legacy_dir = self.root / "objects"
@@ -86,8 +88,7 @@ class ResultCache:
     # ---- core API --------------------------------------------------------
     def _loaded(self) -> dict[str, dict]:
         if self._records is None:
-            latest, _dropped = scan_lines(self.log_path)
-            self._records = {k: line["record"] for k, line in latest.items()}
+            self._records = self.log.load()
         return self._records
 
     def get(self, key: str) -> dict | None:
@@ -102,16 +103,7 @@ class ResultCache:
     def put(self, key: str, record: dict, figure: str | None = None) -> None:
         """Append ``record`` under ``key`` as one log line."""
         records = self._loaded()
-        append_line(
-            self.log_path,
-            {
-                "version": CODE_SALT,
-                "key": key,
-                "figure": figure,
-                "created": time.time(),
-                "record": record,
-            },
-        )
+        self.log.append(key, record, figure)
         records[key] = record
         self.puts += 1
 

@@ -1,25 +1,24 @@
-"""Append-only JSONL logs: the run ledger, the result cache, the program store.
+"""Append-only JSONL logs: the record log and the program store.
 
 Every line is one entry, stamped with the code salt
 (:data:`~repro.jobs.units.CODE_SALT`)::
 
-    {"version": "<salt>", "key": "<unit key>", "record": {"seconds": ..., "gprs": ...}}
+    {"version": "<salt>", "key": "<key>", "figure": ..., "created": ..., "record": {...}}
 
-The run ledger (``<root>/ledger.jsonl``) and the result cache's log
-(``<root>/records.jsonl``, whose lines add ``figure`` and ``created``)
-share this module's writer and reader; the compiled-program log
-(``<root>/programs.jsonl``, :class:`repro.compiler.cache.ProgramStore`)
-shares the writer and, for maintenance, the reader, with a ``program``
-body instead of a ``record``.  :func:`append_line` writes one whole
-line per call and holds no descriptor after it; :func:`scan_lines`
-skips a torn tail (the expected artifact of a kill), a corrupt line or
-one under another salt, and for a key the last valid line wins.
+:class:`RunLedger` reads and appends the record log
+(``<root>/records.jsonl``, the result cache's store); the
+compiled-program log (``<root>/programs.jsonl``,
+:class:`repro.compiler.cache.ProgramStore`) shares the writer and, for
+maintenance, the reader, with a ``program`` body instead of a
+``record``.  :func:`append_line` writes one whole line per call and
+holds no descriptor after it; :func:`scan_lines` skips a torn tail (the
+expected artifact of a kill), a corrupt line or one under another salt,
+and for a key the last valid line wins.
 
-The scheduler appends a ledger line the moment a unit finishes, so
-killing a run loses at most the units in flight.  A rerun with
-``resume=True`` preloads the completed records and only simulates the
-remainder; :meth:`RunLedger.discard` removes the file once the whole run
-lands, so the next invocation starts fresh.
+The scheduler appends a record line the moment a unit finishes, so
+killing a run loses at most the units in flight.  Rerunning it on the
+same cache root replays every finished unit as a cache hit and only
+simulates the remainder.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import fcntl
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 
 from repro.jobs.units import CODE_SALT, record_point
@@ -116,30 +116,31 @@ def count_blobs(directory: Path) -> int:
 
 
 class RunLedger:
-    """Append-only completion log for one logical run."""
+    """Reader and appender of one record log."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
     def load(self) -> dict[str, dict]:
-        """Completed ``key -> record`` entries from a previous attempt."""
-        completed: dict[str, dict] = {}
+        """The logged ``key -> record`` entries, each normalized by
+        ``record_point``; a record it rejects reads as absent."""
+        records: dict[str, dict] = {}
         for key, line in scan_lines(self.path)[0].items():
             try:
-                completed[key] = record_point(line["record"])
+                records[key] = record_point(line["record"])
             except (KeyError, TypeError, ValueError):
                 continue
-        return completed
+        return records
 
-    def append(self, key: str, record: dict) -> None:
-        """Record one completed unit; the line is in the file on return."""
+    def append(self, key: str, record: dict, figure: str | None) -> None:
+        """Log one unit's record; the line is in the file on return."""
         append_line(
-            self.path, {"version": CODE_SALT, "key": key, "record": record}
+            self.path,
+            {
+                "version": CODE_SALT,
+                "key": key,
+                "figure": figure,
+                "created": time.time(),
+                "record": record,
+            },
         )
-
-    def discard(self) -> None:
-        """Delete the ledger — the run completed, nothing left to resume."""
-        try:
-            self.path.unlink()
-        except OSError:
-            pass

@@ -6,10 +6,9 @@ completion order — callers rebuild ``ResultSet``/``GridResult`` shapes
 that are bit-identical to a serial run.  Between planning and execution
 it consults, in priority order:
 
-1. the **run ledger** — units a killed previous attempt already finished
-   (``resume=True``),
-2. the **result cache** — content-addressed records from any earlier run,
-3. the **scheduler** — everything still pending, deduplicated by cache
+1. the **result cache** — content-addressed records from any earlier
+   run, including the units a killed run on the same root finished,
+2. the **scheduler** — everything still pending, deduplicated by cache
    key (identical launches shared between figures simulate once), run
    either inline (``jobs <= 1``, the deterministic default) or across
    the engine's one ``ProcessPoolExecutor``, in batches that share a
@@ -19,13 +18,14 @@ it consults, in priority order:
    :func:`~repro.jobs.worker.run_payload`; the pool receives the
    :class:`~repro.jobs.units.WorkUnit` values themselves.
 
-A default ``JobEngine()`` runs inline with no ledger, result cache or
-pool, so it needs no :meth:`JobEngine.close`.
+A run without a result cache writes nothing to disk.  A default
+``JobEngine()`` runs inline with no result cache or pool, so it needs no
+:meth:`JobEngine.close`.
 
 Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call,
 a ``kernels`` span per build, a ``unit`` span per unit with its
 resolution source, and the ``jobs.cache.hit`` / ``jobs.cache.miss`` /
-``jobs.resumed`` / ``jobs.simulated`` counters (docs/telemetry.md).
+``jobs.simulated`` counters (docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import telemetry
-from repro.jobs.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.jobs.ledger import RunLedger
+from repro.jobs.cache import ResultCache
 from repro.jobs.units import WorkUnit, build_kernels, record_point
 from repro.jobs.worker import initialize_worker, run_payload, run_payloads
 
@@ -55,39 +54,18 @@ class UnitTimeout(JobError):
 
 @dataclass(frozen=True)
 class JobOptions:
-    """How to execute a planned run (CLI flags map onto this 1:1)."""
+    """How to execute a planned run (the CLI's engine flags map onto it)."""
 
     #: worker processes; 0 or 1 runs inline for strict determinism of
     #: telemetry and exception timing (results are identical either way).
     jobs: int = 0
-    #: result-cache root; ``None`` disables the cache entirely.
+    #: root of the result cache and the compiled-program store; ``None``
+    #: keeps both in memory only.
     cache_dir: str | Path | None = None
-    #: preload the run ledger from a previous (killed) attempt.
-    resume: bool = False
-    #: explicit ledger path; defaults to ``<cache root>/ledger.jsonl``.
-    ledger_path: str | Path | None = None
     #: per-unit timeout in seconds; a batch of n units gets n times this,
     #: measured from when the scheduler starts waiting on the batch
     #: (``None`` waits forever).
     timeout: float | None = None
-    #: on-disk compiled-program store root; defaults to the result-cache
-    #: root (the two tiers share ``results/cache/``), ``None`` with no
-    #: cache_dir keeps compiled programs in memory only.
-    program_cache_dir: str | Path | None = None
-
-    def resolved_ledger_path(self) -> Path:
-        if self.ledger_path is not None:
-            return Path(self.ledger_path)
-        root = Path(self.cache_dir) if self.cache_dir else DEFAULT_CACHE_DIR
-        return root / "ledger.jsonl"
-
-    def resolved_program_root(self) -> Path | None:
-        """Where compiled programs persist (``None`` = memory tier only)."""
-        if self.program_cache_dir is not None:
-            return Path(self.program_cache_dir)
-        if self.cache_dir is not None:
-            return Path(self.cache_dir)
-        return None
 
 
 def batch_units(units: Sequence[WorkUnit], jobs: int) -> list[list[WorkUnit]]:
@@ -125,32 +103,11 @@ class JobEngine:
         from repro.compiler.cache import CompileCache, ProgramStore
 
         self.options = options or JobOptions()
-        self.cache = (
-            ResultCache(self.options.cache_dir)
-            if self.options.cache_dir is not None
-            else None
-        )
-        program_root = self.options.resolved_program_root()
+        root = self.options.cache_dir
+        self.cache = ResultCache(root) if root is not None else None
         self.programs = CompileCache(
-            ProgramStore(program_root) if program_root else None
+            ProgramStore(root) if root is not None else None
         )
-        options = self.options
-        self.ledger: RunLedger | None = None
-        self._resumed_records: dict[str, dict] = {}
-        # Keep a ledger only when a resume could use it.
-        if (
-            options.jobs > 1
-            or options.cache_dir is not None
-            or options.resume
-            or options.ledger_path is not None
-        ):
-            self.ledger = RunLedger(options.resolved_ledger_path())
-            if options.resume:
-                self._resumed_records = self.ledger.load()
-            if not self._resumed_records:
-                # A fresh run, or a stale salt or empty file: start over.
-                self.ledger.discard()
-        self.resumed = 0
         self.simulated = 0
         self._pool: ProcessPoolExecutor | None = None
 
@@ -171,7 +128,6 @@ class JobEngine:
             "scheduler",
             jobs=self.options.jobs,
             units=len(units),
-            resume=self.options.resume,
             cache=self.cache is not None,
         ) as span:
             for unit in units:
@@ -200,7 +156,6 @@ class JobEngine:
                 span.set(
                     distinct=len(seen),
                     simulated=self.simulated,
-                    resumed=self.resumed,
                     cache_hits=self.cache.hits if self.cache else 0,
                     cache_misses=self.cache.misses if self.cache else 0,
                     # Inline compile-cache traffic; pool workers count
@@ -211,34 +166,27 @@ class JobEngine:
         return [results[unit.key] for unit in units]
 
     def close(self, success: bool = True) -> None:
-        """Join the worker pool, flush the cache index, and drop the
-        ledger once the run landed."""
+        """Join the worker pool and flush the cache index.
+
+        ``success`` has no effect: a finished and a failed run leave the
+        same record log.  It stays for callers that still pass it.
+        """
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         if self.cache is not None and self.cache.puts:
             self.cache.write_index()
-        if self.ledger is not None and success:
-            self.ledger.discard()
 
     # ---- resolution ------------------------------------------------------
     def _replay(self, unit: WorkUnit) -> dict | None:
-        """A previously computed record (ledger, then cache), if any."""
-        record = self._resumed_records.get(unit.key)
-        if record is not None:
-            self.resumed += 1
-            self._count("jobs.resumed", unit.figure)
-            self._unit_span(unit, "resumed")
-            if self.cache is not None and self.cache.get(unit.key) is None:
-                self.cache.put(unit.key, record, figure=unit.figure)
-            return record
+        """The cached record of ``unit``, if any."""
         if self.cache is None:
             return None
         record = self.cache.get(unit.key)
         if record is not None:
             self._count("jobs.cache.hit", unit.figure)
             self._unit_span(unit, "hit")
-            return record_point(record)
+            return record
         self._count("jobs.cache.miss", unit.figure)
         return None
 
@@ -250,8 +198,6 @@ class JobEngine:
         self.simulated += 1
         if self.cache is not None:
             self.cache.put(unit.key, record, figure=unit.figure)
-        if self.ledger is not None:
-            self.ledger.append(unit.key, record)
         self._count("jobs.simulated", unit.figure, mode=mode)
         self._unit_span(unit, mode, seconds=record["seconds"])
 
@@ -268,7 +214,8 @@ class JobEngine:
                 if attempt or not remaining:
                     raise JobError(
                         f"worker pool crashed twice; {len(remaining)} "
-                        "units unfinished (see the run ledger)"
+                        "units unfinished (rerun with the same --cache-dir "
+                        "to continue)"
                     ) from None
                 self._count("jobs.pool_retries", remaining[0].figure)
 
@@ -301,11 +248,11 @@ class JobEngine:
     def _worker_pool(self) -> ProcessPoolExecutor:
         """The engine's pool, forked on first use."""
         if self._pool is None:
-            program_root = self.options.resolved_program_root()
+            root = self.options.cache_dir
             self._pool = ProcessPoolExecutor(
                 max_workers=self.options.jobs,
                 initializer=initialize_worker,
-                initargs=(str(program_root) if program_root else None,),
+                initargs=(str(root) if root is not None else None,),
             )
         return self._pool
 

@@ -70,7 +70,7 @@ def code_salt(root: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-#: The salt of the result log, the run ledger and the program store:
+#: The salt of the record log and the program store:
 #: entries recorded under another salt are unreachable, never wrong, and
 #: ``repro cache gc`` reaps them (docs/jobs.md).
 CODE_SALT = code_salt(Path(__file__).resolve().parent.parent)
@@ -171,7 +171,7 @@ def launch_record(event: "Event") -> dict:
 
 
 def record_point(record: dict) -> dict:
-    """Validate and normalize a unit record (the cached/ledgered value).
+    """Validate and normalize a unit record (the cached value).
 
     A record is the minimal payload a :class:`repro.suite.results
     .SeriesPoint` needs beyond the sweep value itself.  JSON round-trips

@@ -3,7 +3,7 @@
 :func:`run_payload` is the whole measurement — compile (every compile
 verifies), simulate the launch, and reduce the event with
 :func:`~repro.jobs.units.launch_record` to the small JSON-safe record
-the cache/ledger stores.  The engine calls it once per unit inline, or the pool calls it
+the record log stores.  The engine calls it once per unit inline, or the pool calls it
 through :func:`run_payloads`, one batch of units at a time.  A
 :class:`~repro.jobs.units.WorkUnit` is a plain picklable value, so the
 pool ships the units themselves, each with its kernel recipe; kernels
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro import telemetry
 from repro.cal.device import Device
 from repro.cal.timing import time_kernel
 from repro.jobs.units import WorkUnit, build_kernels, launch_record
@@ -44,14 +45,18 @@ _store: "ProgramStore | None" = None
 
 
 def initialize_worker(program_root: str | None = None) -> None:
-    """Pool-worker startup: open the shared on-disk program store.
+    """Pool-worker startup: open the shared on-disk program store and
+    turn telemetry off.
 
     With a ``program_root`` the workers share compiled programs with
     each other — and with past runs — through the store; without one,
-    each batch compiles its programs afresh.
+    each batch compiles its programs afresh.  A forked worker inherits
+    the parent's telemetry switch, but nothing ships its spans or
+    metrics back, so it records none.
     """
     from repro.compiler.cache import ProgramStore
 
+    telemetry.disable()
     global _store
     _store = ProgramStore(program_root) if program_root else None
 

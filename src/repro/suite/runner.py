@@ -135,10 +135,7 @@ def run_suite(
                     directory = Path(out_dir)
                     directory.mkdir(parents=True, exist_ok=True)
                     results[name].save(directory / f"{name}.json")
-    except BaseException:
+    finally:
         if owned_engine is not None:
-            owned_engine.close(success=False)
-        raise
-    if owned_engine is not None:
-        owned_engine.close(success=True)
+            owned_engine.close()
     return results

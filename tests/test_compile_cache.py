@@ -316,13 +316,13 @@ class TestSweepPlanning:
         # ...and the sharing crosses GPUs: generators never read the GPU.
         assert len({unit.recipe for *_, unit in planned}) == len(by_key)
 
-    def test_engine_domain_sweep_compiles_exactly_once(self, tmp_path):
-        engine = JobEngine(JobOptions(ledger_path=tmp_path / "ledger.jsonl"))
+    def test_engine_domain_sweep_compiles_exactly_once(self):
+        engine = JobEngine()
         with telemetry.recording() as tracer:
             result = run_benchmark(
                 "fig15a", gpus=(RV770,), fast=True, engine=engine
             )
-        engine.close(success=True)
+        engine.close()
         compiles = sum(1 for s in tracer.finished() if s.name == "compile")
         points = sum(len(series.points) for series in result.series)
         assert points > 1
@@ -357,22 +357,22 @@ class TestSweepPlanning:
         assert active_cache() is None  # the scope did not leak
 
     def test_warm_and_cold_engine_runs_are_byte_identical(self, tmp_path):
-        def run(ledger):
-            engine = JobEngine(
-                JobOptions(
-                    program_cache_dir=tmp_path / "store",
-                    ledger_path=tmp_path / ledger,
-                )
-            )
+        store = tmp_path / "store"
+
+        def run():
+            engine = JobEngine(JobOptions(cache_dir=store))
             result = run_benchmark(
                 "fig15a", gpus=(RV770,), fast=True, engine=engine
             )
-            engine.close(success=True)
+            engine.close()
             return result, engine
 
-        cold, cold_engine = run("cold.jsonl")
+        cold, cold_engine = run()
         assert cold_engine.programs.serialized == cold_engine.programs.misses
-        warm, warm_engine = run("warm.jsonl")
+        # Drop the simulated results, so the warm run recompiles nothing
+        # but still needs every program.
+        (store / "records.jsonl").unlink()
+        warm, warm_engine = run()
         assert warm_engine.programs.misses == 0
         assert warm_engine.programs.disk_hits > 0
         assert warm.to_csv() == cold.to_csv()

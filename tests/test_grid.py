@@ -63,12 +63,7 @@ class TestGridStructure:
     def test_engine_grid_matches_serial(self, float_grid, tmp_path):
         from repro.jobs import JobEngine, JobOptions
 
-        engine = JobEngine(
-            JobOptions(
-                cache_dir=tmp_path / "cache",
-                ledger_path=tmp_path / "ledger.jsonl",
-            )
-        )
+        engine = JobEngine(JobOptions(cache_dir=tmp_path / "cache"))
         through_engine = alu_fetch_grid(
             RV770,
             inputs=(4, 8, 16),

@@ -5,10 +5,11 @@ measured number must move the key, and the kernel enters it as its
 recipe), the code-derived salt, kernels built only for units that run,
 cache hit
 fidelity (bit-identical
-replay), the run ledger's resume semantics, scheduler deduplication,
-compile-key batching, the worker pool's lifetime and the units it is
-shipped, worker-crash retry, unit timeouts, cache maintenance
-(stats/gc/clear), and forked writers sharing one cache root.
+replay), the record log, resuming a killed run by rerunning it on the
+same cache root, scheduler deduplication, compile-key batching, the
+worker pool's lifetime and the units it is shipped, worker-crash retry,
+unit timeouts, cache maintenance (stats/gc/clear), and forked writers
+sharing one cache root.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ from repro.compiler.cache import CompileCache, ProgramStore
 from repro.il.text import cached_il_text
 from repro.il.types import DataType, MemorySpace, ShaderMode
 from repro.isa.serialize import program_from_json, program_to_json
+from repro import telemetry
 from repro.jobs import (
     CODE_SALT,
     JobEngine,
+    JobError,
     JobOptions,
     ResultCache,
     RunLedger,
@@ -289,6 +292,22 @@ class TestCacheRoundTrip:
         cache.log_path.write_text("{not json\n")
         assert ResultCache(tmp_path).get(unit.key) is None
 
+    def test_malformed_record_reads_as_a_miss_and_is_repaired(self, tmp_path):
+        # A line under the current salt whose record lacks fields must
+        # not crash the replay: it is a miss, and the fresh put repairs it.
+        unit = make_unit()
+        line = {
+            "version": CODE_SALT, "key": unit.key, "figure": "test",
+            "created": 0.0, "record": {"seconds": 1.0},
+        }
+        (tmp_path / "records.jsonl").write_text(json.dumps(line) + "\n")
+        engine = JobEngine(JobOptions(cache_dir=tmp_path))
+        records = engine.run([unit])
+        engine.close()
+        assert engine.simulated == 1
+        assert records == [record_point(run_payload(unit))]
+        assert ResultCache(tmp_path).get(unit.key) == records[0]
+
     def test_stats_gc_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         unit = make_unit()
@@ -407,128 +426,112 @@ class TestCacheRoundTrip:
 
 
 class TestLedger:
-    def test_resume_round_trip(self, tmp_path):
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        record = {
-            "seconds": 1.25, "gprs": 4,
-            "resident_wavefronts": 8, "bound": "alu",
-        }
-        ledger.append("a" * 40, record)
-        assert RunLedger(tmp_path / "ledger.jsonl").load() == {
-            "a" * 40: record
-        }
+    RECORD = {
+        "seconds": 1.25, "gprs": 4, "resident_wavefronts": 8, "bound": "alu",
+    }
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        RunLedger(path).append("a" * 40, self.RECORD, "figX")
+        assert RunLedger(path).load() == {"a" * 40: self.RECORD}
+        line = json.loads(path.read_text())
+        assert line["version"] == CODE_SALT and line["figure"] == "figX"
+        assert isinstance(line["created"], float)
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        ledger = RunLedger(path)
-        record = {
-            "seconds": 1.0, "gprs": 2,
-            "resident_wavefronts": 4, "bound": "fetch",
-        }
-        ledger.append("b" * 40, record)
+        path = tmp_path / "records.jsonl"
+        RunLedger(path).append("b" * 40, self.RECORD, None)
         with path.open("a") as fh:
             fh.write('{"key": "cc", "record": {"seconds"')  # killed mid-write
-        assert RunLedger(path).load() == {"b" * 40: record}
+        assert RunLedger(path).load() == {"b" * 40: self.RECORD}
 
-    def test_wrong_salt_ledger_is_ignored(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
+    def test_wrong_salt_line_is_ignored(self, tmp_path):
+        path = tmp_path / "records.jsonl"
         path.write_text(
-            json.dumps({"type": "ledger", "salt": "other-salt"})
+            json.dumps(
+                {"version": "other-salt", "key": "d" * 40, "record": self.RECORD}
+            )
             + "\n"
-            + json.dumps({"key": "d" * 40, "record": {"seconds": 1.0}})
+            + json.dumps({"key": "e" * 40, "record": self.RECORD})
             + "\n"
         )
         assert RunLedger(path).load() == {}
+
+    def test_load_normalizes_and_drops_invalid_records(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        log = RunLedger(path)
+        log.append("f" * 40, {**self.RECORD, "gprs": "4", "extra": 1}, None)
+        log.append("0" * 40, {"seconds": 1.0}, None)
+        assert log.load() == {"f" * 40: self.RECORD}
 
 
 class TestEngine:
     def test_serial_engine_matches_direct_simulation(self, tmp_path):
         units = [make_unit(ratio=r) for r in (0.5, 1.0, 2.0)]
-        engine = JobEngine(
-            JobOptions(cache_dir=tmp_path, ledger_path=tmp_path / "l.jsonl")
-        )
+        engine = JobEngine(JobOptions(cache_dir=tmp_path))
         records = engine.run(units)
         engine.close()
         direct = [record_point(run_payload(u)) for u in units]
         assert records == direct
 
-    def test_default_engine_leaves_a_killed_runs_ledger_alone(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_an_engine_without_a_cache_writes_nothing(
+        self, jobs, tmp_path, monkeypatch
     ):
-        # A default engine has nothing to resume, so it must neither
-        # delete nor append to the ledger that ``--resume`` needs.
         monkeypatch.chdir(tmp_path)
-        ledger_path = tmp_path / "results" / "cache" / "ledger.jsonl"
-        ledger_path.parent.mkdir(parents=True)
-        killed = RunLedger(ledger_path)
-        killed.append("a" * 40, record_point(run_payload(make_unit())))
-        before = ledger_path.read_bytes()
-
-        engine = JobEngine()
-        assert engine.run([make_unit(ratio=2.0)])
+        engine = JobEngine(JobOptions(jobs=jobs))
+        assert engine.run([make_unit(ratio=r) for r in (0.5, 2.0)])
         engine.close()
-        assert engine.ledger is None
-        assert ledger_path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == []
 
-    def test_duplicate_keys_simulate_once(self, tmp_path):
+    def test_duplicate_keys_simulate_once(self):
         units = [make_unit(figure="fig7"), make_unit(figure="fig8")]
-        engine = JobEngine(JobOptions(ledger_path=tmp_path / "l.jsonl"))
+        engine = JobEngine()
         records = engine.run(units)
         engine.close()
         assert engine.simulated == 1
         assert records[0] == records[1]
 
-    def test_resume_skips_completed_units(self, tmp_path):
-        ledger_path = tmp_path / "ledger.jsonl"
+    def test_rerun_after_a_kill_simulates_only_the_rest(self, tmp_path):
         all_units = [make_unit(ratio=r) for r in (0.5, 1.0, 2.0, 4.0)]
 
         # First attempt dies after two units (engine never closed).
-        first = JobEngine(JobOptions(ledger_path=ledger_path))
+        first = JobEngine(JobOptions(cache_dir=tmp_path))
         first.run(all_units[:2])
-        assert ledger_path.exists()
 
-        second = JobEngine(JobOptions(ledger_path=ledger_path, resume=True))
+        second = JobEngine(JobOptions(cache_dir=tmp_path))
         records = second.run(all_units)
-        assert second.resumed == 2 and second.simulated == 2
-        assert records == [record_point(run_payload(u)) for u in all_units]
-        second.close(success=True)
-        assert not ledger_path.exists()
-
-    def test_fresh_run_truncates_stale_ledger(self, tmp_path):
-        ledger_path = tmp_path / "ledger.jsonl"
-        first = JobEngine(JobOptions(ledger_path=ledger_path))
-        first.run([make_unit()])
-
-        fresh = JobEngine(JobOptions(ledger_path=ledger_path))  # no resume
-        assert fresh.run([make_unit()]) and fresh.simulated == 1
-        fresh.close()
-
-    def test_resumed_records_backfill_the_cache(self, tmp_path):
-        ledger_path = tmp_path / "ledger.jsonl"
-        unit = make_unit()
-        first = JobEngine(JobOptions(ledger_path=ledger_path))
-        first.run([unit])
-
-        second = JobEngine(
-            JobOptions(
-                cache_dir=tmp_path / "cache",
-                ledger_path=ledger_path,
-                resume=True,
-            )
-        )
-        second.run([unit])
-        assert second.resumed == 1
-        assert second.cache.get(unit.key) is not None
         second.close()
+        assert second.simulated == 2 and second.cache.hits == 2
+        assert records == [record_point(run_payload(u)) for u in all_units]
 
-    def test_worker_exception_propagates(self, tmp_path):
+    def test_one_log_line_per_simulated_unit(self, tmp_path):
+        units = [make_unit(ratio=r) for r in (0.5, 1.0, 2.0)]
+        engine = JobEngine(JobOptions(jobs=2, cache_dir=tmp_path))
+        engine.run(units + [make_unit(ratio=1.0, figure="other")])
+        # What a kill would leave behind: the result log and the
+        # program log, and nothing else.
+        assert {path.name for path in tmp_path.iterdir()} == {
+            "records.jsonl", "programs.jsonl",
+        }
+        engine.close()
+        assert engine.simulated == len(units)
+        lines = [
+            json.loads(raw)
+            for raw in (tmp_path / "records.jsonl").read_text().splitlines()
+        ]
+        assert sorted(line["key"] for line in lines) == sorted(
+            unit.key for unit in units
+        )
+
+    def test_worker_exception_propagates(self):
         bad = dataclasses.replace(
             make_unit(), iterations=0
         )  # LaunchConfig rejects it
-        engine = JobEngine(JobOptions(ledger_path=tmp_path / "l.jsonl"))
+        engine = JobEngine()
         with pytest.raises(ValueError):
             engine.run([bad])
-        engine.close(success=False)
+        engine.close()
 
 
 def count_builds(monkeypatch) -> dict[str, int]:
@@ -605,6 +608,10 @@ class TestBuildOnMiss:
 #: they inherit when the pool forks on an engine's first pool run.
 CRASH_SENTINEL_ENV = "REPRO_TEST_CRASH_SENTINEL"
 SLEEP_ENV = "REPRO_TEST_SLEEP"
+#: the ratio of the unit whose batch kills its worker while
+#: ``POISON_ENV`` is ``"1"``.
+POISON_ENV = "REPRO_TEST_POISON"
+POISON_RATIO = 4.0
 
 
 def _crash_once_then_run(units):
@@ -623,9 +630,27 @@ def _crash_once_then_run(units):
     return run_payloads(units)
 
 
+def _crash_on_poison(units):
+    """Batch entry that hard-kills its worker on the poisoned unit, after
+    a pause that lets the other batches finish first."""
+    from repro.jobs.worker import run_payloads
+
+    poisoned = any(unit.value == POISON_RATIO for unit in units)
+    if poisoned and os.environ.get(POISON_ENV) == "1":
+        time.sleep(0.5)
+        os._exit(1)
+    return run_payloads(units)
+
+
 def _with_pid(unit):
     """Per-unit worker entry that tags each record with the worker's PID."""
     return {**run_payload(unit), "pid": os.getpid()}
+
+
+def _with_telemetry_state(unit):
+    """Per-unit worker entry that tags each record with whether telemetry
+    is on in the process that ran it."""
+    return {**run_payload(unit), "telemetry": telemetry.enabled()}
 
 
 def _with_arg_type(unit):
@@ -688,7 +713,7 @@ class TestBatching:
 
 
 class TestPoolLifetime:
-    def test_one_pool_across_runs_joined_on_close(self, tmp_path, monkeypatch):
+    def test_one_pool_across_runs_joined_on_close(self, monkeypatch):
         import repro.jobs.scheduler as sched_mod
         import repro.jobs.worker as worker_mod
 
@@ -706,9 +731,7 @@ class TestPoolLifetime:
             return {p.pid for p in multiprocessing.active_children()}
 
         others = children()
-        engine = JobEngine(
-            JobOptions(jobs=2, ledger_path=tmp_path / "l.jsonl")
-        )
+        engine = JobEngine(JobOptions(jobs=2))
         assert children() == others  # forked by the first run, not here
         first = engine.run([make_unit(ratio=r) for r in (0.5, 1.0, 2.0)])
         workers = children() - others
@@ -727,7 +750,7 @@ class TestPoolLifetime:
 
 
 class TestPoolShipsUnits:
-    def test_workers_receive_work_units(self, tmp_path, monkeypatch):
+    def test_workers_receive_work_units(self, monkeypatch):
         import repro.jobs.scheduler as sched_mod
         import repro.jobs.worker as worker_mod
 
@@ -742,9 +765,7 @@ class TestPoolShipsUnits:
         monkeypatch.setattr(sched_mod, "record_point", type_record_point)
 
         units = [make_unit(ratio=r) for r in (0.5, 1.0, 2.0)]
-        engine = JobEngine(
-            JobOptions(jobs=2, ledger_path=tmp_path / "l.jsonl")
-        )
+        engine = JobEngine(JobOptions(jobs=2))
         records = engine.run(units)
         engine.close()
         assert arg_types == ["WorkUnit"] * len(units)
@@ -770,6 +791,31 @@ class TestPoolShipsUnits:
         assert run_payload(shipped) == run_payload(unit)
 
 
+class TestWorkerTelemetry:
+    def test_workers_record_no_telemetry(self, monkeypatch):
+        # Nothing ships a worker's spans back, so a worker forked from a
+        # recording parent must not collect any.
+        import repro.jobs.scheduler as sched_mod
+        import repro.jobs.worker as worker_mod
+
+        states = []
+        plain_record_point = sched_mod.record_point
+
+        def state_record_point(record):
+            states.append(record.pop("telemetry"))
+            return plain_record_point(record)
+
+        monkeypatch.setattr(worker_mod, "run_payload", _with_telemetry_state)
+        monkeypatch.setattr(sched_mod, "record_point", state_record_point)
+
+        engine = JobEngine(JobOptions(jobs=2))
+        with telemetry.recording():
+            engine.run([make_unit(ratio=r) for r in (0.5, 1.0, 2.0)])
+            assert telemetry.enabled()  # the parent still records
+        engine.close()
+        assert states == [False] * 3
+
+
 class TestPoolCrashRetry:
     def test_retry_once_after_worker_crash(self, tmp_path, monkeypatch):
         import repro.jobs.scheduler as sched_mod
@@ -779,13 +825,33 @@ class TestPoolCrashRetry:
         monkeypatch.setenv(CRASH_SENTINEL_ENV, str(sentinel))
 
         unit = make_unit()
-        engine = JobEngine(
-            JobOptions(jobs=2, ledger_path=tmp_path / "l.jsonl")
-        )
+        engine = JobEngine(JobOptions(jobs=2))
         records = engine.run([unit])
         engine.close()
         assert sentinel.exists()  # the first attempt really died
         assert records == [record_point(run_payload(unit))]
+
+    def test_second_crash_raises_and_a_rerun_finishes_the_rest(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.jobs.scheduler as sched_mod
+
+        monkeypatch.setattr(sched_mod, "run_payloads", _crash_on_poison)
+        monkeypatch.setenv(POISON_ENV, "1")
+        units = [make_unit(ratio=r) for r in (0.5, 1.0, 2.0, POISON_RATIO)]
+
+        crashed = JobEngine(JobOptions(jobs=2, cache_dir=tmp_path))
+        with pytest.raises(JobError, match="rerun with the same --cache-dir"):
+            crashed.run(units)
+        crashed.close()
+        assert 1 <= crashed.simulated < len(units)
+
+        monkeypatch.setenv(POISON_ENV, "0")
+        rerun = JobEngine(JobOptions(jobs=2, cache_dir=tmp_path))
+        records = rerun.run(units)
+        rerun.close()
+        assert rerun.simulated == len(units) - crashed.simulated
+        assert records == [record_point(run_payload(u)) for u in units]
 
 
 class TestUnitTimeout:
@@ -798,9 +864,7 @@ class TestUnitTimeout:
         monkeypatch.setenv(SLEEP_ENV, "1")
 
         unit = make_unit()
-        engine = JobEngine(
-            JobOptions(jobs=2, timeout=0.5, ledger_path=tmp_path / "l.jsonl")
-        )
+        engine = JobEngine(JobOptions(jobs=2, timeout=0.5))
         started = time.perf_counter()
         with pytest.raises(UnitTimeout):
             engine.run([unit])
@@ -827,24 +891,24 @@ BIG_PROGRAMS: list = []
 
 
 def _blob(writer: int, round_: int, key: str) -> dict:
-    """A blob large enough that a torn write would show as a bad digest."""
+    """A record large enough that a torn write would show as a bad
+    digest: ``bound`` carries a payload behind its digest."""
     payload = f"{writer}:{round_}:{key}:" * 800
+    digest = hashlib.sha256(payload.encode()).hexdigest()
     return {
-        "version": CODE_SALT,
-        "writer": writer,
-        "payload": payload,
-        "digest": hashlib.sha256(payload.encode()).hexdigest(),
+        "seconds": float(round_),
+        "gprs": writer,
+        "resident_wavefronts": 1,
+        "bound": f"{digest}:{payload}",
     }
 
 
 def _complete(blob: dict | None) -> bool:
-    """Whether ``blob`` is a whole blob that one of the writers wrote."""
-    return (
-        blob is not None
-        and blob.get("writer") in range(WRITERS)
-        and hashlib.sha256(blob["payload"].encode()).hexdigest()
-        == blob["digest"]
-    )
+    """Whether ``blob`` is a whole record that one of the writers wrote."""
+    if blob is None or blob.get("gprs") not in range(WRITERS):
+        return False
+    digest, _, payload = blob["bound"].partition(":")
+    return hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def _whole_program(program) -> bool:

@@ -47,18 +47,14 @@ class TestFigureDeterminism:
     @pytest.mark.parametrize(
         "figure", ["fig7", "fig11", "fig13", "fig15a", "fig16"]
     )
-    def test_inline_and_engine_paths_agree(
-        self, figure, serial_fig7, tmp_path
-    ):
+    def test_inline_and_engine_paths_agree(self, figure, serial_fig7):
         gpus = None if figure == "fig7" else (RV770,)
         inline = (
             serial_fig7
             if figure == "fig7"
             else run_benchmark(figure, gpus=gpus, fast=True)
         )
-        engine = JobEngine(
-            JobOptions(jobs=0, ledger_path=tmp_path / "ledger.jsonl")
-        )
+        engine = JobEngine(JobOptions(jobs=0))
         result = run_benchmark(figure, gpus=gpus, fast=True, engine=engine)
         engine.close()
         assert engine.simulated > 0
