@@ -26,7 +26,8 @@ class Context:
 
     device: Device
     sim: SimConfig = field(default_factory=SimConfig)
-    _resources: list[Resource] = field(default_factory=list)
+    #: live allocations (resources hash and compare by identity).
+    _resources: set[Resource] = field(default_factory=set)
     _allocated_bytes: int = 0
 
     # ---- resources -------------------------------------------------------
@@ -47,14 +48,14 @@ class Context:
         name: str = "",
     ) -> Resource:
         """Allocate a 2-D resource, enforcing the board memory limit."""
-        resource = Resource(width, height, dtype, space, name=name)
+        resource = Resource(width, height, dtype, space, name)
         if resource.nbytes > self.free_bytes:
             raise OutOfMemoryError(
                 f"allocating {resource.nbytes} bytes would exceed the "
                 f"{self.device.spec.board_memory_mib} MiB board "
                 f"({self.free_bytes} bytes free)"
             )
-        self._resources.append(resource)
+        self._resources.add(resource)
         self._allocated_bytes += resource.nbytes
         return resource
 
@@ -100,20 +101,15 @@ class Context:
         irrelevant and only extents/spaces matter.
         """
         width, height = domain
-        for decl in module.kernel.inputs:
-            module.bind_input(
-                decl.index,
-                self.alloc_2d(
-                    width, height, decl.dtype, decl.space, name=f"in{decl.index}"
-                ),
-            )
-        for decl in module.kernel.outputs:
-            module.bind_output(
-                decl.index,
-                self.alloc_2d(
-                    width, height, decl.dtype, decl.space, name=f"out{decl.index}"
-                ),
-            )
+        for prefix, decls, bind in (
+            ("in", module.kernel.inputs, module.bind_input),
+            ("out", module.kernel.outputs, module.bind_output),
+        ):
+            for decl in decls:
+                name = f"{prefix}{decl.index}"
+                bind(decl.index, self.alloc_2d(
+                    width, height, decl.dtype, decl.space, name
+                ))
 
     # ---- execution ---------------------------------------------------------
     def run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.arch.registry import gpu_by_name
 from repro.arch.specs import GPUSpec
@@ -19,7 +20,7 @@ class Device:
     def name(self) -> str:
         return self.spec.card
 
-    @property
+    @cached_property  # read once per stream a launch allocates
     def board_memory_bytes(self) -> int:
         return self.spec.board_memory_mib * 1024 * 1024
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.cal.errors import BindingError
 from repro.cal.resource import Resource
-from repro.il.module import ILKernel
+from repro.il.module import ILKernel, InputDecl, OutputDecl
 from repro.isa.program import ISAProgram
 
 
@@ -23,36 +23,33 @@ class Module:
     constants: dict[int, np.ndarray | float] = field(default_factory=dict)
 
     def bind_input(self, index: int, resource: Resource) -> None:
-        decl = next((d for d in self.kernel.inputs if d.index == index), None)
-        if decl is None:
-            raise BindingError(f"kernel declares no input {index}")
-        if resource.space is not decl.space:
-            raise BindingError(
-                f"input {index} expects {decl.space.value} memory, got "
-                f"{resource.space.value}"
-            )
-        if resource.dtype is not decl.dtype:
-            raise BindingError(
-                f"input {index} expects {decl.dtype.value}, got "
-                f"{resource.dtype.value}"
-            )
-        self.inputs[index] = resource
+        self._bind("input", self.kernel.input_decls, self.inputs, index, resource)
 
     def bind_output(self, index: int, resource: Resource) -> None:
-        decl = next((d for d in self.kernel.outputs if d.index == index), None)
+        self._bind("output", self.kernel.output_decls, self.outputs, index, resource)
+
+    @staticmethod
+    def _bind(
+        kind: str,
+        decls: dict[int, InputDecl] | dict[int, OutputDecl],
+        bound: dict[int, Resource],
+        index: int,
+        resource: Resource,
+    ) -> None:
+        decl = decls.get(index)
         if decl is None:
-            raise BindingError(f"kernel declares no output {index}")
+            raise BindingError(f"kernel declares no {kind} {index}")
         if resource.space is not decl.space:
             raise BindingError(
-                f"output {index} expects {decl.space.value} memory, got "
+                f"{kind} {index} expects {decl.space.value} memory, got "
                 f"{resource.space.value}"
             )
         if resource.dtype is not decl.dtype:
             raise BindingError(
-                f"output {index} expects {decl.dtype.value}, got "
+                f"{kind} {index} expects {decl.dtype.value}, got "
                 f"{resource.dtype.value}"
             )
-        self.outputs[index] = resource
+        bound[index] = resource
 
     def set_constant(self, index: int, value: np.ndarray | float) -> None:
         if index >= len(self.kernel.constants):
@@ -62,21 +59,17 @@ class Module:
     def validate_bindings(self, domain: tuple[int, int]) -> None:
         """Check all declarations are bound and extents cover the domain."""
         width, height = domain
-        for decl in self.kernel.inputs:
-            resource = self.inputs.get(decl.index)
-            if resource is None:
-                raise BindingError(f"input {decl.index} is not bound")
-            if resource.width < width or resource.height < height:
-                raise BindingError(
-                    f"input {decl.index} ({resource.width}x{resource.height}) "
-                    f"smaller than domain {width}x{height}"
-                )
-        for decl in self.kernel.outputs:
-            resource = self.outputs.get(decl.index)
-            if resource is None:
-                raise BindingError(f"output {decl.index} is not bound")
-            if resource.width < width or resource.height < height:
-                raise BindingError(
-                    f"output {decl.index} ({resource.width}x{resource.height}) "
-                    f"smaller than domain {width}x{height}"
-                )
+        for kind, decls, bound in (
+            ("input", self.kernel.inputs, self.inputs),
+            ("output", self.kernel.outputs, self.outputs),
+        ):
+            for decl in decls:
+                resource = bound.get(decl.index)
+                if resource is None:
+                    raise BindingError(f"{kind} {decl.index} is not bound")
+                if resource.width < width or resource.height < height:
+                    raise BindingError(
+                        f"{kind} {decl.index} ({resource.width}x"
+                        f"{resource.height}) smaller than domain "
+                        f"{width}x{height}"
+                    )

@@ -8,6 +8,7 @@ passed to :func:`repro.compiler.compile_kernel` and to the CAL runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator
 
 from repro.il.instructions import (
@@ -81,6 +82,16 @@ class ILKernel:
     @property
     def num_outputs(self) -> int:
         return len(self.outputs)
+
+    @cached_property  # binding a launch looks up one per stream
+    def input_decls(self) -> dict[int, InputDecl]:
+        """The input declarations by index (the first, should one repeat)."""
+        return {decl.index: decl for decl in reversed(self.inputs)}
+
+    @cached_property
+    def output_decls(self) -> dict[int, OutputDecl]:
+        """The output declarations by index (the first, should one repeat)."""
+        return {decl.index: decl for decl in reversed(self.outputs)}
 
     def instructions(self) -> Iterator[ILInstruction]:
         return iter(self.body)

@@ -17,14 +17,9 @@ class DataType(enum.Enum):
     FLOAT2 = "float2"
     FLOAT4 = "float4"
 
-    @property
-    def components(self) -> int:
-        return {"float": 1, "float2": 2, "float4": 4}[self.value]
-
-    @property
-    def bytes(self) -> int:
-        """Size of one element in bytes (32-bit components)."""
-        return 4 * self.components
+    #: 32-bit components per element, and the element's size in bytes.
+    components: int
+    bytes: int
 
     @classmethod
     def from_name(cls, name: str) -> "DataType":
@@ -47,9 +42,8 @@ class ShaderMode(enum.Enum):
     PIXEL = "pixel"
     COMPUTE = "compute"
 
-    @property
-    def il_prefix(self) -> str:
-        return {"pixel": "il_ps_2_0", "compute": "il_cs_2_0"}[self.value]
+    #: the IL program header, e.g. ``il_ps_2_0``.
+    il_prefix: str
 
     @classmethod
     def from_name(cls, name: str) -> "ShaderMode":
@@ -60,6 +54,15 @@ class ShaderMode(enum.Enum):
             if member.value == normalized:
                 return member
         raise ValueError(f"unknown shader mode {name!r}")
+
+
+# Plain member attributes, like ``RegisterFile._code``: stream allocation
+# and the cost model read sizes per launch, an enum property per call.
+for _member, _components in zip(DataType, (1, 2, 4)):
+    _member.components = _components
+    _member.bytes = 4 * _components
+ShaderMode.PIXEL.il_prefix = "il_ps_2_0"
+ShaderMode.COMPUTE.il_prefix = "il_cs_2_0"
 
 
 class MemorySpace(enum.Enum):

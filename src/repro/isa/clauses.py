@@ -224,7 +224,7 @@ class TEXClause(Clause):
     def count(self) -> int:
         return len(self.fetches)
 
-    @property
+    @functools.cached_property  # read by every launch of the program
     def space(self) -> MemorySpace:
         spaces = {f.space for f in self.fetches}
         if len(spaces) != 1:

@@ -17,7 +17,8 @@ dependency.
 Because :data:`~repro.jobs.units.CODE_SALT` participates in the key
 and stamps every line, an edit to any salted source file makes old
 entries unreachable rather than wrong; ``gc`` rewrites the log without them and
-deletes the one-blob-per-record ``objects/`` tree of older caches.
+deletes what older caches left: the one-blob-per-record ``objects/``
+tree and the run ledger ``ledger.jsonl``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class CacheStats:
 
     entries: int = 0  #: distinct keys with a fresh record
     bytes: int = 0
-    stale: int = 0  #: log lines ``gc`` would drop, plus legacy blobs
+    stale: int = 0  #: log lines ``gc`` would drop, plus legacy entries
     hits: int = 0
     misses: int = 0
     puts: int = 0
@@ -78,8 +79,10 @@ class ResultCache:
         self.log = RunLedger(self.root / "records.jsonl")
         self.log_path = self.log.path
         self.index_path = self.root / "index.json"
-        #: the pre-log layout: one blob per record, read by nothing.
+        #: what older versions left, read by nothing: one blob per
+        #: record, and the run ledger (a second log of finished units).
         self.legacy_dir = self.root / "objects"
+        self.legacy_ledger = self.root / "ledger.jsonl"
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -114,7 +117,7 @@ class ResultCache:
         stats = CacheStats(
             entries=len(latest),
             bytes=self.log_path.stat().st_size if latest or dropped else 0,
-            stale=dropped + count_blobs(self.legacy_dir),
+            stale=dropped + self._legacy(reap=False),
             hits=self.hits,
             misses=self.misses,
             puts=self.puts,
@@ -139,10 +142,10 @@ class ResultCache:
         return self.index_path
 
     def gc(self) -> int:
-        """Keep the last fresh line per key and reap the legacy tree;
-        returns the lines and blobs dropped.  Lines a run appends while
-        the log is rewritten are lost, so run it between runs."""
-        removed = compact(self.log_path) + reap_tree(self.legacy_dir)
+        """Keep the last fresh line per key and reap the legacy entries;
+        returns how many were dropped.  Lines a run appends while the
+        log is rewritten are lost, so run it between runs."""
+        removed = compact(self.log_path) + self._legacy(reap=True)
         self._records = None
         if self.index_path.exists():
             self.write_index()
@@ -154,4 +157,13 @@ class ResultCache:
         self.log_path.unlink(missing_ok=True)
         self.index_path.unlink(missing_ok=True)
         self._records = None
-        return len(latest) + dropped + reap_tree(self.legacy_dir)
+        return len(latest) + dropped + self._legacy(reap=True)
+
+    def _legacy(self, reap: bool) -> int:
+        """The blobs and ledger lines older versions left; ``reap``
+        deletes them."""
+        latest, dropped = scan_lines(self.legacy_ledger)
+        if reap:
+            self.legacy_ledger.unlink(missing_ok=True)
+            return reap_tree(self.legacy_dir) + len(latest) + dropped
+        return count_blobs(self.legacy_dir) + len(latest) + dropped

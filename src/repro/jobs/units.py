@@ -133,8 +133,22 @@ def build_kernels(units: Iterable[WorkUnit]) -> None:
 
 
 def gpu_fingerprint(gpu: GPUSpec) -> str:
-    """Hash of the full spec ``repr`` — any parameter change moves it."""
-    return hashlib.sha256(repr(gpu).encode()).hexdigest()[:12]
+    """Hash of the full spec ``repr`` (any parameter change moves it),
+    memoized on the frozen spec."""
+    fingerprint = gpu.__dict__.get("_fingerprint")
+    if fingerprint is None:
+        fingerprint = hashlib.sha256(repr(gpu).encode()).hexdigest()[:12]
+        object.__setattr__(gpu, "_fingerprint", fingerprint)
+    return fingerprint
+
+
+def sim_hash(sim: SimConfig) -> str:
+    """:func:`repro.telemetry.config_hash` of ``sim``, memoized on it."""
+    digest = sim.__dict__.get("_config_hash")
+    if digest is None:
+        digest = config_hash(sim)
+        object.__setattr__(sim, "_config_hash", digest)
+    return digest
 
 
 def cache_key(unit: WorkUnit) -> str:
@@ -149,7 +163,7 @@ def cache_key(unit: WorkUnit) -> str:
         "recipe": repr(unit.recipe),
         "gpu": unit.gpu.chip,
         "gpu_fingerprint": gpu_fingerprint(unit.gpu),
-        "sim": config_hash(unit.sim),
+        "sim": sim_hash(unit.sim),
         "domain": list(unit.domain),
         "block": list(unit.block),
         "iterations": unit.iterations,

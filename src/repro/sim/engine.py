@@ -60,6 +60,8 @@ def _record_metrics(result: "LaunchResult", resident: int) -> None:
     registry = telemetry.metrics()
     counters = result.counters
     registry.counter("sim.launches").inc()
+    clauses = len(result.program.clauses)  # one cost per ISA clause
+    registry.counter("sim.events").inc(counters.wavefronts_simulated * clauses)
     registry.counter("sim.bottleneck", bound=counters.bottleneck().value).inc()
     registry.counter("sim.wavefronts_total").inc(counters.wavefronts_total)
     registry.histogram("sim.makespan_cycles").observe(result.cycles)

@@ -27,20 +27,25 @@ class MemoryPaths:
 
     @classmethod
     def for_gpu(cls, gpu: GPUSpec) -> "MemoryPaths":
-        mem = gpu.memory
-        return cls(
-            texture_fill_bpc=gpu.per_simd_bytes_per_cycle(
-                mem.path_bandwidth(mem.texture_fill_efficiency)
-            ),
-            global_read_bpc=gpu.per_simd_bytes_per_cycle(
-                mem.path_bandwidth(mem.global_read_efficiency)
-            ),
-            global_write_bpc=gpu.per_simd_bytes_per_cycle(
-                mem.path_bandwidth(mem.global_write_efficiency)
-            ),
-            global_latency=float(mem.global_latency_cycles),
-            export_latency=float(gpu.export_latency_cycles),
-        )
+        """The chip's paths, memoized on the frozen spec."""
+        paths = gpu.__dict__.get("_memory_paths")
+        if paths is None:
+            bpc, mem = gpu.per_simd_bytes_per_cycle, gpu.memory
+            paths = cls(
+                texture_fill_bpc=bpc(
+                    mem.path_bandwidth(mem.texture_fill_efficiency)
+                ),
+                global_read_bpc=bpc(
+                    mem.path_bandwidth(mem.global_read_efficiency)
+                ),
+                global_write_bpc=bpc(
+                    mem.path_bandwidth(mem.global_write_efficiency)
+                ),
+                global_latency=float(mem.global_latency_cycles),
+                export_latency=float(gpu.export_latency_cycles),
+            )
+            object.__setattr__(gpu, "_memory_paths", paths)
+        return paths
 
 
 def concurrency_utilization(resident_wavefronts: int, sim: SimConfig) -> float:

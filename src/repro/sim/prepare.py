@@ -16,9 +16,7 @@ from repro.arch.specs import GPUSpec
 from repro.il.types import ShaderMode
 from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, SimConfig
-from repro.sim.memory import MemoryPaths
 from repro.sim.rasterizer import (
-    AccessPattern,
     access_pattern,
     total_wavefronts,
     wavefronts_per_simd,
@@ -35,11 +33,9 @@ class SimulationError(ValueError):
 class PreparedLaunch:
     """Everything the event model needs to execute one launch."""
 
-    pattern: AccessPattern
     total_wavefronts: int
     wavefronts_per_simd: int
     resident_wavefronts: int
-    paths: MemoryPaths
     wavefront_program: WavefrontProgram
 
 
@@ -64,19 +60,15 @@ def prepare_launch(
         raise SimulationError(
             f"{gpu.chip} does not support compute shader mode (paper §IV)"
         )
-    pattern = access_pattern(launch, sim)
     total = total_wavefronts(launch)
     on_simd = wavefronts_per_simd(launch, gpu.num_simds)
     resident = resident_wavefronts(program, gpu, on_simd, sim)
-    paths = MemoryPaths.for_gpu(gpu)
     wf_program = build_wavefront_program(
-        program, gpu, pattern, resident, sim, paths
+        program, gpu, access_pattern(launch, sim), resident, sim
     )
     return PreparedLaunch(
-        pattern=pattern,
         total_wavefronts=total,
         wavefronts_per_simd=on_simd,
         resident_wavefronts=resident,
-        paths=paths,
         wavefront_program=wf_program,
     )

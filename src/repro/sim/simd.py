@@ -19,7 +19,7 @@ record list to get them.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from dataclasses import dataclass
 
 from repro.sim.config import SimConfig
@@ -90,6 +90,11 @@ def simulate_simd(
     return SIMDResult(makespan_total, busy_total, window, total)
 
 
+#: the resources in the loop's index order, and each one's index.
+_RESOURCES = tuple(Resource)
+_INDEX = {resource: index for index, resource in enumerate(_RESOURCES)}
+
+
 def _run_event_loop(
     program: WavefrontProgram,
     resident: int,
@@ -107,69 +112,62 @@ def _run_event_loop(
     if not clauses:
         raise ValueError("wavefront program has no clauses")
 
-    # Resource state is integer-indexed inside the loop: ~1e5 events per
-    # launch each touch it four times, and ``Enum.__hash__`` is a
-    # Python-level call that dominated the loop's profile when the state
-    # lived in enum-keyed dicts.  The arithmetic and its order are
-    # unchanged, so results are bit-identical.
-    members = list(Resource)
-    index_of = {r: i for i, r in enumerate(members)}
-    busy_by_index = [0.0] * len(members)
-    free_by_index = [0.0] * len(members)
-    #: (resource index, occupancy, latency) per clause, resolved once.
-    steps = [
-        (index_of[c.resource], c.occupancy, c.latency) for c in clauses
-    ]
+    # ~1e6 events per sweep: the state is flat lists indexed by int (per
+    # clause and per resource), so no event hashes an enum.
+    resource_of = [_INDEX[c.resource] for c in clauses]
+    occupancy_of = [c.occupancy for c in clauses]
+    latency_of = [c.latency for c in clauses]
+    busy = [0.0] * len(_RESOURCES)
+    free = [0.0] * len(_RESOURCES)
     last = len(clauses) - 1
     completions: list[float] = []
+    complete = completions.append
     if record is not None:
         from repro.sim.trace import TraceEvent
 
+    # One (ready_time, admission_order) entry per resident wavefront,
+    # kept sorted; ``cursor`` holds each one's next clause.  Keys are
+    # unique, so the front is the entry a binary heap would pop, and every
+    # float is added in the reference order (DESIGN.md §4).
     initial = min(resident, count)
-    # heap entries: (ready_time, admission_order, clause_index).  Each
-    # wavefront has exactly one entry, so keys are unique and the pop
-    # order depends only on the heap's contents: replacing the popped
-    # entry with its successor in one ``heapreplace`` pops in the same
-    # order as a pop followed by a push.
-    heap: list[tuple[float, int, int]] = [
-        (0.0, index, 0) for index in range(initial)
-    ]
-    heapq.heapify(heap)
+    queue = [(0.0, order) for order in range(initial)]
+    cursor = [0] * count
     admitted = initial
-    heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
+    pop = queue.pop
+    insort = bisect.insort
 
-    while heap:
-        ready, order, clause_index = heap[0]
-        r_index, occupancy, latency = steps[clause_index]
-        free = free_by_index[r_index]
-        start = ready if ready >= free else free
+    while queue:
+        ready, order = pop(0)
+        index = cursor[order]
+        r = resource_of[index]
+        start = free[r]
+        if ready > start:
+            start = ready
+        occupancy = occupancy_of[index]
         end = start + occupancy
-        free_by_index[r_index] = end
-        busy_by_index[r_index] += occupancy
-        next_ready = end + latency
+        free[r] = end
+        busy[r] += occupancy
+        next_ready = end + latency_of[index]
         if record is not None:
             record.append(
                 TraceEvent(
                     wavefront=order,
-                    clause_index=clause_index,
-                    resource=clauses[clause_index].resource,
+                    clause_index=index,
+                    resource=_RESOURCES[r],
                     ready=ready,
                     start=start,
                     end=end,
                     next_ready=next_ready,
                 )
             )
-        if clause_index < last:
-            heapreplace(heap, (next_ready, order, clause_index + 1))
+        if index < last:
+            cursor[order] = index + 1
+            insort(queue, (next_ready, order))
         else:
-            completions.append(next_ready)
+            complete(next_ready)
             if admitted < count:
-                heapreplace(heap, (next_ready, admitted, 0))
+                insort(queue, (next_ready, admitted))
                 admitted += 1
-            else:
-                heappop(heap)
 
     completions.sort()
-    busy = {r: busy_by_index[index_of[r]] for r in members}
-    return completions[-1], busy, completions
+    return completions[-1], dict(zip(_RESOURCES, busy)), completions

@@ -66,12 +66,16 @@ def build_wavefront_program(
     sim: SimConfig,
     paths: MemoryPaths | None = None,
 ) -> WavefrontProgram:
-    """Cost every clause of ``program`` for one wavefront."""
+    """Cost every clause of ``program`` for one wavefront; each cost per
+    fetch or store is computed once, when a clause first needs it."""
     paths = paths or MemoryPaths.for_gpu(gpu)
     dtype = program.dtype
     num_inputs = max(1, program.kernel.num_inputs)
+    texture, color = MemorySpace.TEXTURE, MemorySpace.COLOR_BUFFER
 
     tex_model: TextureFetchCost | None = None
+    read: float | None = None
+    store_costs: dict[bool, float] = {}
     costs: list[ClauseCost] = []
 
     alu_scale = 1.0
@@ -83,7 +87,7 @@ def build_wavefront_program(
 
     for clause in program.clauses:
         if isinstance(clause, TEXClause):
-            if clause.space is MemorySpace.TEXTURE:
+            if clause.space is texture:
                 if tex_model is None:
                     tex_model = texture_cost(
                         gpu,
@@ -97,9 +101,11 @@ def build_wavefront_program(
                 per_fetch = tex_model.occupancy_cycles
                 latency = tex_model.latency_cycles
             else:
-                per_fetch = global_read_cost(
-                    gpu, dtype, paths, resident_wavefronts, sim
-                )
+                if read is None:
+                    read = global_read_cost(
+                        gpu, dtype, paths, resident_wavefronts, sim
+                    )
+                per_fetch = read
                 latency = paths.global_latency
             costs.append(
                 ClauseCost(
@@ -123,14 +129,13 @@ def build_wavefront_program(
         elif isinstance(clause, ExportClause):
             total = 0.0
             for store in clause.stores:
-                if store.space is MemorySpace.COLOR_BUFFER:
-                    total += burst_export_cost(
+                burst = store.space is color
+                if burst not in store_costs:
+                    cost = burst_export_cost if burst else global_write_cost
+                    store_costs[burst] = cost(
                         gpu, dtype, paths, resident_wavefronts, sim
                     )
-                else:
-                    total += global_write_cost(
-                        gpu, dtype, paths, resident_wavefronts, sim
-                    )
+                total += store_costs[burst]
             costs.append(
                 ClauseCost(
                     resource=Resource.EXPORT,

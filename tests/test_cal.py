@@ -68,6 +68,31 @@ class TestContextAllocation:
         with pytest.raises(ValueError, match="belong"):
             ctx.free(resource)
 
+    def test_free_one_of_two_equal_resources_holding_data(self):
+        # Equal extents and contents, but two allocations: freeing one
+        # must not compare their arrays.
+        ctx = Device(RV770).create_context()
+        c = ctx.alloc_2d(4, 4, DataType.FLOAT)
+        d = ctx.alloc_2d(4, 4, DataType.FLOAT)
+        c.upload(np.ones((4, 4)))
+        d.upload(np.ones((4, 4)))
+        ctx.free(d)
+        assert d.freed and not c.freed
+        assert ctx.allocated_bytes == c.nbytes
+
+    def test_double_free_of_a_lookalike_rejected(self):
+        # Freeing d twice must not free its same-shape twin c instead,
+        # which would undercount the memory c still holds.
+        ctx = Device(RV770).create_context()
+        c = ctx.alloc_2d(4, 4, DataType.FLOAT)
+        d = ctx.alloc_2d(4, 4, DataType.FLOAT)
+        ctx.free(d)
+        with pytest.raises(ValueError, match="belong"):
+            ctx.free(d)
+        assert ctx.allocated_bytes == c.nbytes == 64
+        ctx.free(c)
+        assert ctx.allocated_bytes == 0
+
     def test_upload_download_roundtrip(self):
         ctx = Device(RV770).create_context()
         resource = ctx.alloc_2d(8, 8, DataType.FLOAT)

@@ -39,44 +39,44 @@ BASE_OPTIONS = CompileOptions()
 
 class TestCacheKey:
     def test_deterministic(self):
-        il = cached_il_text(kernel_n())
-        a = compile_cache_key(il, BASE_OPTIONS)
-        b = compile_cache_key(il, BASE_OPTIONS)
+        kernel = kernel_n()
+        a = compile_cache_key(kernel, BASE_OPTIONS)
+        b = compile_cache_key(kernel_n(), BASE_OPTIONS)
         assert a == b
         assert len(a) == 40
 
     def test_il_text_changes_key(self):
-        a = compile_cache_key(cached_il_text(kernel_n(8)), BASE_OPTIONS)
-        b = compile_cache_key(cached_il_text(kernel_n(12)), BASE_OPTIONS)
+        a = compile_cache_key(kernel_n(8), BASE_OPTIONS)
+        b = compile_cache_key(kernel_n(12), BASE_OPTIONS)
         assert a != b
 
     def test_key_is_the_compilers_input_not_the_gpu(self):
         # compile_kernel reads only the clause limits from the GPU, so
         # chips with equal limits share one key; the limits themselves
         # are the key's GPU-facing part.
-        il = cached_il_text(kernel_n())
+        kernel = kernel_n()
         assert CompileOptions.for_gpu(RV770) == CompileOptions.for_gpu(RV670)
         assert compile_cache_key(
-            il, CompileOptions.for_gpu(RV770)
-        ) == compile_cache_key(il, CompileOptions.for_gpu(RV670))
+            kernel, CompileOptions.for_gpu(RV770)
+        ) == compile_cache_key(kernel, CompileOptions.for_gpu(RV670))
         tight = CompileOptions(max_tex_per_clause=4)
-        assert compile_cache_key(il, BASE_OPTIONS) != (
-            compile_cache_key(il, tight)
+        assert compile_cache_key(kernel, BASE_OPTIONS) != (
+            compile_cache_key(kernel, tight)
         )
 
     def test_clause_options_change_key(self):
-        il = cached_il_text(kernel_n())
+        kernel = kernel_n()
         small = CompileOptions(max_alu_per_clause=16)
-        assert compile_cache_key(il, BASE_OPTIONS) != (
-            compile_cache_key(il, small)
+        assert compile_cache_key(kernel, BASE_OPTIONS) != (
+            compile_cache_key(kernel, small)
         )
 
     def test_code_salt_changes_key(self, monkeypatch):
         # A new code salt must orphan every cached program.
-        il = cached_il_text(kernel_n())
-        before = compile_cache_key(il, BASE_OPTIONS)
+        kernel = kernel_n()
+        before = compile_cache_key(kernel, BASE_OPTIONS)
         monkeypatch.setattr(cache_mod, "CODE_SALT", "other-salt")
-        assert compile_cache_key(il, BASE_OPTIONS) != before
+        assert compile_cache_key(kernel, BASE_OPTIONS) != before
 
 
 class TestMemoryTier:
@@ -208,7 +208,7 @@ class TestDiskTier:
     def test_a_line_appended_after_the_first_scan_is_found(self, tmp_path):
         kernel = kernel_n()
         program = compile_kernel(kernel, RV770)
-        key = compile_cache_key(cached_il_text(kernel), BASE_OPTIONS)
+        key = compile_cache_key(kernel, BASE_OPTIONS)
         store = ProgramStore(tmp_path)
         store.save("0" * 40, program)
         assert store.load(key) is None  # indexed the log as it was
@@ -243,7 +243,7 @@ class TestDiskTier:
     def test_saving_a_rendered_kernel_renders_no_il(self, tmp_path, monkeypatch):
         kernel = kernel_n()
         program = compile_kernel(kernel, RV770)
-        key = compile_cache_key(cached_il_text(kernel), BASE_OPTIONS)
+        key = compile_cache_key(kernel, BASE_OPTIONS)
         calls = []
 
         def counting(k):

@@ -192,6 +192,40 @@ class TestCacheKey:
         monkeypatch.setattr(units_mod, "CODE_SALT", "other-salt")
         assert cache_key(make_unit()) != before
 
+    def test_memoized_key_parts_equal_fresh_computations(self):
+        # The GPU fingerprint, the config hash and the IL digest are
+        # memoized on their frozen instances; each memo must hold what a
+        # fresh computation gives, and a unit over fresh, unmemoized
+        # copies must get the same key.
+        from repro.compiler.cache import compile_cache_key
+        from repro.compiler.pipeline import CompileOptions
+        from repro.il.text import emit_il
+        from repro.telemetry import config_hash
+
+        unit = make_unit()
+        kernel = unit.recipe.build()
+        options = CompileOptions.for_gpu(unit.gpu)
+        key, compile_key = cache_key(unit), compile_cache_key(kernel, options)
+        assert units_mod.gpu_fingerprint(unit.gpu) == (
+            hashlib.sha256(repr(unit.gpu).encode()).hexdigest()[:12]
+        )
+        assert unit.gpu.__dict__["_fingerprint"] == (
+            units_mod.gpu_fingerprint(dataclasses.replace(unit.gpu))
+        )
+        assert units_mod.sim_hash(unit.sim) == config_hash(unit.sim)
+        assert unit.sim.__dict__["_config_hash"] == config_hash(unit.sim)
+        assert kernel.__dict__["_il_digest"] == (
+            hashlib.sha256(emit_il(kernel).encode()).hexdigest()
+        )
+        fresh = dataclasses.replace(
+            unit,
+            gpu=dataclasses.replace(unit.gpu),
+            sim=dataclasses.replace(unit.sim),
+        )
+        assert "_fingerprint" not in fresh.gpu.__dict__
+        assert cache_key(fresh) == key
+        assert compile_cache_key(unit.recipe.build(), options) == compile_key
+
     def test_simconfig_holds_model_parameters_only(self):
         # config_hash keys only compared scalar fields, so a field outside
         # that set would split one cache entry from the number it holds.
@@ -423,6 +457,24 @@ class TestCacheRoundTrip:
         assert cache.clear() == 2
         assert not (tmp_path / "objects").exists()
         assert cache.stats().entries == 0
+
+    def test_a_legacy_ledger_is_stale_and_reaped(self, tmp_path):
+        # Older versions also logged every pool unit to a run ledger.
+        cache = ResultCache(tmp_path)
+        record = record_point(run_payload(make_unit()))
+        cache.put("a" * 40, record)
+        ledger = tmp_path / "ledger.jsonl"
+        line = json.dumps(dict(key="f" * 40, version=CODE_SALT, record=record))
+        ledger.write_text(f"{line}\n{line}\n")
+        stats = cache.stats()
+        assert stats.entries == 1 and stats.stale == 2
+        assert cache.gc() == 2
+        assert not ledger.exists()
+        assert cache.get("a" * 40) == record
+
+        ledger.write_text(f"{line}\n")
+        assert cache.clear() == 2
+        assert not ledger.exists()
 
 
 class TestLedger:
@@ -680,8 +732,7 @@ class TestBatching:
         from repro.compiler.pipeline import CompileOptions
 
         return compile_cache_key(
-            cached_il_text(unit.recipe.build()),
-            CompileOptions.for_gpu(unit.gpu),
+            unit.recipe.build(), CompileOptions.for_gpu(unit.gpu)
         )
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 16])

@@ -303,6 +303,34 @@ class TestInstrumentationIntegration:
         assert registry.get("verify.errors").value == 0
         assert registry.get("verify.warnings").value == 0
 
+    def test_simulated_events_are_counted(self):
+        # One event per clause execution: on a launch small enough to
+        # simulate every wavefront, the count equals the number of
+        # events a trace of the whole launch records.
+        from repro.arch import RV770
+        from repro.compiler import compile_kernel
+        from repro.kernels import KernelParams, generate_generic
+        from repro.sim.trace import trace_launch
+
+        kernel = generate_generic(KernelParams(inputs=4, alu_fetch_ratio=2.0))
+        program = compile_kernel(kernel, RV770)
+        launch = LaunchConfig(domain=(128, 128), iterations=10)
+        with telemetry.recording():
+            result = simulate_launch(program, RV770, launch)
+            events = telemetry.metrics().get("sim.events").value
+        counters = result.counters
+        # every wavefront of the busiest SIMD, none extrapolated
+        assert counters.wavefronts_simulated == -(
+            -counters.wavefronts_total // RV770.num_simds
+        )
+        trace = trace_launch(
+            program, RV770, launch,
+            max_wavefronts=counters.wavefronts_simulated,
+        )
+        assert events == len(trace) == (
+            counters.wavefronts_simulated * len(program.clauses)
+        )
+
     def test_launch_summary_reports_bound_and_per_iteration(self):
         from repro.compiler import compile_kernel
         from repro.kernels import KernelParams, generate_generic
