@@ -29,6 +29,8 @@ _RESOURCE_TO_BOUND = {
     Resource.EXPORT: Bound.WRITE,
 }
 
+_RESOURCES = tuple(Resource)
+
 #: a resource is considered saturated above this utilization.
 SATURATION_THRESHOLD = 0.70
 
@@ -59,7 +61,7 @@ class Counters:
         the regime the register-usage benchmark escapes by lowering GPR
         pressure).
         """
-        busiest = max(Resource, key=self.utilization)
+        busiest = max(_RESOURCES, key=self.utilization)
         if self.utilization(busiest) >= SATURATION_THRESHOLD:
             return _RESOURCE_TO_BOUND[busiest]
         return Bound.LATENCY
