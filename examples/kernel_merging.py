@@ -6,14 +6,16 @@ kernel level and the application level, for instance, code optimizations,
 kernel merging and application merging to increase overall performance."
 
 This example merges an ALU-bound kernel with a fetch-bound kernel and
-measures the combined speedup, then runs the model-guided tuners: block
-size (which 2-D decomposition suits each chip), register pressure (the
-Figure 16 sweet spot) and the dynamic ALU:Fetch balance point.
+measures the combined speedup, then runs the tuners: block size (which
+2-D decomposition suits each chip), register pressure (the Figure 16
+sweet spot) and the dynamic ALU:Fetch balance point.  Each search is a
+list of kernel-recipe work units run through the jobs engine.
 
 Run:  python examples/kernel_merging.py
 """
 
 from repro import DataType, KernelParams, ShaderMode, generate_generic
+from repro.kernels import KernelRecipe
 from repro.analysis import (
     balance_alu_fetch,
     tune_block_size,
@@ -42,16 +44,17 @@ def merging_demo() -> None:
 
 def block_tuning_demo() -> None:
     print("=== block-size tuning (compute mode, fetch-heavy float4) ===")
-    kernel = generate_generic(
+    recipe = KernelRecipe(
+        "generic",
         KernelParams(
             inputs=16,
             alu_fetch_ratio=0.5,
             dtype=DataType.FLOAT4,
             mode=ShaderMode.COMPUTE,
-        )
+        ),
     )
     for gpu in (RV770, RV870):
-        result = tune_block_size(kernel, gpu)
+        result = tune_block_size(recipe, gpu)
         print(f"  {gpu.chip}: {result.summary()}")
         for trial in result.trials:
             print(

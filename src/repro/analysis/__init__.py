@@ -9,10 +9,6 @@ paper-vs-measured comparisons with numbers rather than eyeballs.
 
 from repro.analysis.knees import KneeAnalysis, find_knee
 from repro.analysis.fits import LinearFit, linear_fit, slope_ratio
-from repro.analysis.bottleneck import (
-    bound_transitions,
-    dominant_bound,
-)
 from repro.analysis.model import PredictedTime, predict_launch_seconds
 from repro.analysis.optimizer import (
     CANDIDATE_BLOCKS,
@@ -28,8 +24,6 @@ __all__ = [
     "KneeAnalysis",
     "LinearFit",
     "PredictedTime",
-    "bound_transitions",
-    "dominant_bound",
     "find_knee",
     "linear_fit",
     "Trial",

@@ -5,8 +5,8 @@ exactly; this module provides the paper-style *model*: steady-state kernel
 time is the busiest of the three per-wavefront resource occupancies, or
 the serial clause span divided by the resident count when too few
 wavefronts hide the latencies.  The prediction matches the event
-simulation closely in both regimes (validated by tests) and is cheap
-enough to embed in optimization searches.
+simulation closely in both regimes (validated by tests); it reads the
+prepared launch only and runs no event loop.
 """
 
 from __future__ import annotations
@@ -16,14 +16,8 @@ from dataclasses import dataclass
 from repro.arch.specs import GPUSpec
 from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, SimConfig
-from repro.sim.counters import Bound, Resource
+from repro.sim.counters import RESOURCE_TO_BOUND, Bound, Resource
 from repro.sim.prepare import prepare_launch
-
-_RESOURCE_TO_BOUND = {
-    Resource.ALU: Bound.ALU,
-    Resource.TEX: Bound.FETCH,
-    Resource.EXPORT: Bound.WRITE,
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,7 @@ def predict_launch_seconds(
 
     if throughput_bound >= latency_bound:
         cycles_per_wavefront = throughput_bound
-        bound = _RESOURCE_TO_BOUND[busiest]
+        bound = RESOURCE_TO_BOUND[busiest]
     else:
         cycles_per_wavefront = latency_bound
         bound = Bound.LATENCY

@@ -1,4 +1,4 @@
-"""Model-guided parameter tuning.
+"""Parameter tuning on measured launches.
 
 The paper positions the suite as the measurement layer under automatic
 tuning: "The performance models described in this paper can be used to
@@ -14,21 +14,25 @@ knobs the paper's results expose:
 * :func:`balance_alu_fetch` — the smallest ALU:Fetch ratio that makes a
   kernel ALU-bound on a given chip (the dynamic "good ratio" that the
   static SKA band cannot provide).
+
+Every search point is a :class:`~repro.jobs.units.WorkUnit` run by a
+:class:`~repro.jobs.JobEngine`, so it is measured exactly as a figure
+point is: built from its kernel recipe, compiled, timed through CAL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from repro.arch.specs import GPUSpec
-from repro.compiler import compile_kernel
-from repro.il.module import ILKernel
 from repro.il.types import ShaderMode
-from repro.kernels import KernelParams, generate_generic, generate_register_usage
-from repro.sim.config import LaunchConfig, SimConfig
+from repro.kernels import KernelParams, KernelRecipe
+from repro.sim.config import PAPER_ITERATIONS, SimConfig
 from repro.sim.counters import Bound
-from repro.sim.engine import simulate_launch
+
+if TYPE_CHECKING:
+    from repro.jobs.scheduler import JobEngine
 
 #: block shapes holding one 64-thread wavefront, widest to tallest.
 CANDIDATE_BLOCKS: tuple[tuple[int, int], ...] = (
@@ -71,39 +75,53 @@ class TuningResult:
         )
 
 
-def _search(
-    settings,
-    evaluate: Callable[[object], tuple[float, Bound]],
-) -> TuningResult:
-    trials = []
-    for setting in settings:
-        seconds, bound = evaluate(setting)
-        trials.append(Trial(setting, seconds, bound))
-    best = min(trials, key=lambda t: t.seconds)
-    return TuningResult(best=best, trials=tuple(trials))
+def _measure(
+    points, gpu: GPUSpec, domain, sim, engine: "JobEngine | None" = None
+) -> list[dict]:
+    """Run each ``(recipe, block)`` search point as one work unit."""
+    from repro.jobs.scheduler import JobEngine
+    from repro.jobs.units import WorkUnit
+
+    units = [
+        WorkUnit(
+            figure=f"tune-{gpu.chip}",
+            series=recipe.generator,
+            value=index,
+            recipe=recipe,
+            gpu=gpu,
+            domain=domain,
+            block=block,
+            iterations=PAPER_ITERATIONS,
+            sim=sim if sim is not None else SimConfig(),
+        )
+        for index, (recipe, block) in enumerate(points)
+    ]
+    return (engine if engine is not None else JobEngine()).run(units)
+
+
+def _result(settings, records: list[dict]) -> TuningResult:
+    """Pair each search setting with its unit's record; fastest wins."""
+    trials = tuple(
+        Trial(setting, record["seconds"], Bound(record["bound"]))
+        for setting, record in zip(settings, records)
+    )
+    return TuningResult(
+        best=min(trials, key=lambda t: t.seconds), trials=trials
+    )
 
 
 def tune_block_size(
-    kernel: ILKernel,
+    recipe: KernelRecipe,
     gpu: GPUSpec,
     domain: tuple[int, int] = (1024, 1024),
     candidates=CANDIDATE_BLOCKS,
     sim: SimConfig | None = None,
 ) -> TuningResult:
     """Find the fastest compute-mode block decomposition for a kernel."""
-    if kernel.mode is not ShaderMode.COMPUTE:
+    if recipe.params.mode is not ShaderMode.COMPUTE:
         raise ValueError("block-size tuning applies to compute-mode kernels")
-    program = compile_kernel(kernel, gpu)
-    sim = sim or SimConfig()
-
-    def evaluate(block):
-        launch = LaunchConfig(
-            domain=domain, mode=ShaderMode.COMPUTE, block=block
-        )
-        result = simulate_launch(program, gpu, launch, sim)
-        return result.seconds, result.bottleneck
-
-    return _search(candidates, evaluate)
+    points = [(recipe, block) for block in candidates]
+    return _result(candidates, _measure(points, gpu, domain, sim))
 
 
 def tune_register_pressure(
@@ -119,18 +137,14 @@ def tune_register_pressure(
     The trial setting is ``(step, gpr_count)`` so callers can see both the
     knob and the register footprint it produced.
     """
-    sim = sim or SimConfig()
-    trials = []
-    for step in steps:
-        kernel = generate_register_usage(params.with_(step=step))
-        program = compile_kernel(kernel, gpu)
-        launch = LaunchConfig(domain=domain, mode=params.mode, block=block)
-        result = simulate_launch(program, gpu, launch, sim)
-        trials.append(
-            Trial((step, program.gpr_count), result.seconds, result.bottleneck)
-        )
-    best = min(trials, key=lambda t: t.seconds)
-    return TuningResult(best=best, trials=tuple(trials))
+    steps = tuple(steps)
+    points = [
+        (KernelRecipe("register_usage", params.with_(step=step)), block)
+        for step in steps
+    ]
+    records = _measure(points, gpu, domain, sim)
+    settings = [(step, record["gprs"]) for step, record in zip(steps, records)]
+    return _result(settings, records)
 
 
 def balance_alu_fetch(
@@ -146,15 +160,17 @@ def balance_alu_fetch(
 
     Binary search over the ratio; this is the *dynamic* balance point the
     paper measures with Figure 7 — it depends on data type, shader mode,
-    block shape and chip, unlike the SKA's static 0.98-1.09 band.
+    block shape and chip, unlike the SKA's static 0.98-1.09 band.  Each
+    probe is one work unit through the same engine.
     """
-    sim = sim or SimConfig()
-    launch = LaunchConfig(domain=domain, mode=params.mode, block=block)
+    from repro.jobs.scheduler import JobEngine
+
+    engine = JobEngine()
 
     def bound_at(ratio: float) -> Bound:
-        kernel = generate_generic(params.with_(alu_fetch_ratio=ratio))
-        program = compile_kernel(kernel, gpu)
-        return simulate_launch(program, gpu, launch, sim).bottleneck
+        recipe = KernelRecipe("generic", params.with_(alu_fetch_ratio=ratio))
+        record = _measure([(recipe, block)], gpu, domain, sim, engine)[0]
+        return Bound(record["bound"])
 
     low, high = tolerance, max_ratio
     if bound_at(high) is not Bound.ALU:

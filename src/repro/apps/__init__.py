@@ -12,30 +12,25 @@ optimization directions §IV spells out.
 """
 
 from repro.apps.matmul import (
-    MatmulAnalysis,
     analyze_matmul,
     matmul_pass_kernel,
     simulated_matmul,
 )
 from repro.apps.binomial import (
-    BinomialAnalysis,
     analyze_binomial,
     binomial_kernel,
     binomial_price_reference,
 )
 from repro.apps.montecarlo import (
-    MonteCarloAnalysis,
     analyze_montecarlo,
     montecarlo_kernel,
     montecarlo_pi_reference,
 )
-from repro.apps.advisor import Suggestion, advise
+from repro.apps.advisor import AppAnalysis, Suggestion, advise
 from repro.apps.merging import MergeError, MergeReport, merge_kernels, predict_merge
 
 __all__ = [
-    "BinomialAnalysis",
-    "MatmulAnalysis",
-    "MonteCarloAnalysis",
+    "AppAnalysis",
     "MergeError",
     "MergeReport",
     "Suggestion",

@@ -5,16 +5,49 @@ fetch-bound kernel wants more arithmetic per fetch or a better cache hit
 rate; an ALU-bound kernel has headroom for free fetches/outputs (kernel
 merging); a write-bound kernel can absorb ALU and fetch work; a
 latency-bound kernel needs more resident wavefronts (fewer GPRs).  This
-module encodes those rules so applications can ask for them directly.
+module encodes those rules so applications can ask for them directly;
+:func:`analyze_kernel` is the measurement every StreamSDK stand-in reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.specs import GPUSpec
+from repro.cal.device import Device
+from repro.cal.timing import time_kernel
+from repro.il.module import ILKernel
 from repro.il.types import ShaderMode
+from repro.sim.config import SimConfig
 from repro.sim.counters import Bound
 from repro.sim.engine import LaunchResult
+from repro.ska import SKAReport, analyze
+
+
+@dataclass(frozen=True)
+class AppAnalysis:
+    """Boundedness + static report of an application kernel on one GPU."""
+
+    gpu: str
+    seconds: float
+    bound: Bound
+    ska: SKAReport
+
+
+def analyze_kernel(
+    kernel: ILKernel,
+    gpu: GPUSpec,
+    domain: tuple[int, int] = (1024, 1024),
+    sim: SimConfig | None = None,
+) -> AppAnalysis:
+    """Time ``kernel`` through CAL on a chip and add its SKA report."""
+    event = time_kernel(Device(gpu), kernel, domain=domain, sim=sim)
+    return AppAnalysis(
+        gpu=gpu.chip,
+        seconds=event.seconds,
+        bound=event.bottleneck,
+        ska=analyze(event.result.program, gpu),
+    )
 
 
 @dataclass(frozen=True)

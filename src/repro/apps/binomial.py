@@ -16,20 +16,15 @@ kernel would produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.apps.advisor import AppAnalysis, analyze_kernel
 from repro.arch.specs import GPUSpec
-from repro.cal.device import Device
-from repro.cal.timing import time_kernel
 from repro.il.builder import ILBuilder
 from repro.il.module import ILKernel
 from repro.il.opcodes import ILOp
 from repro.il.types import DataType, ShaderMode
 from repro.sim.config import SimConfig
-from repro.sim.counters import Bound
-from repro.ska import SKAReport, analyze
 
 
 def binomial_kernel(
@@ -72,29 +67,14 @@ def binomial_kernel(
     )
 
 
-@dataclass(frozen=True)
-class BinomialAnalysis:
-    gpu: str
-    seconds: float
-    bound: Bound
-    ska: SKAReport
-
-
 def analyze_binomial(
     gpu: GPUSpec,
     steps: int = 16,
     domain: tuple[int, int] = (1024, 1024),
     sim: SimConfig | None = None,
-) -> BinomialAnalysis:
+) -> AppAnalysis:
     """Measure the binomial kernel on a simulated chip."""
-    kernel = binomial_kernel(steps=steps)
-    event = time_kernel(Device(gpu), kernel, domain=domain, sim=sim)
-    return BinomialAnalysis(
-        gpu=gpu.chip,
-        seconds=event.seconds,
-        bound=event.bottleneck,
-        ska=analyze(event.result.program, gpu),
-    )
+    return analyze_kernel(binomial_kernel(steps=steps), gpu, domain, sim)
 
 
 def binomial_price_reference(

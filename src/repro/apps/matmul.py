@@ -19,10 +19,9 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.apps.advisor import AppAnalysis, analyze_kernel
 from repro.arch.specs import GPUSpec
 from repro.cal.context import Context
 from repro.cal.device import Device
@@ -30,9 +29,6 @@ from repro.il.builder import ILBuilder
 from repro.il.module import ILKernel
 from repro.il.types import DataType, MemorySpace, ShaderMode
 from repro.sim.config import SimConfig
-from repro.sim.counters import Bound
-from repro.cal.timing import time_kernel
-from repro.ska import SKAReport, analyze
 
 
 def matmul_pass_kernel(
@@ -61,32 +57,16 @@ def matmul_pass_kernel(
     )
 
 
-@dataclass(frozen=True)
-class MatmulAnalysis:
-    """Boundedness + static report of the matmul kernel on one GPU."""
-
-    gpu: str
-    seconds: float
-    bound: Bound
-    ska: SKAReport
-
-
 def analyze_matmul(
     gpu: GPUSpec,
     unroll: int = 8,
     dtype: DataType = DataType.FLOAT,
     domain: tuple[int, int] = (1024, 1024),
     sim: SimConfig | None = None,
-) -> MatmulAnalysis:
+) -> AppAnalysis:
     """Measure the matmul pass kernel on a simulated chip."""
     kernel = matmul_pass_kernel(unroll=unroll, dtype=dtype)
-    event = time_kernel(Device(gpu), kernel, domain=domain, sim=sim)
-    return MatmulAnalysis(
-        gpu=gpu.chip,
-        seconds=event.seconds,
-        bound=event.bottleneck,
-        ska=analyze(event.result.program, gpu),
-    )
+    return analyze_kernel(kernel, gpu, domain, sim)
 
 
 def simulated_matmul(

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.specs import GPUSpec
-from repro.compiler import compile_kernel
+from repro.cal.device import Device
+from repro.cal.timing import time_kernel
 from repro.il.instructions import (
     ALUInstruction,
     ExportInstruction,
@@ -35,7 +36,7 @@ from repro.il.types import MemorySpace
 from repro.il.validate import validate_kernel
 from repro.sim.config import LaunchConfig, SimConfig
 from repro.sim.counters import Bound
-from repro.sim.engine import LaunchResult, simulate_launch
+from repro.sim.engine import LaunchResult
 
 
 class MergeError(ValueError):
@@ -217,19 +218,22 @@ def predict_merge(
     launch: LaunchConfig | None = None,
     sim: SimConfig | None = None,
 ) -> MergeReport:
-    """Simulate both kernels separately and merged on the same launch."""
+    """Time both kernels separately and merged through CAL, each in its
+    own shader mode, over ``launch``'s domain, block and iterations."""
     launch = launch or LaunchConfig()
-    sim = sim or SimConfig()
-    result_a = simulate_launch(compile_kernel(a, gpu), gpu, launch, sim)
-    result_b = simulate_launch(compile_kernel(b, gpu), gpu, launch, sim)
-    merged = merge_kernels(a, b)
-    result_m = simulate_launch(compile_kernel(merged, gpu), gpu, launch, sim)
+    device = Device(gpu)
+    a_event, b_event, merged_event = (
+        time_kernel(
+            device, kernel, launch.domain, launch.block, launch.iterations, sim
+        )
+        for kernel in (a, b, merge_kernels(a, b))
+    )
     return MergeReport(
-        seconds_a=result_a.seconds,
-        seconds_b=result_b.seconds,
-        seconds_merged=result_m.seconds,
-        bound_a=result_a.bottleneck,
-        bound_b=result_b.bottleneck,
-        bound_merged=result_m.bottleneck,
-        merged_result=result_m,
+        seconds_a=a_event.seconds,
+        seconds_b=b_event.seconds,
+        seconds_merged=merged_event.seconds,
+        bound_a=a_event.bottleneck,
+        bound_b=b_event.bottleneck,
+        bound_merged=merged_event.bottleneck,
+        merged_result=merged_event.result,
     )

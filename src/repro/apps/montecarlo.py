@@ -15,20 +15,15 @@ reference the example uses for actual numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.apps.advisor import AppAnalysis, analyze_kernel
 from repro.arch.specs import GPUSpec
-from repro.cal.device import Device
-from repro.cal.timing import time_kernel
 from repro.il.builder import ILBuilder
 from repro.il.module import ILKernel
 from repro.il.opcodes import ILOp
 from repro.il.types import DataType, MemorySpace, ShaderMode
 from repro.sim.config import SimConfig
-from repro.sim.counters import Bound
-from repro.ska import SKAReport, analyze
 
 
 def montecarlo_kernel(
@@ -75,30 +70,16 @@ def montecarlo_kernel(
     )
 
 
-@dataclass(frozen=True)
-class MonteCarloAnalysis:
-    gpu: str
-    seconds: float
-    bound: Bound
-    ska: SKAReport
-
-
 def analyze_montecarlo(
     gpu: GPUSpec,
     outputs: int = 4,
     batches: int = 2,
     domain: tuple[int, int] = (1024, 1024),
     sim: SimConfig | None = None,
-) -> MonteCarloAnalysis:
+) -> AppAnalysis:
     """Measure the Monte Carlo kernel on a simulated chip."""
     kernel = montecarlo_kernel(outputs=outputs, batches=batches)
-    event = time_kernel(Device(gpu), kernel, domain=domain, sim=sim)
-    return MonteCarloAnalysis(
-        gpu=gpu.chip,
-        seconds=event.seconds,
-        bound=event.bottleneck,
-        ska=analyze(event.result.program, gpu),
-    )
+    return analyze_kernel(kernel, gpu, domain, sim)
 
 
 def montecarlo_pi_reference(samples: int, seed: int = 2010) -> float:

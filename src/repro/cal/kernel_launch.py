@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from repro.cal.device import Device
 from repro.cal.errors import UnsupportedError
 from repro.cal.module import Module
-from repro.il.types import ShaderMode
 from repro.sim.config import LaunchConfig, SimConfig
 from repro.sim.engine import LaunchResult, SimulationError, simulate_launch
 from repro.sim.functional import execute_kernel
@@ -48,10 +47,6 @@ def launch_module(
     execute: bool = False,
 ) -> Event:
     """Validate bindings, simulate the launch, optionally execute numerics."""
-    if launch.mode is ShaderMode.COMPUTE and not device.supports(launch.mode):
-        raise UnsupportedError(
-            f"{device.spec.chip} does not support compute shader mode"
-        )
     module.validate_bindings(launch.domain)
 
     try:

@@ -217,13 +217,8 @@ class ProgramStore:
 class CompileCache:
     """Two-tier compile cache; one instance per run or pool batch."""
 
-    def __init__(
-        self,
-        store: ProgramStore | None = None,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    def __init__(self, store: ProgramStore | None = None) -> None:
         self.store = store
-        self.capacity = capacity
         self._memory: OrderedDict[str, "ISAProgram"] = OrderedDict()
         # Session traffic, mirrored into telemetry counters when enabled.
         self.memory_hits = 0
@@ -289,7 +284,7 @@ class CompileCache:
     def _remember(self, key: str, program: "ISAProgram") -> None:
         self._memory[key] = program
         self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
+        while len(self._memory) > DEFAULT_CAPACITY:
             self._memory.popitem(last=False)
 
     @staticmethod

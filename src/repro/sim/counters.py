@@ -23,7 +23,8 @@ class Bound(enum.Enum):
     LATENCY = "latency"  #: no resource saturated; stalls dominate
 
 
-_RESOURCE_TO_BOUND = {
+#: the bound a saturated resource gives a kernel.
+RESOURCE_TO_BOUND = {
     Resource.ALU: Bound.ALU,
     Resource.TEX: Bound.FETCH,
     Resource.EXPORT: Bound.WRITE,
@@ -63,7 +64,7 @@ class Counters:
         """
         busiest = max(_RESOURCES, key=self.utilization)
         if self.utilization(busiest) >= SATURATION_THRESHOLD:
-            return _RESOURCE_TO_BOUND[busiest]
+            return RESOURCE_TO_BOUND[busiest]
         return Bound.LATENCY
 
     def summary(self) -> str:

@@ -78,6 +78,7 @@ CODE_CATALOG: dict[str, tuple[Severity, str]] = {
     "V009": (Severity.ERROR, "instruction after the terminal store"),
     "V010": (Severity.WARNING, "output written more than once"),
     "V011": (Severity.ERROR, "ALU writes a non-temporary or reads an output"),
+    "V012": (Severity.ERROR, "input or output index declared twice"),
     # ---- ISA-level clause/VLIW/register checks (V1xx) --------------------
     "V100": (Severity.ERROR, "compilation failed"),
     "V101": (Severity.ERROR, "illegal clause ordering"),

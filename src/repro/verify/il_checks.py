@@ -4,7 +4,8 @@ These subsume the first-error checks :mod:`repro.il.validate` has always
 enforced (the paper's §III compiler interactions: kernels must have
 outputs, every input must be fetched *and* used) and extend them with
 dataflow diagnostics: uninitialized reads, misplaced ALU operands, dead
-writes, code after the terminal store, and double-written outputs.
+writes, code after the terminal store, double-written outputs, and
+stream indices declared twice.
 ``validate_kernel`` runs :func:`error_checks` (every check that can
 raise an error) and raises the first error; callers that want the full
 picture, warnings included, use :func:`check_kernel` directly.
@@ -49,7 +50,7 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
     One walk over the body collects what every check needs, keyed on
     temporary indices, and reads ALU instructions (nearly all of a
     generated body) through their fields.  Findings come out grouped by
-    check, each group in body or declaration order: V001-V003,
+    check, each group in body or declaration order: V001-V003/V012,
     V004/V011, V005/V006, V007/V010, V009.
     """
     temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
@@ -133,7 +134,7 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
                 )
             )
     return (
-        _check_outputs(kernel)
+        _check_declarations(kernel)
         + registers
         + _check_inputs_used(kernel, sampled, loaded, consumed)
         + _check_outputs_written(kernel, exported, stored)
@@ -141,7 +142,9 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
     )
 
 
-def _check_outputs(kernel: ILKernel) -> list[Diagnostic]:
+def _check_declarations(kernel: ILKernel) -> list[Diagnostic]:
+    """V001-V003 (outputs the hardware cannot take); V012 (a stream
+    index declared more than once)."""
     diags: list[Diagnostic] = []
     if not kernel.outputs:
         diags.append(
@@ -174,6 +177,18 @@ def _check_outputs(kernel: ILKernel) -> list[Diagnostic]:
                 "targets",
                 declared=len(color_outputs),
             )
+        )
+    for kind, decls in (("input", kernel.inputs), ("output", kernel.outputs)):
+        counts = Counter(decl.index for decl in decls)
+        diags.extend(
+            diag(
+                "V012",
+                f"kernel {kernel.name!r}: {kind} {index} is declared "
+                f"{count} times; each stream index is declared once",
+                **{kind: index, "declared": count},
+            )
+            for index, count in counts.items()
+            if count > 1
         )
     return diags
 

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis import (
-    bound_transitions,
-    dominant_bound,
     find_knee,
     linear_fit,
     predict_launch_seconds,
@@ -19,7 +17,6 @@ from repro.il.types import DataType
 from repro.kernels import KernelParams, generate_generic
 from repro.sim import LaunchConfig, simulate_launch
 from repro.sim.counters import Bound
-from repro.suite.results import Series, SeriesPoint
 
 
 class TestKneeDetection:
@@ -106,29 +103,6 @@ class TestLinearFit:
     def test_slope_ratio_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             slope_ratio([1, 2], [1, 2], [1, 2], [3, 3])
-
-
-class TestBoundAnalysis:
-    def make_series(self, bounds):
-        series = Series(label="s")
-        for i, bound in enumerate(bounds):
-            series.add(SeriesPoint(x=float(i), seconds=1.0, bound=bound))
-        return series
-
-    def test_dominant(self):
-        series = self.make_series(["fetch", "fetch", "alu"])
-        assert dominant_bound(series) == "fetch"
-
-    def test_transitions(self):
-        series = self.make_series(["fetch", "fetch", "alu", "alu"])
-        assert bound_transitions(series) == [(2.0, "fetch", "alu")]
-
-    def test_no_transitions(self):
-        assert bound_transitions(self.make_series(["alu"] * 4)) == []
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            dominant_bound(Series(label="empty"))
 
 
 class TestPerformanceModel:

@@ -483,6 +483,26 @@ class TestUserErrors:
         assert "V011 error" in captured.out
         assert "Traceback" not in captured.err
 
+    def test_an_index_declared_twice_is_one_error_line(
+        self, capsys, tmp_path
+    ):
+        from tests.test_verify import DUPLICATE_INPUT_IL
+
+        path = tmp_path / "duplicate.il"
+        path.write_text(DUPLICATE_INPUT_IL)
+        assert _exit_code(["lint", "--il", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "V012 error" in captured.out
+        assert "Traceback" not in captured.err
+        # ``time`` used to fail in binding: "input 0 expects float, got
+        # float4".
+        for verb in ("compile", "time"):
+            assert _exit_code([verb, "--il", str(path)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "repro: kernel 'parsed': input 0 is declared 2 times; each "
+                "stream index is declared once"
+            ]
+
     @pytest.mark.parametrize(
         "verb", ["compile", "time", "advise", "trace", "profile", "ska"]
     )

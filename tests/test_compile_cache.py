@@ -109,8 +109,9 @@ class TestMemoryTier:
         assert b is not a
         assert cache.misses == 2
 
-    def test_lru_eviction(self):
-        cache = CompileCache(capacity=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "DEFAULT_CAPACITY", 2)
+        cache = CompileCache()
         kernels = [kernel_n(8), kernel_n(12), kernel_n(16)]
         for k in kernels:
             cache.get_or_compile(k, RV770)

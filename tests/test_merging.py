@@ -5,10 +5,11 @@ import pytest
 
 from repro.apps import MergeError, merge_kernels, predict_merge
 from repro.apps.montecarlo import montecarlo_kernel
-from repro.arch import RV770
+from repro.arch import RV670, RV770, RV870
 from repro.compiler import compile_kernel
 from repro.il import DataType, ShaderMode
 from repro.kernels import KernelParams, generate_generic
+from repro.sim import LaunchConfig, SimConfig, simulate_launch
 from repro.sim.counters import Bound
 from repro.sim.functional import execute_kernel
 
@@ -102,6 +103,33 @@ class TestMergeSemantics:
 
 
 class TestMergePrediction:
+    @pytest.mark.parametrize(
+        "gpu", [RV670, RV770, RV870], ids=["RV670", "RV770", "RV870"]
+    )
+    def test_cal_timing_equals_direct_launches(self, gpu):
+        # CAL-timed (binding and mode checks included), yet the same
+        # numbers as compiling and simulating each kernel directly
+        a, b = alu_heavy(), fetch_heavy()
+        report = predict_merge(a, b, gpu)
+        direct = [
+            simulate_launch(
+                compile_kernel(kernel, gpu), gpu, LaunchConfig(), SimConfig()
+            )
+            for kernel in (a, b, merge_kernels(a, b))
+        ]
+        assert (report.seconds_a, report.seconds_b, report.seconds_merged) == (
+            tuple(result.seconds for result in direct)
+        )
+        assert (report.bound_a, report.bound_b, report.bound_merged) == (
+            tuple(result.bottleneck for result in direct)
+        )
+        merged = report.merged_result
+        assert (merged.launch, merged.cycles, merged.counters) == (
+            direct[2].launch,
+            direct[2].cycles,
+            direct[2].counters,
+        )
+
     def test_alu_plus_fetch_merge_wins(self):
         # the paper's headline §V claim: complementary bottlenecks merge
         # into a faster combined kernel

@@ -186,6 +186,20 @@ mov o0, r2
 end
 """
 
+#: input 0 declared twice, with two formats.  Both declarations used to
+#: lint clean; binding then failed with ``input 0 expects float, got
+#: float4``, and a repeated output silently lost one of its resources.
+DUPLICATE_INPUT_IL = """\
+il_ps_2_0
+dcl_input_position_interp(linear_noperspective) v0.xy__
+dcl_resource_id(0)_type(2d,unnorm)_fmt(float)
+dcl_resource_id(0)_type(2d,unnorm)_fmt(float4)
+dcl_output_generic o0
+sample_resource(0)_sampler(0) r0, v0
+mov o0, r0
+end
+"""
+
 #: known-bad IL kernels, by the error each was written to show.
 INVALID_KERNELS = {
     "V001": lambda: make_kernel([sample(0, 0)], inputs=1, outputs=0),
@@ -207,6 +221,7 @@ INVALID_KERNELS = {
         [sample(0, 0), add(1, 0, 0), export(0, 1), add(2, 1, 1)]
     ),
     "V011": lambda: parse_il(ALU_OUTPUT_IL),
+    "V012": lambda: parse_il(DUPLICATE_INPUT_IL),
     "collect-all": lambda: make_kernel(
         [add(1, 7, 7), export(0, 1)], inputs=1, outputs=2
     ),
@@ -281,6 +296,28 @@ class TestILDiagnostics:
         report = lint_kernel(kernel, RV770)
         assert "V011" in codes(report.diagnostics)
         assert report.exit_code() == 1
+
+    def test_v012_stream_index_declared_twice(self):
+        duplicate_output = DUPLICATE_INPUT_IL.replace(
+            "dcl_resource_id(0)_type(2d,unnorm)_fmt(float4)\n",
+            "dcl_output_generic o0\n",
+        )
+        for text, kind in (
+            (DUPLICATE_INPUT_IL, "input"),
+            (duplicate_output, "output"),
+        ):
+            kernel = parse_il(text)
+            found = [d for d in check_kernel(kernel) if d.code == "V012"]
+            assert [(d.severity, d.data) for d in found] == [
+                (Severity.ERROR, {kind: 0, "declared": 2})
+            ]
+            # Rejected by every compile, and reported (not raised) by
+            # the linter.
+            with pytest.raises(ILValidationError, match="declared 2 times"):
+                compile_kernel(kernel)
+            report = lint_kernel(kernel, RV770)
+            assert "V012" in codes(report.diagnostics)
+            assert report.exit_code() == 1
 
     def test_collect_all_reports_every_problem(self):
         # Uninitialized read + unused input + unwritten output, at once.
@@ -505,6 +542,13 @@ IL_PINNED = {
             "(add o2, r0, r1) computes a value that never reaches an output "
             "(DCE would remove it)",
             {},
+        ),
+    ],
+    "V012": [
+        (
+            "V012 error: kernel 'parsed': input 0 is declared 2 times; each "
+            "stream index is declared once",
+            {"input": 0, "declared": 2},
         ),
     ],
     "collect-all": [
