@@ -13,7 +13,8 @@ Commands:
 * ``figure`` — regenerate one of the paper's figures.
 * ``suite`` — run several figures and print the paper-claim checklist.
 * ``grid`` — the (inputs x ratio) knee-invariance grid on one chip.
-* ``cache`` — inspect or clean the job result cache (stats/gc/clear).
+* ``cache`` — inspect or clean a cache root's two logs, the result log
+  and the compiled-program log (stats/gc/clear).
 * ``stats`` — summarize a telemetry manifest (JSONL) as tables.
 * ``profile`` — per-stage time attribution for one kernel run.
 
@@ -335,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arguments(p)
 
     p = sub.add_parser(
-        "cache", help="inspect or clean the job result cache"
+        "cache",
+        help="inspect or clean the result and compiled-program logs",
     )
     p.add_argument("action", choices=("stats", "gc", "clear"))
     p.add_argument(
@@ -553,9 +555,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.jobs import DEFAULT_CACHE_DIR, ResultCache
 
         cache = ResultCache(args.dir if args.dir else DEFAULT_CACHE_DIR)
-        # The compiled-program store shares the result cache's root
-        # (the two tiers of docs/compile-cache.md), so one command
-        # covers both.
+        # The compiled-program log shares the result log's root and
+        # its RunLedger maintenance, so one command covers both.
         programs = ProgramStore(cache.root)
         if args.action == "stats":
             stats = cache.stats()

@@ -22,10 +22,10 @@ round-trip tests prove deserialized programs execute bitwise-identically.
 
 A cache takes effect only where installed with
 :func:`compile_cache_scope`; plain ``compile_kernel`` calls stay
-uncached.  Every suite path installs one: ``run_suite`` and
-``run_benchmark`` scope an in-memory cache around a serial run, the
-jobs engine scopes its own around each run, and pool workers scope one
-per batch of units.  Traffic is observable through the
+uncached.  The jobs engine scopes its own cache around each run, so
+every sweep it runs (``run_suite`` and ``run_benchmark`` included)
+compiles each program once, and pool workers scope one per batch of
+units.  Traffic is observable through the
 ``compile.cache.hit{layer=memory|disk}`` / ``compile.cache.miss`` /
 ``compile.cache.serialize`` counters (docs/telemetry.md).
 """
@@ -33,9 +33,6 @@ per batch of units.  Traffic is observable through the
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -43,13 +40,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import telemetry
 from repro.il.text import cached_il_text
-from repro.jobs.ledger import (
-    append_line,
-    compact,
-    count_blobs,
-    reap_tree,
-    scan_lines,
-)
+from repro.jobs.ledger import RunLedger
 from repro.jobs.units import CODE_SALT
 from repro.isa.serialize import (
     SCHEMA_VERSION,
@@ -85,34 +76,21 @@ def compile_cache_key(kernel: "ILKernel", options: "CompileOptions") -> str:
 
 
 class ProgramStore:
-    """On-disk compiled programs: one append-only log, ``<root>/programs.jsonl``.
+    """On-disk compiled programs: one :class:`~repro.jobs.ledger.RunLedger`
+    log, ``<root>/programs.jsonl``, under a ``program`` body.
 
-    Each save appends one line through :func:`repro.jobs.ledger.append_line`
-    (the result log's writer)::
-
-        {"version": "<salt>", "key": "<key>", "created": ..., "program": {...}}
-
-    The store indexes the log by each line's salt and key, read from the
-    line's leading bytes without decoding the program.  On a miss it
-    indexes only the complete lines appended past the last one it read,
-    so concurrent pool workers find each other's programs.  A hit reads
-    its one line and validates it fully (JSON, salt, key, decode); a
-    corrupt, torn or stale line reads as a miss, and the fresh ``save``
-    repairs it, because for a key the last line wins.  Shares the result
-    cache's root by default (``results/cache/``), so
-    ``repro cache stats/gc/clear`` maintain both tiers together.
+    Lookup, repair and maintenance are the ledger's (docs/jobs.md,
+    "Storage layout"), so pool workers find each other's programs.
+    Shares the result cache's root by default (``results/cache/``), so
+    ``repro cache stats/gc/clear`` maintain both logs together.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.log_path = self.root / "programs.jsonl"
+        self.log = RunLedger(self.root / "programs.jsonl", "program")
+        self.log_path = self.log.path
         #: the pre-log layout: one blob per program, read by nothing.
-        self.legacy_dir = self.root / "programs"
-        #: the leading bytes of every line written under this salt.
-        self._prefix = f'{{"version": {json.dumps(CODE_SALT)}, "key": "'.encode()
-        self._index: dict[str, tuple[int, int]] = {}  #: key -> (offset, length)
-        self._scanned = 0  #: bytes of the log indexed so far
-        self._inode = -1  #: the indexed log file (``gc`` replaces it)
+        (self.legacy_dir,) = self.log.legacy
 
     def load(
         self, key: str, kernel: "ILKernel | None" = None
@@ -123,95 +101,28 @@ class ProgramStore:
         payload's IL text (sound whenever ``key`` was derived from that
         kernel's IL hash); this is what makes a warm load parse-free.
         """
-        entry = self._index.get(key)
-        if entry is None:
-            self._index_tail()
-            entry = self._index.get(key)
-            if entry is None:
-                return None
-        offset, length = entry
-        try:
-            fd = os.open(self.log_path, os.O_RDONLY)
-            try:
-                line = json.loads(os.pread(fd, length, offset))
-            finally:
-                os.close(fd)
-            if line["version"] == CODE_SALT and line["key"] == key:
-                return program_from_json(line["program"], kernel=kernel)
-        except (OSError, ValueError, KeyError, TypeError):
-            pass  # SerializationError and JSON errors are ValueErrors
-        # A later line for this key (the repairing save) is indexed by
-        # the next tail scan.
-        del self._index[key]
-        return None
+        return self.log.get(
+            key, lambda body: program_from_json(body, kernel=kernel)
+        )
 
     def save(self, key: str, program: "ISAProgram") -> None:
         """Append ``program`` under ``key`` as one log line."""
-        append_line(
-            self.log_path,
-            {
-                "version": CODE_SALT,
-                "key": key,
-                "created": time.time(),
-                "program": program_to_json(program),
-            },
-        )
-
-    def _index_tail(self) -> None:
-        """Index the complete lines past the last one read."""
-        try:
-            with open(self.log_path, "rb") as fh:
-                st = os.fstat(fh.fileno())
-                if st.st_ino != self._inode or st.st_size < self._scanned:
-                    self._forget()  # a new, rewritten or truncated log
-                    self._inode = st.st_ino
-                fh.seek(self._scanned)
-                tail = fh.read()
-        except OSError:
-            self._forget()
-            return
-        prefix, skip = self._prefix, len(self._prefix)
-        end = tail.rfind(b"\n") + 1  # a torn or in-flight line waits
-        pos = 0
-        while pos < end:
-            stop = tail.index(b"\n", pos)
-            if tail.startswith(prefix, pos):
-                close = tail.find(b'"', pos + skip, stop)
-                if close > 0:
-                    key = tail[pos + skip:close].decode("latin-1")
-                    self._index[key] = (self._scanned + pos, stop - pos)
-            pos = stop + 1
-        self._scanned += end
-
-    def _forget(self) -> None:
-        self._index.clear()
-        self._scanned = 0
-        self._inode = -1
+        self.log.append(key, program_to_json(program), None)
 
     # ---- maintenance -----------------------------------------------------
     def scan(self) -> tuple[int, int, int]:
         """``(entries, bytes, stale)``: distinct keys with a fresh line,
         the log's size, and the lines ``gc`` would drop plus legacy blobs."""
-        latest, dropped = scan_lines(self.log_path, "program")
-        try:
-            size = self.log_path.stat().st_size
-        except OSError:
-            size = 0
-        return len(latest), size, dropped + count_blobs(self.legacy_dir)
+        latest, size, stale = self.log.scan()
+        return len(latest), size, stale
 
     def gc(self) -> int:
-        """Keep the last fresh line per key and reap the legacy blob tree;
-        returns the lines and blobs dropped.  Run it between runs."""
-        removed = compact(self.log_path, "program") + reap_tree(self.legacy_dir)
-        self._forget()
-        return removed
+        """Drop stale lines and legacy blobs (``RunLedger.gc``)."""
+        return self.log.gc()
 
     def clear(self) -> int:
         """Delete every entry; returns the removed count."""
-        latest, dropped = scan_lines(self.log_path, "program")
-        self.log_path.unlink(missing_ok=True)
-        self._forget()
-        return len(latest) + dropped + reap_tree(self.legacy_dir)
+        return self.log.clear()
 
 
 class CompileCache:

@@ -6,19 +6,19 @@ Layout (default root ``results/cache/``)::
       records.jsonl  # the record log: one line per unit record
       index.json     # entry metadata, rewritten from the log
 
-The log is read and appended through one
-:class:`~repro.jobs.ledger.RunLedger`: a ``put`` appends one line, and
-the first ``get`` or ``put`` reads the log into a ``key -> record`` dict
-of validated records, so a lookup is a dict probe.  For a key the last
-valid line wins: a corrupt line or record reads as a miss and the fresh
-``put`` repairs it.  The index is a tooling aid, not a lookup
-dependency.
+The log is one :class:`~repro.jobs.ledger.RunLedger` under a
+``record`` body: a ``put`` appends one line, and a ``get`` reads the
+line the ledger's index points at and normalizes it with
+:func:`~repro.jobs.units.record_point`, so it also finds records other
+processes appended after its first lookup.  A corrupt or rejected
+record reads as a miss and the fresh ``put`` repairs it.  The index is a
+tooling aid, not a lookup dependency.
 
 Because :data:`~repro.jobs.units.CODE_SALT` participates in the key
 and stamps every line, an edit to any salted source file makes old
-entries unreachable rather than wrong; ``gc`` rewrites the log without them and
-deletes what older caches left: the one-blob-per-record ``objects/``
-tree and the run ledger ``ledger.jsonl``.
+entries unreachable rather than wrong; ``gc`` rewrites the log without
+them and deletes what older caches left: the one-blob-per-record
+``objects/`` tree and the run ledger ``ledger.jsonl``.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.jobs.ledger import (
-    RunLedger,
-    compact,
-    count_blobs,
-    reap_tree,
-    scan_lines,
-)
-from repro.jobs.units import CODE_SALT
+from repro.jobs.ledger import RunLedger
+from repro.jobs.units import CODE_SALT, record_point
 
 #: default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -69,34 +63,22 @@ class ResultCache:
 
     Session hit/miss/put counts live on the instance; one instance is
     shared across every figure of a run so ``repro suite`` reports one
-    coherent traffic summary.  An instance reads the log once, so it
-    misses lines other processes append later (at worst a unit
-    simulates twice).
+    coherent traffic summary.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.log = RunLedger(self.root / "records.jsonl")
+        self.log = RunLedger(self.root / "records.jsonl", "record")
         self.log_path = self.log.path
         self.index_path = self.root / "index.json"
-        #: what older versions left, read by nothing: one blob per
-        #: record, and the run ledger (a second log of finished units).
-        self.legacy_dir = self.root / "objects"
-        self.legacy_ledger = self.root / "ledger.jsonl"
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        self._records: dict[str, dict] | None = None
 
     # ---- core API --------------------------------------------------------
-    def _loaded(self) -> dict[str, dict]:
-        if self._records is None:
-            self._records = self.log.load()
-        return self._records
-
     def get(self, key: str) -> dict | None:
         """The cached record for ``key``, or ``None`` (counted as a miss)."""
-        record = self._loaded().get(key)
+        record = self.log.get(key, record_point)
         if record is None:
             self.misses += 1
             return None
@@ -105,19 +87,17 @@ class ResultCache:
 
     def put(self, key: str, record: dict, figure: str | None = None) -> None:
         """Append ``record`` under ``key`` as one log line."""
-        records = self._loaded()
         self.log.append(key, record, figure)
-        records[key] = record
         self.puts += 1
 
     # ---- maintenance -----------------------------------------------------
     def stats(self) -> CacheStats:
         """Scan the log and fold in this session's traffic counters."""
-        latest, dropped = scan_lines(self.log_path)
+        latest, size, stale = self.log.scan()
         stats = CacheStats(
             entries=len(latest),
-            bytes=self.log_path.stat().st_size if latest or dropped else 0,
-            stale=dropped + self._legacy(reap=False),
+            bytes=size,
+            stale=stale,
             hits=self.hits,
             misses=self.misses,
             puts=self.puts,
@@ -131,7 +111,7 @@ class ResultCache:
         """Snapshot entry metadata to ``index.json`` (human/tooling aid)."""
         entries = {
             key: {k: line.get(k) for k in ("version", "figure", "created")}
-            for key, line in scan_lines(self.log_path)[0].items()
+            for key, line in self.log.scan()[0].items()
         }
         self.root.mkdir(parents=True, exist_ok=True)
         self.index_path.write_text(
@@ -143,27 +123,13 @@ class ResultCache:
 
     def gc(self) -> int:
         """Keep the last fresh line per key and reap the legacy entries;
-        returns how many were dropped.  Lines a run appends while the
-        log is rewritten are lost, so run it between runs."""
-        removed = compact(self.log_path) + self._legacy(reap=True)
-        self._records = None
+        returns how many were dropped.  Run it between runs."""
+        removed = self.log.gc()
         if self.index_path.exists():
             self.write_index()
         return removed
 
     def clear(self) -> int:
         """Delete every entry (and the index); returns the removed count."""
-        latest, dropped = scan_lines(self.log_path)
-        self.log_path.unlink(missing_ok=True)
         self.index_path.unlink(missing_ok=True)
-        self._records = None
-        return len(latest) + dropped + self._legacy(reap=True)
-
-    def _legacy(self, reap: bool) -> int:
-        """The blobs and ledger lines older versions left; ``reap``
-        deletes them."""
-        latest, dropped = scan_lines(self.legacy_ledger)
-        if reap:
-            self.legacy_ledger.unlink(missing_ok=True)
-            return reap_tree(self.legacy_dir) + len(latest) + dropped
-        return count_blobs(self.legacy_dir) + len(latest) + dropped
+        return self.log.clear()

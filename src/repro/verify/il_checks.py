@@ -5,7 +5,7 @@ enforced (the paper's §III compiler interactions: kernels must have
 outputs, every input must be fetched *and* used) and extend them with
 dataflow diagnostics: uninitialized reads, misplaced ALU operands, dead
 writes, code after the terminal store, double-written outputs, and
-stream indices declared twice.
+stream indices declared twice or used but never declared.
 ``validate_kernel`` runs :func:`error_checks` (every check that can
 raise an error) and raises the first error; callers that want the full
 picture, warnings included, use :func:`check_kernel` directly.
@@ -51,10 +51,13 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
     temporary indices, and reads ALU instructions (nearly all of a
     generated body) through their fields.  Findings come out grouped by
     check, each group in body or declaration order: V001-V003/V012,
-    V004/V011, V005/V006, V007/V010, V009.
+    V013, V004/V011, V005/V006, V007/V010, V009.
     """
     temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
     unwritten = "before it is written"
+    inputs = {decl.index for decl in kernel.inputs}
+    outputs = {decl.index for decl in kernel.outputs}
+    undeclared: list[Diagnostic] = []  # V013
     registers: list[Diagnostic] = []  # V004, V011
     terminal: list[Diagnostic] = []  # V009
     defined: set[int] = set()  # indices of the temporaries written so far
@@ -112,13 +115,28 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
                 if reg.file is temp_file:
                     define(reg.index)
             if kind is SampleInstruction:
-                sampled[instr.resource] = instr.dest
+                index, side = instr.resource, inputs
+                sampled[index] = instr.dest
             elif kind is GlobalLoadInstruction:
-                loaded[instr.offset] = instr.dest
+                index, side = instr.offset, inputs
+                loaded[index] = instr.dest
             elif kind is ExportInstruction:
-                exported[instr.target] += 1
-            elif kind is GlobalStoreInstruction:
-                stored[instr.offset] += 1
+                index, side = instr.target, outputs
+                exported[index] += 1
+            else:  # GlobalStoreInstruction
+                index, side = instr.offset, outputs
+                stored[index] += 1
+            if index not in side:
+                stream = "input" if side is inputs else "output"
+                undeclared.append(
+                    diag(
+                        "V013",
+                        f"kernel {kernel.name!r}: instruction {pos} ({instr}) "
+                        f"names {stream} {index}, which is never declared",
+                        _il_loc(pos),
+                        **{stream: index},
+                    )
+                )
             if store:
                 if first_store is None:
                     first_store = pos
@@ -135,6 +153,7 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
             )
     return (
         _check_declarations(kernel)
+        + undeclared
         + registers
         + _check_inputs_used(kernel, sampled, loaded, consumed)
         + _check_outputs_written(kernel, exported, stored)

@@ -484,18 +484,22 @@ class TestLedger:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        RunLedger(path).append("a" * 40, self.RECORD, "figX")
-        assert RunLedger(path).load() == {"a" * 40: self.RECORD}
+        RunLedger(path, "record").append("a" * 40, self.RECORD, "figX")
+        assert RunLedger(path, "record").get("a" * 40, record_point) == (
+            self.RECORD
+        )
         line = json.loads(path.read_text())
         assert line["version"] == CODE_SALT and line["figure"] == "figX"
         assert isinstance(line["created"], float)
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        RunLedger(path).append("b" * 40, self.RECORD, None)
+        RunLedger(path, "record").append("b" * 40, self.RECORD, None)
         with path.open("a") as fh:
             fh.write('{"key": "cc", "record": {"seconds"')  # killed mid-write
-        assert RunLedger(path).load() == {"b" * 40: self.RECORD}
+        log = RunLedger(path, "record")
+        assert log.get("b" * 40, record_point) == self.RECORD
+        assert log.get("cc", record_point) is None
 
     def test_wrong_salt_line_is_ignored(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -507,14 +511,55 @@ class TestLedger:
             + json.dumps({"key": "e" * 40, "record": self.RECORD})
             + "\n"
         )
-        assert RunLedger(path).load() == {}
+        log = RunLedger(path, "record")
+        assert log.get("d" * 40, record_point) is None
+        assert log.get("e" * 40, record_point) is None
 
-    def test_load_normalizes_and_drops_invalid_records(self, tmp_path):
+    def test_get_normalizes_and_drops_invalid_records(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        log = RunLedger(path)
+        log = RunLedger(path, "record")
         log.append("f" * 40, {**self.RECORD, "gprs": "4", "extra": 1}, None)
         log.append("0" * 40, {"seconds": 1.0}, None)
-        assert log.load() == {"f" * 40: self.RECORD}
+        assert log.get("f" * 40, record_point) == self.RECORD
+        assert log.get("0" * 40, record_point) is None
+
+    def test_a_result_cache_sees_a_later_append(self, tmp_path):
+        # A pool worker or a second run appends to the log after this
+        # cache's first lookup; the next lookup finds the record.
+        cache = ResultCache(tmp_path)
+        assert cache.get("a" * 40) is None
+        writer = multiprocessing.get_context("fork").Process(
+            target=ResultCache(tmp_path).put,
+            args=("a" * 40, self.RECORD, "figX"),
+        )
+        writer.start()
+        writer.join(timeout=60)
+        assert writer.exitcode == 0
+        assert cache.get("a" * 40) == self.RECORD
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def _both_logs(self, root: Path):
+        """One record line and one program line under ``root``."""
+        program = compile_kernel(make_unit().kernel, RV770)
+        ResultCache(root).put("a" * 40, self.RECORD, figure="figX")
+        ProgramStore(root).save("b" * 40, program)
+        return program
+
+    def test_one_ledger_reads_record_and_program_lines(self, tmp_path):
+        program = self._both_logs(tmp_path)
+        records = RunLedger(tmp_path / "records.jsonl", "record")
+        programs = RunLedger(tmp_path / "programs.jsonl", "program")
+        assert records.get("a" * 40, record_point) == self.RECORD
+        loaded = programs.get("b" * 40, program_from_json)
+        assert loaded.clauses == program.clauses
+        assert loaded.gpr_count == program.gpr_count
+
+    def test_both_logs_lead_each_line_with_salt_and_key(self, tmp_path):
+        self._both_logs(tmp_path)
+        prefix = f'{{"version": "{CODE_SALT}", "key": "'
+        for name in ("records.jsonl", "programs.jsonl"):
+            (line,) = (tmp_path / name).read_text().splitlines()
+            assert line.startswith(prefix), name
 
 
 class TestEngine:

@@ -222,6 +222,12 @@ INVALID_KERNELS = {
     ),
     "V011": lambda: parse_il(ALU_OUTPUT_IL),
     "V012": lambda: parse_il(DUPLICATE_INPUT_IL),
+    "V013": lambda: make_kernel(
+        [sample(0, 0), sample(1, 1), add(2, 0, 1), export(0, 2)]
+    ),
+    "V013-output": lambda: make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1), export(1, 1)]
+    ),
     "collect-all": lambda: make_kernel(
         [add(1, 7, 7), export(0, 1)], inputs=1, outputs=2
     ),
@@ -317,6 +323,24 @@ class TestILDiagnostics:
                 compile_kernel(kernel)
             report = lint_kernel(kernel, RV770)
             assert "V012" in codes(report.diagnostics)
+            assert report.exit_code() == 1
+
+    def test_v013_stream_index_never_declared(self):
+        for name, data in (
+            ("V013", {"input": 1}),
+            ("V013-output", {"output": 1}),
+        ):
+            kernel = INVALID_KERNELS[name]()
+            found = [d for d in check_kernel(kernel) if d.code == "V013"]
+            assert [(d.severity, d.data) for d in found] == [
+                (Severity.ERROR, data)
+            ]
+            # Rejected by every compile (so no launch executes it), and
+            # reported (not raised) by the linter.
+            with pytest.raises(ILValidationError, match="never declared"):
+                compile_kernel(kernel)
+            report = lint_kernel(kernel, RV770)
+            assert codes(report.diagnostics) == {"V013"}
             assert report.exit_code() == 1
 
     def test_collect_all_reports_every_problem(self):
@@ -549,6 +573,21 @@ IL_PINNED = {
             "V012 error: kernel 'parsed': input 0 is declared 2 times; each "
             "stream index is declared once",
             {"input": 0, "declared": 2},
+        ),
+    ],
+    "V013": [
+        (
+            "V013 error [il:1]: kernel 'handmade': instruction 1 "
+            "(sample_resource(1)_sampler(1) r1, v0) names input 1, which is "
+            "never declared",
+            {"input": 1},
+        ),
+    ],
+    "V013-output": [
+        (
+            "V013 error [il:3]: kernel 'handmade': instruction 3 "
+            "(mov o1, r1) names output 1, which is never declared",
+            {"output": 1},
         ),
     ],
     "collect-all": [
