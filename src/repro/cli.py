@@ -40,6 +40,8 @@ from repro.arch import all_gpus, gpu_by_name, hardware_feature_table
 from repro.arch.specs import GPUSpec
 from repro.cal import CALError, Device, time_kernel
 from repro.compiler import compile_kernel
+from repro.compiler.errors import ResourceLimitError
+from repro.compiler.pipeline import checked_compile, raise_first_error
 from repro.il import (
     DataType,
     ILValidationError,
@@ -390,7 +392,8 @@ def main(argv: list[str] | None = None) -> int:
         with recorder:
             code = _dispatch(args)
     except (
-        CALError, SimulationError, KernelSourceError, ILValidationError
+        CALError, SimulationError, KernelSourceError, ILValidationError,
+        ResourceLimitError,
     ) as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1
@@ -455,14 +458,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         return report.exit_code(strict=args.strict)
 
     if args.command == "ska":
-        # Unverified compile: analyze() reports the findings instead.
+        from repro.verify.diagnostics import errors, warnings
+
+        # The static report, then the checked compile's findings; a kernel
+        # at fault (no program) is the user's error, as in compile_kernel.
         kernel = _kernel_from_args(args)
-        program = compile_kernel(kernel, verify=False)
-        report = analyze(program, args.gpu, source=kernel)
-        print(format_report(report))
-        if report.error_count or (args.strict and report.warning_count):
-            return 1
-        return 0
+        program, findings = checked_compile(kernel)
+        if program is None:
+            raise_first_error(kernel, findings)
+        print(format_report(analyze(program, args.gpu)))
+        failed, warned = len(errors(findings)), len(warnings(findings))
+        if findings:
+            print(f"  Verifier:             {failed} error(s), {warned} warning(s)")
+            print("\n".join(f"    {d}" for d in findings))
+        else:
+            print("  Verifier:             clean")
+        return 1 if failed or (args.strict and warned) else 0
 
     if args.command in ("time", "advise"):
         kernel = _kernel_from_args(args)

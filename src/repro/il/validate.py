@@ -12,7 +12,8 @@ collects *every* finding as :class:`repro.verify.Diagnostic` records;
 :func:`validate_kernel` keeps the historical raise-on-first-error
 contract on top of the error-severity ones, once per kernel object.
 Use :func:`repro.verify.check_kernel` when you want the full picture
-instead of the first failure.
+instead of the first failure.  An input read only by dead code passes
+here; every compile rejects it (V014, ``repro.compiler.pipeline``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from repro.il.module import ILKernel
 
 
 class ILValidationError(ValueError):
-    """Raised when an IL kernel violates a structural or semantic rule."""
+    """An IL kernel broke a rule; ``diagnostics`` holds every error found."""
+
+    def __init__(self, message: str, diagnostics: tuple = ()) -> None:
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 def validate_kernel(kernel: ILKernel) -> None:
@@ -32,9 +37,10 @@ def validate_kernel(kernel: ILKernel) -> None:
     :func:`repro.verify.check_kernel` and ``repro lint``, the optimizer
     handles them.
 
-    Kernels are immutable, so a clean result is recorded on the instance
-    (as :func:`repro.il.text.cached_il_text` does for the IL text) and
-    later calls on the same object return at once.  ``with_body`` and
+    Kernels are immutable, so :func:`repro.verify.il_checks.error_checks`
+    records a clean result on the instance (as
+    :func:`repro.il.text.cached_il_text` does for the IL text) and later
+    calls on the same object return at once.  ``with_body`` and
     ``dataclasses.replace`` build new instances, which are checked again.
     """
     if kernel.__dict__.get("_valid"):
@@ -44,5 +50,4 @@ def validate_kernel(kernel: ILKernel) -> None:
 
     failures = errors(error_checks(kernel))
     if failures:
-        raise ILValidationError(failures[0].message)
-    object.__setattr__(kernel, "_valid", True)
+        raise ILValidationError(failures[0].message, tuple(failures))

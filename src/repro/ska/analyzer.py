@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.specs import GPUSpec
-from repro.il.module import ILKernel
 from repro.isa.program import ISAProgram
 from repro.isa.stats import ISAStats, collect_stats
 from repro.sim.counters import Bound
@@ -28,47 +27,20 @@ class SKAReport:
     max_wavefronts: int | None
     #: the static bottleneck prediction.
     predicted_bound: Bound
-    #: verifier findings over the compiled program (empty when clean or
-    #: when ``analyze`` ran without a ``source``).
-    diagnostics: tuple = ()
-    #: whether the verifier ran (distinguishes "clean" from "not checked").
-    verified: bool = False
 
     @property
     def in_good_band(self) -> bool:
         """Does the ratio fall in SKA's 0.98-1.09 "good" band?"""
         return GOOD_RATIO_LOW <= self.alu_fetch_ratio <= GOOD_RATIO_HIGH
 
-    @property
-    def error_count(self) -> int:
-        from repro.verify.diagnostics import errors
 
-        return len(errors(list(self.diagnostics)))
-
-    @property
-    def warning_count(self) -> int:
-        from repro.verify.diagnostics import warnings
-
-        return len(warnings(list(self.diagnostics)))
-
-
-def analyze(
-    program: ISAProgram,
-    gpu: GPUSpec | None = None,
-    source: ILKernel | None = None,
-) -> SKAReport:
+def analyze(program: ISAProgram, gpu: GPUSpec | None = None) -> SKAReport:
     """Statically analyze a compiled kernel.
 
     The bottleneck prediction is the naive static one the paper critiques:
     ratio below the good band -> fetch bound; above -> ALU bound; a store
     count rivaling the fetch count -> write bound.  The suite's dynamic
     measurements show where this static picture breaks down.
-
-    Given ``source``, the kernel as written, it also runs the
-    :mod:`repro.verify` ISA checks and the differential lowering check of
-    ``program`` against it, folding every finding into the report's
-    ``diagnostics`` (without raising), so drift in a compiler pass shows
-    too.
     """
     stats = collect_stats(program)
     ratio = stats.reported_alu_fetch_ratio
@@ -80,12 +52,6 @@ def analyze(
     else:
         predicted = Bound.FETCH
 
-    diagnostics: tuple = ()
-    if source is not None:
-        from repro.verify.engine import check_compiled
-
-        diagnostics = tuple(check_compiled(source, program))
-
     max_wavefronts = (
         gpu.max_wavefronts_for_gprs(stats.gpr_count) if gpu is not None else None
     )
@@ -95,6 +61,4 @@ def analyze(
         alu_fetch_ratio=ratio,
         max_wavefronts=max_wavefronts,
         predicted_bound=predicted,
-        diagnostics=diagnostics,
-        verified=source is not None,
     )

@@ -32,12 +32,4 @@ def format_report(report: SKAReport) -> str:
     ]
     if report.max_wavefronts is not None:
         lines.append(f"  Wavefronts/SIMD:      {report.max_wavefronts}")
-    if report.diagnostics:
-        lines.append(
-            f"  Verifier:             {report.error_count} error(s), "
-            f"{report.warning_count} warning(s)"
-        )
-        lines.extend(f"    {d}" for d in report.diagnostics)
-    elif report.verified:
-        lines.append("  Verifier:             clean")
     return "\n".join(lines)

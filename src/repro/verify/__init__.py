@@ -1,8 +1,11 @@
 """Static analysis for the IL→ISA compiler: diagnostics, dataflow,
 clause-legality checks and differential pass validation.
 
-See docs/verify.md for the diagnostic code catalog and ``repro lint``
-for the CLI front end.
+Every compile runs these checks through one driver,
+:func:`repro.compiler.pipeline.checked_compile`; ``compile_kernel``
+raises its first error, and :func:`lint_kernel` (``repro lint``) and
+``repro ska`` report all its findings.  :func:`verify_compiled` is its
+post-lowering stage.  See docs/verify.md for the diagnostic code catalog.
 """
 
 from repro.verify.diagnostics import (
@@ -33,7 +36,6 @@ from repro.verify.differential import (
 from repro.verify.engine import (
     LintReport,
     VerificationError,
-    check_compiled,
     lint_kernel,
     verify_compiled,
 )
@@ -50,7 +52,6 @@ __all__ = [
     "Severity",
     "SourceLocation",
     "VerificationError",
-    "check_compiled",
     "check_il_pass",
     "check_kernel",
     "check_lowering",

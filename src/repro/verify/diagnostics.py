@@ -80,6 +80,7 @@ CODE_CATALOG: dict[str, tuple[Severity, str]] = {
     "V011": (Severity.ERROR, "ALU writes a non-temporary or reads an output"),
     "V012": (Severity.ERROR, "input or output index declared twice"),
     "V013": (Severity.ERROR, "input or output index used but never declared"),
+    "V014": (Severity.ERROR, "fetched input value reaches no output"),
     # ---- ISA-level clause/VLIW/register checks (V1xx) --------------------
     "V100": (Severity.ERROR, "compilation failed"),
     "V101": (Severity.ERROR, "illegal clause ordering"),

@@ -103,14 +103,12 @@ class SeededCase:
         return self.reference
 
 
-def seeded_case(
-    kernel: ILKernel, domain: tuple[int, int] = DEFAULT_DOMAIN
-) -> SeededCase:
+def seeded_case(kernel: ILKernel) -> SeededCase:
     """Build the kernel's :class:`SeededCase` (inputs + constants)."""
     return SeededCase(
-        inputs=seeded_inputs(kernel, domain),
+        inputs=seeded_inputs(kernel),
         constants=seeded_constants(kernel),
-        domain=domain,
+        domain=DEFAULT_DOMAIN,
     )
 
 
@@ -128,7 +126,6 @@ def check_il_pass(
     before: ILKernel,
     after: ILKernel,
     pass_name: str,
-    domain: tuple[int, int] = DEFAULT_DOMAIN,
     case: SeededCase | None = None,
 ) -> list[Diagnostic]:
     """Validate one IL→IL pass: output stays valid, semantics unchanged.
@@ -155,7 +152,7 @@ def check_il_pass(
         return diags  # don't try to execute an invalid kernel
 
     if case is None:
-        case = seeded_case(before, domain)
+        case = seeded_case(before)
     try:
         out_before = case.reference_outputs(before)
         out_after = execute_kernel(after, case.inputs, case.domain, case.constants)
@@ -185,7 +182,6 @@ def check_il_pass(
 def check_lowering(
     kernel: ILKernel,
     program: ISAProgram,
-    domain: tuple[int, int] = DEFAULT_DOMAIN,
     case: SeededCase | None = None,
 ) -> list[Diagnostic]:
     """Validate the full IL→ISA lowering by differential execution."""
@@ -193,7 +189,7 @@ def check_lowering(
     from repro.sim.functional import ExecutionError
 
     if case is None:
-        case = seeded_case(kernel, domain)
+        case = seeded_case(kernel)
     try:
         il_out = case.reference_outputs(kernel)
         isa_out = execute_program(program, case.inputs, case.domain, case.constants)

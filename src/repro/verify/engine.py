@@ -1,19 +1,10 @@
-"""Verifier entry points: linting and the pipeline hook.
+"""Verifier entry points: linting and the post-lowering checks.
 
-Two front doors:
-
-* :func:`lint_kernel` — the collect-all analysis behind ``repro lint``:
-  IL checks, a compile attempt, ISA clause-legality checks and the
-  differential lowering check, all folded into one :class:`LintReport`.
-* :func:`verify_compiled` — the in-pipeline hook: given a kernel and the
-  program it lowered to, run the ISA checks and the differential
-  execution and *raise* :class:`VerificationError` on any error-severity
-  finding.  ``compile_kernel`` calls this on every compile.
-
-Both, and ``repro ska``, collect their post-lowering findings through
-:func:`check_compiled`.  There is no switch: every compile verifies, and
-only the report-don't-raise front ends (``lint_kernel`` and the ``ska``
-command) compile with ``verify=False`` and run the checks themselves.
+:func:`lint_kernel`, behind ``repro lint``, runs the IL checks and then
+the checked compile (:func:`repro.compiler.pipeline.checked_compile`)
+that every ``compile_kernel`` runs, and folds all findings into one
+:class:`LintReport`.  :func:`verify_compiled` is that compile's
+post-lowering stage: the ISA checks and the differential execution.
 """
 
 from __future__ import annotations
@@ -26,7 +17,6 @@ from repro.il.module import ILKernel
 from repro.isa.program import ISAProgram
 from repro.verify.diagnostics import (
     Diagnostic,
-    Severity,
     diag,
     errors,
     format_diagnostics,
@@ -109,53 +99,39 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
     """Run every analysis stage over ``kernel`` and collect all findings.
 
     Never raises for kernel defects — everything becomes a diagnostic.
-    Compilation is attempted even when IL checks found errors only if the
-    errors are warnings; error-severity IL findings skip the lowering
-    stages (the compiler's own validator would reject the kernel anyway,
-    and V100 would merely duplicate the finding).
+    The IL checks run first (:func:`~repro.verify.check_kernel`, warnings
+    included).  A kernel without IL errors then goes through the checked
+    compile every ``compile_kernel`` runs, whose findings follow; one with
+    errors stops there (the compile would only repeat them).  A
+    :class:`CompileError` from lowering becomes V100.
     """
-    from repro.compiler import pipeline
+    from repro.compiler.pipeline import checked_compile
     from repro.verify.il_checks import check_kernel
 
     with telemetry.span(
         "verify", kernel=kernel.name, mode=kernel.mode.value
     ) as span:
-        diagnostics = list(check_kernel(kernel))
+        diagnostics = check_kernel(kernel)
         program: ISAProgram | None = None
         if not errors(diagnostics):
-            if options is None:
-                options = (
-                    pipeline.CompileOptions.for_gpu(gpu)
-                    if gpu is not None
-                    else pipeline.CompileOptions()
-                )
             try:
-                program = pipeline.compile_kernel(
-                    kernel, gpu, options, verify=False
-                )
+                program, found = checked_compile(kernel, gpu, options)
             except CompileError as exc:
                 diagnostics.append(
                     diag("V100", f"compilation failed: {exc}")
                 )
             else:
-                diagnostics.extend(
-                    check_compiled(
-                        kernel,
-                        program,
-                        options.max_tex_per_clause,
-                        options.max_alu_per_clause,
-                    )
-                )
+                diagnostics.extend(found)
         if span:
             span.set(
                 errors=len(errors(diagnostics)),
                 warnings=len(warnings(diagnostics)),
             )
-            _count(diagnostics)
+            count_verified(diagnostics)
     return LintReport(kernel, tuple(diagnostics), program)
 
 
-def _count(diagnostics: list[Diagnostic]) -> None:
+def count_verified(diagnostics: list[Diagnostic]) -> None:
     """Add one verified kernel and its findings to the run's counters."""
     registry = telemetry.metrics()
     registry.counter("verify.kernels").inc()
@@ -163,7 +139,7 @@ def _count(diagnostics: list[Diagnostic]) -> None:
     registry.counter("verify.warnings").inc(len(warnings(diagnostics)))
 
 
-def check_compiled(
+def verify_compiled(
     kernel: ILKernel,
     program: ISAProgram,
     max_tex_per_clause: int = 8,
@@ -172,9 +148,12 @@ def check_compiled(
 ) -> list[Diagnostic]:
     """Every post-lowering finding for ``program``, without raising.
 
-    The ISA legality checks plus the differential IL-vs-ISA execution.
-    ``case`` optionally supplies a pre-built differential test vector
-    (the pipeline shares one across its passes).
+    The ISA legality checks plus the differential IL-vs-ISA execution
+    against ``kernel``, the kernel as written.  ``case`` optionally
+    supplies a pre-built differential test vector (the checked compile
+    shares one across its checks).  Nothing is memoized here: suite runs
+    put a compile cache in front of every compile, so each distinct
+    program verifies once.
     """
     from repro.verify.differential import check_lowering
     from repro.verify.isa_checks import check_program
@@ -188,43 +167,9 @@ def check_compiled(
     return diagnostics
 
 
-def verify_compiled(
-    kernel: ILKernel,
-    program: ISAProgram,
-    max_tex_per_clause: int = 8,
-    max_alu_per_clause: int = 128,
-    case=None,
-) -> list[Diagnostic]:
-    """Post-lowering verification, run by every ``compile_kernel``.
-
-    Returns :func:`check_compiled`'s findings; raises
-    :class:`VerificationError` if any is an error (warnings — dead ISA
-    writes, oversized clauses — pass through for the caller to report).
-
-    Nothing is memoized here: suite runs put a compile cache in front of
-    every compile, so each distinct program verifies once.  With
-    telemetry on, it counts the kernel and its findings.
-    """
-    diagnostics = check_compiled(
-        kernel, program, max_tex_per_clause, max_alu_per_clause, case
-    )
-    if telemetry.enabled():
-        _count(diagnostics)
-    broken = errors(diagnostics)
-    if broken:
-        raise VerificationError(
-            f"kernel {kernel.name!r} failed post-compile verification:\n"
-            + "\n".join(f"  {d}" for d in broken),
-            tuple(diagnostics),
-        )
-    return diagnostics
-
-
 __all__ = [
     "LintReport",
-    "Severity",
     "VerificationError",
-    "check_compiled",
     "lint_kernel",
     "verify_compiled",
 ]

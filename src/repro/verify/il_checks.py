@@ -27,7 +27,7 @@ from repro.il.instructions import (
 from repro.il.module import ILKernel
 from repro.il.types import MemorySpace, ShaderMode
 from repro.verify.dataflow import dead_instruction_indices
-from repro.verify.diagnostics import Diagnostic, SourceLocation, diag
+from repro.verify.diagnostics import Diagnostic, SourceLocation, diag, errors
 
 
 def _il_loc(index: int) -> SourceLocation:
@@ -51,7 +51,8 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
     temporary indices, and reads ALU instructions (nearly all of a
     generated body) through their fields.  Findings come out grouped by
     check, each group in body or declaration order: V001-V003/V012,
-    V013, V004/V011, V005/V006, V007/V010, V009.
+    V013, V004/V011, V005/V006, V007/V010, V009.  A kernel without
+    errors is marked clean, so ``validate_kernel`` need not check it again.
     """
     temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
     unwritten = "before it is written"
@@ -151,7 +152,7 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
                     _il_loc(pos),
                 )
             )
-    return (
+    found = (
         _check_declarations(kernel)
         + undeclared
         + registers
@@ -159,6 +160,43 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
         + _check_outputs_written(kernel, exported, stored)
         + terminal
     )
+    if not errors(found):
+        object.__setattr__(kernel, "_valid", True)
+    return found
+
+
+def check_dead_inputs(kernel: ILKernel, optimized: ILKernel) -> list[Diagnostic]:
+    """V014: inputs ``kernel`` fetches that ``optimized``, its DCE result,
+    no longer does.  Such an input is read only by dead code, and the CAL
+    compiler optimizes it out (paper §III).  One finding per input."""
+    fetched = {_fetched_input(instr) for instr in optimized.body}
+    diags: list[Diagnostic] = []
+    for pos, instr in enumerate(kernel.body):
+        index = _fetched_input(instr)
+        if index is None or index in fetched:
+            continue
+        fetched.add(index)
+        verb = "sampled" if type(instr) is SampleInstruction else "loaded"
+        diags.append(
+            diag(
+                "V014",
+                f"kernel {kernel.name!r}: input {index} is {verb} into "
+                f"{instr.dest} (instruction {pos}), but its value reaches "
+                "no output; the CAL compiler optimizes the input out "
+                "(paper §III)",
+                _il_loc(pos),
+                input=index,
+                register=str(instr.dest),
+            )
+        )
+    return diags
+
+
+def _fetched_input(instr) -> int | None:
+    kind = type(instr)
+    if kind is SampleInstruction:
+        return instr.resource
+    return instr.offset if kind is GlobalLoadInstruction else None
 
 
 def _check_declarations(kernel: ILKernel) -> list[Diagnostic]:

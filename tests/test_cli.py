@@ -167,11 +167,12 @@ class TestKernelCommands:
             return kernel.with_body(tuple(body)), 1
 
         monkeypatch.setattr(pipeline, "eliminate_dead_code", wrong_op_pass)
-        # ska compiles unverified and reports the lowering drift itself.
+        # ska reports the checked compile's findings: the drift is the
+        # pass's (V201), and the kernel as written lowers cleanly.
         assert main(["ska", "--inputs", "4"]) == 1
         out = capsys.readouterr().out
         assert "Verifier:             1 error(s)" in out
-        assert "V203 error: lowering changed the output" in out
+        assert "V201 error: pass 'eliminate_dead_code' changed the output" in out
 
     def test_time_reports_bound(self, capsys):
         assert (
@@ -519,6 +520,37 @@ class TestUserErrors:
         assert captured.err.splitlines() == [
             "repro: kernel 'parsed': instruction 2 (add o2, r0, r1) writes "
             "o2; ALU results go to temporaries (rN)"
+        ]
+
+    @pytest.mark.parametrize(
+        "verb", ["lint", "compile", "time", "trace", "profile", "advise", "ska"]
+    )
+    def test_an_input_read_only_by_dead_code_is_one_error(
+        self, verb, capsys, tmp_path
+    ):
+        # DCE drops input 0's fetch: one V014 error, never a traceback.
+        from tests.test_verify import DEAD_INPUT_ERROR, DEAD_INPUT_IL
+
+        path = tmp_path / "dead_input.il"
+        path.write_text(DEAD_INPUT_IL)
+        assert _exit_code([verb, "--il", str(path)]) == 1
+        captured = capsys.readouterr()
+        if verb == "lint":
+            assert captured.err == ""
+            assert [
+                line for line in captured.out.splitlines() if " error " in line
+            ] == [f"  V014 error [il:0]: {DEAD_INPUT_ERROR}"]
+        else:
+            assert captured.err.splitlines() == [f"repro: {DEAD_INPUT_ERROR}"]
+
+    def test_a_kernel_over_the_register_file_is_one_error_line(self, capsys):
+        # 257 inputs live at once need 258 GPRs; the allocator's
+        # ResourceLimitError used to escape as a traceback.
+        argv = ["compile", "--inputs", "257", "--ratio", "0.25"]
+        assert _exit_code(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "repro: kernel requires 258 GPRs; the register file provides at "
+            "most 256 per thread"
         ]
 
     @pytest.mark.parametrize(

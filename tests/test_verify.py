@@ -200,6 +200,29 @@ mov o0, r0
 end
 """
 
+#: input 0 is sampled and read, but only by dead code: DCE drops the
+#: fetch.  This used to raise PassValidationError (V202) out of every
+#: compile, and ``repro lint`` said the input was "never sampled".
+DEAD_INPUT_IL = """\
+il_ps_2_0
+dcl_input_position_interp(linear_noperspective) v0.xy__
+dcl_resource_id(0)_type(2d,unnorm)_fmt(float)
+dcl_resource_id(1)_type(2d,unnorm)_fmt(float)
+dcl_output_generic o0
+sample_resource(0)_sampler(0) r0, v0
+sample_resource(1)_sampler(1) r1, v0
+add r2, r0, r1
+mov o0, r1
+end
+"""
+
+#: the one error every compile of DEAD_INPUT_IL reports.
+DEAD_INPUT_ERROR = (
+    "kernel 'parsed': input 0 is sampled into r0 (instruction 0), but its "
+    "value reaches no output; the CAL compiler optimizes the input out "
+    "(paper §III)"
+)
+
 #: known-bad IL kernels, by the error each was written to show.
 INVALID_KERNELS = {
     "V001": lambda: make_kernel([sample(0, 0)], inputs=1, outputs=0),
@@ -1650,7 +1673,7 @@ class TestDifferentialValidation:
         with pytest.raises(PassValidationError, match="eliminate_dead_code"):
             compile_kernel(simple_kernel)
 
-    def test_pipeline_skips_validation_when_verify_off(
+    def test_lint_attributes_a_broken_pass_to_v201(
         self, simple_kernel, monkeypatch
     ):
         import repro.compiler.pipeline as pipeline
@@ -1658,11 +1681,13 @@ class TestDifferentialValidation:
         monkeypatch.setattr(
             pipeline, "eliminate_dead_code", _wrong_op_pass
         )
-        # verify=False compiles without noticing: the front ends that use
-        # it (lint_kernel, repro ska) run the post-lowering checks
-        # themselves and report instead of raising.
-        program = compile_kernel(simple_kernel, verify=False)
-        assert program.gpr_count >= 1
+        # The pass's result is dropped and the kernel as written is
+        # lowered, so the drift is the pass's alone (it used to surface
+        # as the lowering's V203).
+        report = lint_kernel(simple_kernel)
+        assert [d.code for d in report.diagnostics] == ["V201"]
+        assert report.program is not None
+        assert report.program.kernel is simple_kernel
 
 
 #: Run in a fresh interpreter, without this directory's conftest or any
@@ -1858,38 +1883,88 @@ class TestModeAliases:
 # ---- in-pipeline verification ----------------------------------------------
 
 class TestPipelineVerification:
-    def test_verify_compiled_raises_on_corrupted_program(
+    def test_verify_compiled_reports_a_corrupted_program(
         self, simple_kernel
     ):
         from repro.verify import verify_compiled
 
         program = compile_kernel(simple_kernel)
+        assert verify_compiled(simple_kernel, program) == []
         inflated = dataclasses.replace(
             program, gpr_count=program.gpr_count + 1
         )
-        with pytest.raises(VerificationError, match="V108") as excinfo:
-            verify_compiled(simple_kernel, inflated)
-        assert any(
-            d.code == "V108" for d in excinfo.value.diagnostics
-        )
+        assert "V108" in codes(verify_compiled(simple_kernel, inflated))
 
-    def test_check_compiled_reports_what_verify_compiled_raises(
-        self, simple_kernel
+    def test_compile_raises_what_lint_reports(
+        self, simple_kernel, monkeypatch
     ):
-        from repro.verify import check_compiled, verify_compiled
+        import repro.compiler.pipeline as pipeline
 
-        program = compile_kernel(simple_kernel)
-        assert check_compiled(simple_kernel, program) == []
-        inflated = dataclasses.replace(
-            program, gpr_count=program.gpr_count + 1
-        )
-        # The report-don't-raise front ends get the same findings the
-        # pipeline hook raises on.
-        found = check_compiled(simple_kernel, inflated)
+        real = pipeline.allocate
+
+        def inflating(*args):
+            program = real(*args)
+            return dataclasses.replace(
+                program, gpr_count=program.gpr_count + 1
+            )
+
+        monkeypatch.setattr(pipeline, "allocate", inflating)
+        # One checked compile: the findings lint reports are the ones
+        # compile_kernel raises on.
+        found = list(lint_kernel(simple_kernel).diagnostics)
         assert "V108" in codes(found)
-        with pytest.raises(VerificationError) as excinfo:
-            verify_compiled(simple_kernel, inflated)
+        with pytest.raises(VerificationError, match="V108") as excinfo:
+            compile_kernel(simple_kernel)
         assert list(excinfo.value.diagnostics) == found
+
+    def test_an_input_read_only_by_dead_code_is_v014(self):
+        from repro.compiler.pipeline import checked_compile
+
+        kernel = parse_il(DEAD_INPUT_IL)
+        validate_kernel(kernel)  # every IL check passes
+        program, found = checked_compile(kernel)
+        assert program is None
+        assert [(str(d), d.data) for d in found] == [
+            (
+                f"V014 error [il:0]: {DEAD_INPUT_ERROR}",
+                {"input": 0, "register": "r0"},
+            )
+        ]
+        with pytest.raises(ILValidationError) as excinfo:
+            compile_kernel(kernel)
+        assert str(excinfo.value) == DEAD_INPUT_ERROR
+        assert list(excinfo.value.diagnostics) == found
+
+    def test_each_stage_checks_once(self, monkeypatch):
+        import repro.verify.engine as engine
+        import repro.verify.il_checks as il_checks
+
+        checked, verified = [], []
+        real_checks, real_verify = il_checks.error_checks, engine.verify_compiled
+
+        def counting_checks(kernel):
+            checked.append(kernel)
+            return real_checks(kernel)
+
+        def counting_verify(kernel, *args):
+            verified.append(kernel)
+            return real_verify(kernel, *args)
+
+        monkeypatch.setattr(il_checks, "error_checks", counting_checks)
+        monkeypatch.setattr(engine, "verify_compiled", counting_verify)
+        # A kernel DCE shrinks: the IL checks run once on it and once on
+        # its DCE result, the post-lowering checks once.
+        for run in (compile_kernel, lint_kernel):
+            checked.clear()
+            verified.clear()
+            kernel = make_kernel(
+                [sample(0, 0), add(1, 0, 0), add(2, 1, 1), export(0, 1)]
+            )
+            run(kernel)
+            assert len(checked) == 2
+            assert checked[0] is kernel
+            assert checked[1] is not kernel
+            assert verified == [kernel]
 
     def test_verification_error_is_compile_error(self):
         from repro.compiler import CompileError
