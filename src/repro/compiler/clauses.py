@@ -12,6 +12,7 @@ describes for the real CAL compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from repro.compiler.errors import CompileError
 from repro.il.instructions import (
@@ -54,6 +55,16 @@ class StoreSegment:
 Segment = FetchSegment | ALUSegment | StoreSegment
 
 
+#: the segment kind of each instruction class
+_KIND = {
+    ALUInstruction: ALUSegment,
+    SampleInstruction: FetchSegment,
+    GlobalLoadInstruction: FetchSegment,
+    ExportInstruction: StoreSegment,
+    GlobalStoreInstruction: StoreSegment,
+}
+
+
 def form_segments(kernel: ILKernel) -> list[Segment]:
     """Split the kernel body into alternating fetch/ALU segments plus one
     trailing store segment.
@@ -61,48 +72,31 @@ def form_segments(kernel: ILKernel) -> list[Segment]:
     Raises :class:`CompileError` if a fetch or ALU instruction appears
     after the first store — the hardware's export clause terminates the
     program (``EXP_DONE``), so the generators always place outputs last.
+    The body is cut into runs of one segment kind at C speed; the loop
+    below runs once per run.
     """
+    body = kernel.body
     segments: list[Segment] = []
     stores = StoreSegment()
-    store_list = stores.stores
-    # The open fetch/ALU run's backing list, appended to directly; reset
-    # whenever the segment kind flips.  ALU instructions dominate every
-    # generated kernel (hundreds per kernel vs. at most ~18 fetches), so
-    # they are dispatched first.
-    open_kind: type | None = None
-    open_list: list = []
-
-    for pos, instr in enumerate(kernel.body):
-        if isinstance(instr, ALUInstruction):
-            if store_list:
-                raise CompileError(
-                    f"kernel {kernel.name!r}: ALU instruction after store is "
-                    "not supported (exports terminate the program)"
-                )
-            if open_kind is not ALUSegment:
-                seg = ALUSegment(pos)
-                segments.append(seg)
-                open_kind = ALUSegment
-                open_list = seg.instructions
-            open_list.append(instr)
-        elif isinstance(instr, (SampleInstruction, GlobalLoadInstruction)):
-            if store_list:
-                raise CompileError(
-                    f"kernel {kernel.name!r}: fetch after store is not "
-                    "supported (exports terminate the program)"
-                )
-            if open_kind is not FetchSegment:
-                seg = FetchSegment()
-                segments.append(seg)
-                open_kind = FetchSegment
-                open_list = seg.fetches
-            open_list.append(instr)
-        elif isinstance(instr, (ExportInstruction, GlobalStoreInstruction)):
-            store_list.append(instr)
-        else:  # pragma: no cover - defensive
-            raise CompileError(f"unsupported instruction {instr!r}")
-
-    if not store_list:
+    pos = 0
+    for kind, run in groupby(map(_KIND.get, map(type, body))):
+        end = pos + len(list(run))
+        if kind is StoreSegment:
+            stores.stores.extend(body[pos:end])
+        elif kind is None:  # pragma: no cover - defensive
+            raise CompileError(f"unsupported instruction {body[pos]!r}")
+        elif stores.stores:
+            what = "ALU instruction" if kind is ALUSegment else "fetch"
+            raise CompileError(
+                f"kernel {kernel.name!r}: {what} after store is not "
+                "supported (exports terminate the program)"
+            )
+        elif kind is ALUSegment:
+            segments.append(ALUSegment(pos, list(body[pos:end])))
+        else:
+            segments.append(FetchSegment(list(body[pos:end])))
+        pos = end
+    if not stores.stores:
         raise CompileError(f"kernel {kernel.name!r} produces no output")
     segments.append(stores)
     return segments

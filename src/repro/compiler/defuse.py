@@ -14,12 +14,13 @@ keeps kernels alive, and the index would live as long.
 
 from __future__ import annotations
 
-from repro.il.instructions import ILInstruction, RegisterFile
+from repro.il.instructions import ALUInstruction, ILInstruction, RegisterFile
 
 #: ``index[i][k]``: the body position that wrote the value operand ``k``
 #: of ``body[i].used_registers()`` reads; -1 for a non-temporary
-#: (position, constant, literal) or a temporary never written.
-DefUse = list[list[int]]
+#: (position, constant, literal) or a temporary never written.  Rows are
+#: tuples of ints, which the garbage collector stops tracking.
+DefUse = list[tuple[int, ...]]
 
 
 def build_defuse(body: tuple[ILInstruction, ...]) -> DefUse:
@@ -28,15 +29,27 @@ def build_defuse(body: tuple[ILInstruction, ...]) -> DefUse:
     # The reaching definition of each temporary, keyed by its index, so
     # no Register is ever hashed.
     reaching: dict[int, int] = {}
+    reach = reaching.get
     index: DefUse = []
     for pos, instr in enumerate(body):
+        if type(instr) is ALUInstruction:  # nearly every position
+            # Non-temporaries read -1: no temporary has index None.
+            sources = instr.sources
+            if len(sources) == 2:
+                a, b = sources
+                index.append((reach(a.temp_index, -1), reach(b.temp_index, -1)))
+            else:
+                index.append(tuple([reach(s.temp_index, -1) for s in sources]))
+            reg = instr.dest
+            if reg.file is temp_file:
+                reaching[reg.index] = pos
+            continue
+        used = instr.used_registers()
         index.append(
-            [
-                reaching.get(reg.index, -1) if reg.file is temp_file else -1
-                for reg in instr.used_registers()
-            ]
+            tuple([reach(r.index, -1) if r.file is temp_file else -1 for r in used])
         )
         for reg in instr.defined_registers():
             if reg.file is temp_file:
                 reaching[reg.index] = pos
     return index
+

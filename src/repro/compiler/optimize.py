@@ -26,12 +26,15 @@ def eliminate_dead_code(kernel: ILKernel, index: DefUse) -> tuple[ILKernel, int]
     """
     body = kernel.body
     live = bytearray(len(body))
-    for pos in range(len(body) - 1, -1, -1):
-        if isinstance(body[pos], (ExportInstruction, GlobalStoreInstruction)):
+    # Backwards over (position, class, def-use row) in step.
+    for pos, kind, row in zip(
+        range(len(body) - 1, -1, -1), map(type, reversed(body)), reversed(index)
+    ):
+        if kind is ExportInstruction or kind is GlobalStoreInstruction:
             live[pos] = 1
         elif not live[pos]:
             continue
-        for def_pos in index[pos]:
+        for def_pos in row:
             if def_pos >= 0:
                 live[def_pos] = 1
 

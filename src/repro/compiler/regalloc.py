@@ -37,7 +37,6 @@ from repro.il.instructions import (
 )
 from repro.il.module import ILKernel
 from repro.isa.clauses import (
-    ALUClause,
     Clause,
     ExportClause,
     FetchInstr,
@@ -45,6 +44,7 @@ from repro.isa.clauses import (
     TEXClause,
     Value,
     ValueLocation,
+    interned_alu_clause,
     interned_bundle,
     interned_value,
 )
@@ -70,12 +70,19 @@ class ProtoExportClause:
 ProtoClause = ProtoTexClause | ProtoALUClause | ProtoExportClause
 
 
-#: PV/PS operand of a value written by the previous bundle, per slot.
+#: the PV/PS operand code of a value the previous bundle wrote, by its
+#: slot and whether the read negates it
 _FORWARDED = {
-    slot: interned_value(ValueLocation.PREVIOUS_VECTOR, index, False)
-    for index, slot in enumerate("xyzw")
+    (slot, negate): interned_value(location, index, negate).code
+    for slot, location, index in (
+        *((s, ValueLocation.PREVIOUS_VECTOR, i) for i, s in enumerate("xyzw")),
+        ("t", ValueLocation.PREVIOUS_SCALAR, 0),
+    )
+    for negate in (False, True)
 }
-_FORWARDED["t"] = interned_value(ValueLocation.PREVIOUS_SCALAR, 0, False)
+#: the operands of T0/T1, and of every GPR handed out so far
+_TEMPS = tuple(interned_value(ValueLocation.CLAUSE_TEMP, i, False) for i in (0, 1))
+_GPRS: list[Value] = []
 #: storage of the registers the allocator does not place.
 _FIXED = {
     RegisterFile.POSITION: ValueLocation.POSITION,
@@ -91,24 +98,47 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause], index: DefUse) -> ISAPr
     order, and ``index`` is the body's def-use index.  Each value is
     keyed by the body position that wrote it, so a temporary written
     twice is two values with two live ranges.  Bundles are built from
-    their encodings through ``interned_bundle``, so equal bundles are
-    one shared object across every program of the process.
+    their encodings through ``interned_bundle`` and ALU clauses from
+    their bundles through ``interned_alu_clause``, so equal bundles,
+    and ALU clauses of the same bundles, are one shared object across
+    every program of the process.
     """
-    clause_of, bundle_of, step_of, slot_of, last_use = _place(kernel.body, proto, index)
-    location, number, temp_count = _decide_storage(
-        clause_of, bundle_of, slot_of, last_use
-    )
-    gpr_count = _allocate_gprs(step_of, last_use, location, number)
+    clause_of, step_of, slot_of, last_use = _place(kernel.body, proto, index)
     #: each value's (non-negated) operand; None if it only rides PV/PS
-    stored = [
-        interned_value(loc, reg, False) if loc is not None else None
-        for loc, reg in zip(location, number)
-    ]
+    stored, in_gprs, temp_count = _decide_storage(
+        clause_of, step_of, slot_of, last_use
+    )
+    gpr_count = _allocate_gprs(step_of, last_use, in_gprs, stored)
+    codes = [None if value is None else value.code for value in stored]
 
     clauses: list[Clause] = []
     pos = 0
-    for c_index, clause in enumerate(proto):
-        if isinstance(clause, ProtoTexClause):
+    for clause in proto:
+        if isinstance(clause, ProtoALUClause):
+            bundles = []
+            # Bundles hold consecutive body positions (``_place`` checked
+            # the order), so a value from the previous bundle of this
+            # clause is one written in [previous, first).
+            previous = first = pos
+            for bundle in clause.bundles:
+                previous, first = first, pos
+                ops = []  # each op's code; see Bundle.code
+                for slot, instr in bundle:
+                    sources = []
+                    for operand, def_pos in zip(instr.sources, index[pos]):
+                        if previous <= def_pos < first:  # rides PV/PS
+                            sources.append(_FORWARDED[slot_of[def_pos], operand.negate])
+                        elif def_pos < 0 or operand.negate or codes[def_pos] is None:
+                            sources.append(_source(operand, def_pos, stored).code)
+                        else:
+                            sources.append(codes[def_pos])
+                    ops.append(
+                        (slot, instr.op.mnemonic, codes[pos], tuple(sources))
+                    )
+                    pos += 1
+                bundles.append(interned_bundle(tuple(ops)))
+            clauses.append(interned_alu_clause(tuple(bundles)))
+        elif isinstance(clause, ProtoTexClause):
             fetches = []
             for fetch in clause.fetches:
                 if isinstance(fetch, SampleInstruction):
@@ -118,40 +148,6 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause], index: DefUse) -> ISAPr
                 fetches.append(FetchInstr(stored[pos], address, space))
                 pos += 1
             clauses.append(TEXClause(tuple(fetches)))
-        elif isinstance(clause, ProtoALUClause):
-            bundles = []
-            for b_index, bundle in enumerate(clause.bundles):
-                ops = []
-                for slot, instr in bundle:
-                    sources = []
-                    for operand, def_pos in zip(instr.sources, index[pos]):
-                        # Fetches sit in TEX clauses, so a value from the
-                        # previous bundle of this clause is an ALU result.
-                        if (
-                            def_pos >= 0
-                            and bundle_of[def_pos] == b_index - 1
-                            and clause_of[def_pos] == c_index
-                        ):
-                            value = _FORWARDED[slot_of[def_pos]]
-                            if operand.negate:
-                                value = interned_value(
-                                    value.location, value.index, True
-                                )
-                        else:
-                            value = _source(operand, def_pos, stored)
-                        sources.append(value.code)
-                    dest = stored[pos]
-                    ops.append(
-                        (
-                            slot,
-                            instr.op.mnemonic,
-                            None if dest is None else dest.code,
-                            tuple(sources),
-                        )
-                    )
-                    pos += 1
-                bundles.append(interned_bundle(tuple(ops)))
-            clauses.append(ALUClause(tuple(bundles)))
         else:
             stores = []
             for store in clause.stores:
@@ -170,19 +166,20 @@ def allocate(kernel: ILKernel, proto: list[ProtoClause], index: DefUse) -> ISAPr
 
 def _source(operand: Operand, def_pos: int, stored: list[Value | None]) -> Value:
     """A source operand that does not ride PV/PS."""
-    reg = operand.register
     if def_pos >= 0:
         value = stored[def_pos]
         if value is None:
             raise CompileError(
-                f"value {reg} has no storage but is used beyond PV range"
+                f"value {operand.register} has no storage but is used "
+                "beyond PV range"
             )
-    elif reg.file in _FIXED:
-        location = _FIXED[reg.file]
+    else:
+        reg = operand.register
+        location = _FIXED.get(reg.file)
+        if location is None:
+            raise CompileError(f"use of undefined register {reg}")
         index = 0 if location is ValueLocation.POSITION else reg.index
         value = interned_value(location, index, False)
-    else:
-        raise CompileError(f"use of undefined register {reg}")
     if operand.negate:
         return interned_value(value.location, value.index, True)
     return value
@@ -190,11 +187,10 @@ def _source(operand: Operand, def_pos: int, stored: list[Value | None]) -> Value
 
 def _place(
     body: tuple[ILInstruction, ...], proto: list[ProtoClause], index: DefUse
-) -> tuple[list[int], list[int], list[int], list[str], list[int]]:
-    """Each body position's clause, issue group within it (an ALU bundle,
-    or a lone fetch or store), issue step (one per group), VLIW slot
-    ("" outside ALU clauses) and the last position that reads its value
-    (-1: none).
+) -> tuple[list[int], list[int], list[str], list[int]]:
+    """Each body position's clause, issue step (one per issue group: an
+    ALU bundle, or a lone fetch or store), VLIW slot ("" outside ALU
+    clauses) and the last position that reads its value (-1: none).
 
     Walks the proto clauses, which keep program order, counting body
     positions and checking each against ``body``.  A fetch coordinate is
@@ -203,35 +199,39 @@ def _place(
     """
     n = len(body)
     clause_of = [0] * n
-    bundle_of = [0] * n
     step_of = [0] * n
     slot_of = [""] * n
     last_use = [-1] * n
     pos = step = 0
     for c_index, clause in enumerate(proto):
-        is_fetch = isinstance(clause, ProtoTexClause)
         if isinstance(clause, ProtoALUClause):
-            groups = clause.bundles
-        else:
-            items = clause.fetches if is_fetch else clause.stores
-            groups = [[("", instr)] for instr in items]
-        for b_index, ops in enumerate(groups):
-            for slot, instr in ops:
-                if pos == n or body[pos] is not instr:
-                    raise _out_of_order(pos)
-                clause_of[pos], bundle_of[pos] = c_index, b_index
-                step_of[pos], slot_of[pos] = step, slot
-                if is_fetch:
-                    last_use[pos] = pos
-                else:
+            for ops in clause.bundles:
+                for slot, instr in ops:
+                    if pos == n or body[pos] is not instr:
+                        raise _out_of_order(pos)
+                    clause_of[pos], step_of[pos], slot_of[pos] = c_index, step, slot
                     for def_pos in index[pos]:
                         if def_pos >= 0:
                             last_use[def_pos] = pos
-                pos += 1
+                    pos += 1
+                step += 1
+            continue
+        is_fetch = isinstance(clause, ProtoTexClause)
+        for instr in clause.fetches if is_fetch else clause.stores:
+            if pos == n or body[pos] is not instr:
+                raise _out_of_order(pos)
+            clause_of[pos], step_of[pos] = c_index, step
+            if is_fetch:
+                last_use[pos] = pos
+            else:
+                for def_pos in index[pos]:
+                    if def_pos >= 0:
+                        last_use[def_pos] = pos
+            pos += 1
             step += 1
     if pos != n:
         raise _out_of_order(pos)
-    return clause_of, bundle_of, step_of, slot_of, last_use
+    return clause_of, step_of, slot_of, last_use
 
 
 def _out_of_order(pos: int) -> CompileError:
@@ -239,79 +239,92 @@ def _out_of_order(pos: int) -> CompileError:
 
 
 def _decide_storage(
-    clause_of: list[int], bundle_of: list[int], slot_of: list[str], last_use: list[int]
-) -> tuple[list[ValueLocation | None], list[int], int]:
+    clause_of: list[int], step_of: list[int], slot_of: list[str], last_use: list[int]
+) -> tuple[list[Value | None], list[int], int]:
     """Decide each value's storage class and assign T0/T1.
 
     A value read only by the next bundle of its ALU clause rides PV/PS
     (``None``).  One used only inside its clause takes a temporary, by
-    interval scheduling in body (hence bundle) order, and spills to a GPR
-    when both are taken.  Fetch results and values that cross a clause
-    take a GPR.  Returns the locations, each temporary's index and the
-    number of temporaries used.
+    interval scheduling in body (hence bundle) order: the lowest of T0
+    and T1 whose last value was read before this value's bundle, or a
+    GPR when both are taken.  Fetch results and values that cross a
+    clause take a GPR.  Returns each value's operand (a temporary's, or
+    ``None`` until :func:`_allocate_gprs` fills in a GPR's), the
+    positions of the values that take a GPR and the number of
+    temporaries used.
     """
-    location: list[ValueLocation | None] = [None] * len(last_use)
-    number = [0] * len(last_use)
+    stored: list[Value | None] = [None] * len(last_use)
+    in_gprs: list[int] = []
     max_used = 0
     clause = -1
-    free: list[int] = []
-    active: list[tuple[int, int]] = []  # (last_use_bundle, temp_index)
+    busy = [-1, -1]  # the step of each temporary's last read, this clause
     for def_pos, last in enumerate(last_use):
         if last < 0:
             continue  # no value, or a dead one (DCE removes those)
         if not slot_of[def_pos] or clause_of[last] != clause_of[def_pos]:
-            location[def_pos] = ValueLocation.GPR
+            in_gprs.append(def_pos)
             continue
-        start, end = bundle_of[def_pos], bundle_of[last]
+        # Bundles of one clause are consecutive steps.
+        start, end = step_of[def_pos], step_of[last]
         if end == start + 1:
             continue  # every use is in the next bundle: PV/PS
         if clause_of[def_pos] != clause:
             clause = clause_of[def_pos]
-            free = [0, 1]
-            active = []
-        while active and active[0][0] < start:
-            _, released = heapq.heappop(active)
-            heapq.heappush(free, released)
-        if free:
-            temp_index = heapq.heappop(free)
-            location[def_pos] = ValueLocation.CLAUSE_TEMP
-            number[def_pos] = temp_index
-            heapq.heappush(active, (end, temp_index))
-            max_used = max(max_used, temp_index + 1)
+            busy = [-1, -1]
+        if busy[0] < start:
+            temp_index = 0
+        elif busy[1] < start:
+            temp_index = 1
         else:
-            location[def_pos] = ValueLocation.GPR
-    return location, number, max_used
+            in_gprs.append(def_pos)
+            continue
+        stored[def_pos] = _TEMPS[temp_index]
+        busy[temp_index] = end
+        if temp_index >= max_used:
+            max_used = temp_index + 1
+    return stored, in_gprs, max_used
 
 
 def _allocate_gprs(
     step_of: list[int],
     last_use: list[int],
-    location: list[ValueLocation | None],
-    number: list[int],
+    in_gprs: list[int],
+    stored: list[Value | None],
 ) -> int:
-    """Linear-scan GPR allocation with reuse; R0 reserved for the position."""
+    """Linear-scan GPR allocation with reuse; R0 reserved for the position.
+
+    Gives each value at a position in ``in_gprs`` its GPR in ``stored``
+    and returns the GPR count.  Intervals are taken in (start step, end
+    step, position) order.  Each is one int with those three fields, and
+    each active GPR one int of (end step, GPR), so sorting and the heap
+    compare plain ints; every field is below ``2 ** bits``.
+    """
+    bits = (len(last_use) + 2).bit_length()
+    mask = (1 << bits) - 1
     intervals = sorted(
-        (step_of[def_pos], step_of[last_use[def_pos]], def_pos)
-        for def_pos, loc in enumerate(location)
-        if loc is ValueLocation.GPR
+        [
+            (step_of[def_pos] << bits | step_of[last_use[def_pos]]) << bits | def_pos
+            for def_pos in in_gprs
+        ]
     )
 
     free: list[int] = []
     next_fresh = 1  # R0 reserved
-    active: list[tuple[int, int]] = []  # (end_step, gpr_index)
+    active: list[int] = []  # end_step << bits | gpr_index
     highest = 0
-    for start, end, def_pos in intervals:
-        while active and active[0][0] < start:
-            _, released = heapq.heappop(active)
-            heapq.heappush(free, released)
+    for interval in intervals:
+        start = interval >> bits >> bits
+        while active and active[0] >> bits < start:
+            heapq.heappush(free, heapq.heappop(active) & mask)
         if free:
-            gpr = heapq.heappop(free)
+            register = heapq.heappop(free)
         else:
-            gpr = next_fresh
+            register = next_fresh
             next_fresh += 1
-        number[def_pos] = gpr
-        heapq.heappush(active, (end, gpr))
-        highest = max(highest, gpr)
+        stored[interval & mask] = _gpr(register)
+        heapq.heappush(active, (interval >> bits & mask) << bits | register)
+        if register > highest:
+            highest = register
 
     gpr_count = highest + 1 if intervals else 1
     if gpr_count > 256:
@@ -320,3 +333,10 @@ def _allocate_gprs(
             "at most 256 per thread"
         )
     return gpr_count
+
+
+def _gpr(register: int) -> Value:
+    """The operand of GPR ``register``, from a list grown on demand."""
+    while len(_GPRS) <= register:
+        _GPRS.append(interned_value(ValueLocation.GPR, len(_GPRS), False))
+    return _GPRS[register]

@@ -128,7 +128,10 @@ class ILBuilder:
         return dest
 
     def add(self, a: Register | Operand, b: Register | Operand) -> Register:
-        return self._alu(_ADD, (a.as_operand, b.as_operand))
+        # The generators' chains are all adds: ``_alu`` written out.
+        dest = next(self._temps)
+        self._body.append(ALUInstruction(_ADD, dest, (a.as_operand, b.as_operand)))
+        return dest
 
     def sub(self, a: Register | Operand, b: Register | Operand) -> Register:
         return self._alu(_SUB, (a.as_operand, b.as_operand))

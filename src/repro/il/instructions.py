@@ -76,6 +76,12 @@ class Operand:
         text = self.register.text
         return f"-{text}" if self.negate else text
 
+    @functools.cached_property  # def-use, IL checks, IL executor: per source
+    def temp_index(self) -> int | None:
+        """The index of the temporary read; None for any other register."""
+        reg = self.register
+        return reg.index if reg.file is RegisterFile.TEMP else None
+
     @property
     def as_operand(self) -> "Operand":
         """Itself: registers and operands coerce alike."""
@@ -186,6 +192,8 @@ class ALUInstruction(ILInstruction):
     ) -> None:
         # Hand-written: generators build tens of thousands of these, and
         # the generated frozen ``__init__`` plus a check cost far more.
+        # (Writing ``self.__dict__`` is quicker per call but builds a real
+        # dict per instance: more memory and collector work.)
         if len(sources) != op.arity:
             raise ValueError(
                 f"{op.mnemonic} expects {op.arity} sources, got {len(sources)}"
@@ -195,15 +203,20 @@ class ALUInstruction(ILInstruction):
         _setattr(self, "sources", sources)
 
     def __str__(self) -> str:
+        # Emitted IL renders every instruction, nearly all binary ops.
+        sources = self.sources
+        if len(sources) == 2:
+            a, b = sources
+            return f"{self.op.mnemonic} {self.dest.text}, {a.text}, {b.text}"
         return ", ".join(
-            [f"{self.op.mnemonic} {self.dest.text}", *map(_text, self.sources)]
+            [f"{self.op.mnemonic} {self.dest.text}", *map(_text, sources)]
         )
 
     def defined_registers(self) -> tuple[Register, ...]:
         return (self.dest,)
 
     def used_registers(self) -> tuple[Register, ...]:
-        return tuple(s.register for s in self.sources)
+        return tuple([s.register for s in self.sources])
 
 
 _setattr = object.__setattr__

@@ -22,6 +22,12 @@ from repro.il.instructions import (
 from repro.il.types import DataType, MemorySpace, ShaderMode
 
 
+#: read once: on Python 3.11 each enum class attribute read goes through
+#: ``EnumType.__getattr__``, and every declaration checks its space.
+_INPUT_SPACES = (MemorySpace.TEXTURE, MemorySpace.GLOBAL)
+_OUTPUT_SPACES = (MemorySpace.COLOR_BUFFER, MemorySpace.GLOBAL)
+
+
 @dataclass(frozen=True)
 class InputDecl:
     """An input stream: a texture resource or a global-memory buffer."""
@@ -31,7 +37,7 @@ class InputDecl:
     dtype: DataType
 
     def __post_init__(self) -> None:
-        if self.space not in (MemorySpace.TEXTURE, MemorySpace.GLOBAL):
+        if self.space not in _INPUT_SPACES:
             raise ValueError(f"input {self.index}: invalid space {self.space}")
 
 
@@ -44,7 +50,7 @@ class OutputDecl:
     dtype: DataType
 
     def __post_init__(self) -> None:
-        if self.space not in (MemorySpace.COLOR_BUFFER, MemorySpace.GLOBAL):
+        if self.space not in _OUTPUT_SPACES:
             raise ValueError(f"output {self.index}: invalid space {self.space}")
 
 

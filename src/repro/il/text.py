@@ -11,15 +11,24 @@ from repro.il.module import ILKernel
 from repro.il.types import MemorySpace, ShaderMode
 
 
+#: read once: on Python 3.11 each enum class attribute read goes
+#: through ``EnumType.__getattr__``, and this renders every declaration.
+_PIXEL = ShaderMode.PIXEL
+_TEXTURE = MemorySpace.TEXTURE
+_COLOR_BUFFER = MemorySpace.COLOR_BUFFER
+
+
 def emit_il(kernel: ILKernel) -> str:
     """Render ``kernel`` as IL assembly text."""
+    dtype = kernel.dtype
+    dtype_text = dtype.value
     lines: list[str] = [kernel.mode.il_prefix]
     lines.append(f"; kernel: {kernel.name}")
-    lines.append(f"; dtype: {kernel.dtype.value}")
+    lines.append(f"; dtype: {dtype_text}")
     for key in sorted(kernel.metadata):
         lines.append(f"; meta {key}: {kernel.metadata[key]}")
 
-    if kernel.mode is ShaderMode.PIXEL:
+    if kernel.mode is _PIXEL:
         lines.append(
             "dcl_input_position_interp(linear_noperspective) v0.xy__"
         )
@@ -31,8 +40,8 @@ def emit_il(kernel: ILKernel) -> str:
         lines.append(f"dcl_cb cb0[{len(kernel.constants)}]")
 
     for decl in kernel.inputs:
-        fmt = decl.dtype.value
-        if decl.space is MemorySpace.TEXTURE:
+        fmt = dtype_text if decl.dtype is dtype else decl.dtype.value
+        if decl.space is _TEXTURE:
             lines.append(
                 f"dcl_resource_id({decl.index})_type(2d,unnorm)_fmt({fmt})"
             )
@@ -40,10 +49,10 @@ def emit_il(kernel: ILKernel) -> str:
             lines.append(f"dcl_global_input({decl.index})_fmt({fmt})")
 
     for decl in kernel.outputs:
-        fmt = decl.dtype.value
-        if decl.space is MemorySpace.COLOR_BUFFER:
+        if decl.space is _COLOR_BUFFER:
             lines.append(f"dcl_output_generic o{decl.index}")
         else:
+            fmt = dtype_text if decl.dtype is dtype else decl.dtype.value
             lines.append(f"dcl_global_output({decl.index})_fmt({fmt})")
 
     lines.extend(map(str, kernel.body))

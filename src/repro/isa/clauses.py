@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 
 from repro.il.opcodes import ILOp
@@ -112,6 +113,12 @@ class Bundle:
     """A VLIW instruction: up to five co-issued operations."""
 
     ops: tuple[ALUOp, ...]
+
+    #: set per bundle the first time :func:`interned_alu_clause` keys it
+    _serial = 0
+
+    def __getstate__(self) -> dict:  # a serial is one process's alone
+        return {k: v for k, v in self.__dict__.items() if k != "_serial"}
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -251,6 +258,34 @@ class ALUClause(Clause):
     def op_count(self) -> int:
         """Total scalar operations across all bundles."""
         return sum(b.width for b in self.bundles)
+
+
+#: the ALU clause intern table; see :func:`interned_alu_clause`.
+_ALU_CLAUSES: dict[tuple[int, ...], ALUClause] = {}
+_SERIALS = itertools.count(1)
+
+
+def interned_alu_clause(bundles: tuple[Bundle, ...]) -> ALUClause:
+    """The one shared :class:`ALUClause` of exactly these bundle objects.
+
+    The default sweep's 240 programs hold ~400 ALU clauses but ~45
+    distinct ones, so the register allocator builds clauses through
+    here and the checks and the ISA interpreter memoize per-clause facts
+    on them.  The key is the tuple of the bundles' serial numbers, each
+    given once and never reused.  Dropped, like ``_BUNDLES``, when full.
+    """
+    key = tuple([b._serial or _number(b) for b in bundles])
+    clause = _ALU_CLAUSES.get(key)
+    if clause is None:
+        if len(_ALU_CLAUSES) >= _BUNDLES_MAX:
+            _ALU_CLAUSES.clear()
+        clause = _ALU_CLAUSES[key] = ALUClause(bundles)
+    return clause
+
+
+def _number(bundle: Bundle) -> int:
+    object.__setattr__(bundle, "_serial", next(_SERIALS))
+    return bundle._serial
 
 
 @dataclass(frozen=True)

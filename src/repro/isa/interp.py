@@ -59,6 +59,63 @@ def execute_program(
         return _execute_program(program, inputs, domain, constants)
 
 
+#: the bank of each readable location in :func:`_execute_program`: GPRs,
+#: clause temporaries, the previous bundle's results (PV.x-w at keys 0-3,
+#: PS at 4), R0 and the constants read so far.  Bank 5 stays empty, so a
+#: read of any other location takes the checked path, as does a read of
+#: a value its bank lacks.
+_BANKS = {
+    ValueLocation.GPR: 0,
+    ValueLocation.CLAUSE_TEMP: 1,
+    ValueLocation.PREVIOUS_VECTOR: 2,
+    ValueLocation.PREVIOUS_SCALAR: 2,
+    ValueLocation.POSITION: 3,
+    ValueLocation.CONSTANT: 4,
+}
+
+
+def _source(value: Value) -> tuple:
+    """``(bank, key, negate, value)``: where a read of ``value`` looks."""
+    location, key = value.location, value.index
+    bank = _BANKS.get(location, 5)
+    if location is ValueLocation.PREVIOUS_SCALAR:
+        key = 4
+    elif location is ValueLocation.POSITION:
+        key = 0
+    elif bank == 2 and key not in range(4):
+        bank = 5  # PV has no such slot
+    return bank, key, value.negate, value
+
+
+def _destination(value: Value) -> tuple:
+    """``(bank, key, value)``: where a write of ``value`` goes."""
+    return _BANKS.get(value.location, 5), value.index, value
+
+
+def _plans(clause: ALUClause) -> tuple:
+    """Per bundle of ``clause``, per op: its mnemonic, its sources (see
+    :func:`_source`), its destination (see :func:`_destination`) or None, and
+    its result's key among the next bundle's PV/PS.  These are facts of
+    the clause alone, so they are kept on the (interned) clause; whether
+    each value exists is still checked on every read."""
+    plans = clause.__dict__.get("_plans")
+    if plans is None:
+        plans = tuple(
+            tuple(
+                (
+                    op.op.mnemonic,
+                    tuple([_source(value) for value in op.sources]),
+                    None if op.dest is None else _destination(op.dest),
+                    4 if op.slot == "t" else "xyzw".index(op.slot),
+                )
+                for op in bundle.ops
+            )
+            for bundle in clause.bundles
+        )
+        object.__setattr__(clause, "_plans", plans)
+    return plans
+
+
 def _execute_program(
     program: ISAProgram,
     inputs: dict[int, np.ndarray],
@@ -70,54 +127,36 @@ def _execute_program(
     constants = constants or {}
     arrays = bind_inputs(program.kernel, inputs, shape, ISAExecutionError)
     position = position_array(shape)  # R0 holds the position/thread id
-
-    gprs: dict[int, np.ndarray] = {0: position}
-    clause_temps: dict[int, np.ndarray] = {}
-    prev_vector: dict[int, np.ndarray] = {}
-    prev_scalar: np.ndarray | None = None
+    banks: list[dict[int, np.ndarray]] = [{0: position}, {}, {}, {0: position}, {}, {}]
+    clause_temps = banks[1]
     outputs: dict[int, np.ndarray] = {}
 
-    def read(value: Value) -> np.ndarray:
-        location = value.location
-        if location is ValueLocation.GPR:
-            if value.index not in gprs:
-                raise ISAExecutionError(f"read of uninitialized R{value.index}")
-            arr = gprs[value.index]
-        elif location is ValueLocation.POSITION:
-            arr = position
-        elif location is ValueLocation.CLAUSE_TEMP:
-            if value.index not in clause_temps:
-                raise ISAExecutionError(
-                    f"read of dead clause temporary T{value.index}"
+    def read(bank: int, key: int, negate: bool, value: Value) -> np.ndarray:
+        arr = banks[bank].get(key)
+        if arr is None:
+            location, index = value.location, value.index
+            if location is ValueLocation.CONSTANT:
+                arr = banks[4][index] = constant_array(
+                    constants.get(index, 0.0), shape
                 )
-            arr = clause_temps[value.index]
-        elif location is ValueLocation.PREVIOUS_VECTOR:
-            if value.index not in prev_vector:
-                raise ISAExecutionError(
-                    f"no previous-bundle result in slot {value.index}"
-                )
-            arr = prev_vector[value.index]
-        elif location is ValueLocation.PREVIOUS_SCALAR:
-            if prev_scalar is None:
+            elif location is ValueLocation.GPR:
+                raise ISAExecutionError(f"read of uninitialized R{index}")
+            elif location is ValueLocation.CLAUSE_TEMP:
+                raise ISAExecutionError(f"read of dead clause temporary T{index}")
+            elif location is ValueLocation.PREVIOUS_VECTOR:
+                raise ISAExecutionError(f"no previous-bundle result in slot {index}")
+            elif location is ValueLocation.PREVIOUS_SCALAR:
                 raise ISAExecutionError("no previous-bundle t-slot result")
-            arr = prev_scalar
-        elif location is ValueLocation.CONSTANT:
-            arr = constant_array(constants.get(value.index, 0.0), shape)
-        else:
-            raise ISAExecutionError(f"unreadable value {value}")
-        return -arr if value.negate else arr
+            else:
+                raise ISAExecutionError(f"unreadable value {value}")
+        return -arr if negate else arr
 
-    def write(value: Value, data: np.ndarray) -> None:
-        if value.location is ValueLocation.GPR:
-            gprs[value.index] = data
-        elif value.location is ValueLocation.CLAUSE_TEMP:
-            clause_temps[value.index] = data
-        else:
+    def write(dest: tuple, data: np.ndarray) -> None:
+        bank, key, value = dest
+        if bank > 1:  # not a GPR or a clause temporary
             raise ISAExecutionError(f"unwritable destination {value}")
+        banks[bank][key] = data
 
-    gpr = ValueLocation.GPR
-    clause_temp = ValueLocation.CLAUSE_TEMP
-    previous_vector = ValueLocation.PREVIOUS_VECTOR
     f32 = np.dtype(np.float32)
     # float32 overflow in long chains is expected and must match the IL
     # executor's behaviour (see repro.sim.functional).
@@ -125,50 +164,48 @@ def _execute_program(
         for clause in program.clauses:
             if isinstance(clause, TEXClause):
                 for fetch in clause.fetches:
-                    write(fetch.dest, arrays[fetch.resource])
-                prev_vector, prev_scalar = {}, None
+                    write(_destination(fetch.dest), arrays[fetch.resource])
+                banks[2] = {}
                 clause_temps.clear()
             elif isinstance(clause, ALUClause):
                 clause_temps.clear()
-                prev_vector, prev_scalar = {}, None
-                for bundle in clause.bundles:
-                    # co-issue: read everything against pre-bundle state
-                    staged: list[tuple[Value, np.ndarray]] = []
-                    next_vector: dict[int, np.ndarray] = {}
-                    next_scalar: np.ndarray | None = None
-                    for op in bundle.ops:
-                        sources = []
-                        for value in op.sources:
-                            # GPR, PV and T values are read inline; the
-                            # rest, and a missing value, via read()
-                            location = value.location
-                            if location is gpr:
-                                arr = gprs.get(value.index)
-                            elif location is previous_vector:
-                                arr = prev_vector.get(value.index)
-                            elif location is clause_temp:
-                                arr = clause_temps.get(value.index)
-                            else:
-                                arr = None
-                            if arr is None:
-                                sources.append(read(value))
-                            else:
-                                sources.append(-arr if value.negate else arr)
-                        result = ALU_OPS[op.op.mnemonic](*sources)
+                banks[2] = {}
+                for plan in _plans(clause):
+                    # co-issue: every op reads the pre-bundle state, and
+                    # the results commit together (a lone op, as most
+                    # are, at once)
+                    writes = [] if len(plan) > 1 else None
+                    results: dict[int, np.ndarray] = {}  # the next PV/PS
+                    for mnemonic, sources, dest, slot in plan:
+                        if len(sources) == 2:  # nearly every op: inline
+                            (bank, key, negate, value), second = sources
+                            x = banks[bank].get(key)
+                            if x is None or negate:
+                                x = read(bank, key, negate, value)
+                            bank, key, negate, value = second
+                            y = banks[bank].get(key)
+                            if y is None or negate:
+                                y = read(bank, key, negate, value)
+                            result = ALU_OPS[mnemonic](x, y)
+                        else:
+                            result = ALU_OPS[mnemonic](
+                                *[read(*source) for source in sources]
+                            )
                         if result.dtype is not f32:
                             result = result.astype(np.float32)
-                        if op.dest is not None:
-                            staged.append((op.dest, result))
-                        if op.slot == "t":
-                            next_scalar = result
+                        if dest is None:
+                            pass
+                        elif writes is None:
+                            write(dest, result)
                         else:
-                            next_vector["xyzw".index(op.slot)] = result
-                    for dest, result in staged:
+                            writes.append((dest, result))
+                        results[slot] = result
+                    for dest, result in writes or ():
                         write(dest, result)
-                    prev_vector, prev_scalar = next_vector, next_scalar
+                    banks[2] = results
             elif isinstance(clause, ExportClause):
                 for store in clause.stores:
-                    outputs[store.target] = np.array(read(store.source))
+                    outputs[store.target] = np.array(read(*_source(store.source)))
             else:  # pragma: no cover - defensive
                 raise ISAExecutionError(
                     f"unknown clause {type(clause).__name__}"

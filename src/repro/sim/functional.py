@@ -18,7 +18,7 @@ from repro.il.instructions import (
     ExportInstruction,
     GlobalLoadInstruction,
     GlobalStoreInstruction,
-    Register,
+    Operand,
     RegisterFile,
     SampleInstruction,
 )
@@ -75,6 +75,9 @@ def bind_inputs(
             raw = inputs[decl.index]
         except KeyError:
             raise error(f"input {decl.index} not provided") from None
+        if type(raw) is np.ndarray and raw.dtype is _F32 and raw.shape == shape:
+            arrays[decl.index] = raw  # as seeded: nothing to convert
+            continue
         arr = np.asarray(raw, dtype=np.float32)
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
@@ -107,15 +110,10 @@ def constant_array(value: np.ndarray | float, shape: tuple) -> np.ndarray:
 def position_array(shape: tuple[int, int, int]) -> np.ndarray:
     """The position/thread-id register: x in component 0, y in 1."""
     height, width, components = shape
-    ys, xs = np.meshgrid(
-        np.arange(height, dtype=np.float32),
-        np.arange(width, dtype=np.float32),
-        indexing="ij",
-    )
     arr = np.zeros(shape, dtype=np.float32)
-    arr[:, :, 0] = xs
+    arr[:, :, 0] = np.arange(width, dtype=np.float32)
     if components > 1:
-        arr[:, :, 1] = ys
+        arr[:, :, 1] = np.arange(height, dtype=np.float32)[:, np.newaxis]
     return arr
 
 
@@ -140,58 +138,53 @@ def execute_kernel(
     # register a parsed kernel writes (an ``oN`` destination) by itself.
     temp_file = RegisterFile.TEMP
     regs: dict = {}
+    defined = regs.get  # by ``Operand.temp_index``: None is no key
     outputs: dict[int, np.ndarray] = {}
 
-    def key(reg: Register) -> int | Register:
-        return reg.index if reg.file is temp_file else reg
-
-    def read(reg: Register, negate: bool = False) -> np.ndarray:
+    def read(operand: Operand) -> np.ndarray:
+        reg = operand.register
         if reg.file is RegisterFile.CONST:
             arr = constant_array(constants.get(reg.index, 0.0), shape)
         elif reg.file is RegisterFile.POSITION:
             arr = position_array(shape)
         else:
             try:
-                arr = regs[key(reg)]
+                arr = regs[reg.index if reg.file is temp_file else reg]
             except KeyError:
                 raise ExecutionError(f"read of undefined register {reg}") from None
-        return -arr if negate else arr
+        return -arr if operand.negate else arr
 
     # Long dependent chains legitimately overflow float32 (the chain's
     # input weights grow like Fibonacci numbers); infinities propagate
     # consistently through both this executor and the ISA interpreter.
     with np.errstate(over="ignore", invalid="ignore"):
         for instr in kernel.body:
-            if isinstance(instr, ALUInstruction):
-                srcs = []
-                for operand in instr.sources:
-                    reg = operand.register
-                    # a defined temporary is read inline; anything else
-                    # (constants, position, an undefined read) via read()
-                    arr = regs.get(reg.index) if reg.file is temp_file else None
-                    if arr is None:
-                        srcs.append(read(reg, operand.negate))
-                    else:
-                        srcs.append(-arr if operand.negate else arr)
-                result = ALU_OPS[instr.op.mnemonic](*srcs)
+            kind = type(instr)
+            if kind is ALUInstruction:
+                sources = instr.sources
+                if len(sources) == 2:  # nearly every op: a temporary inline
+                    a, b = sources
+                    x = defined(a.temp_index)
+                    if x is None or a.negate:
+                        x = read(a)
+                    y = defined(b.temp_index)
+                    if y is None or b.negate:
+                        y = read(b)
+                    result = ALU_OPS[instr.op.mnemonic](x, y)
+                else:
+                    result = ALU_OPS[instr.op.mnemonic](*map(read, sources))
                 if result.dtype is not _F32:
                     result = result.astype(np.float32)
                 dest = instr.dest
                 regs[dest.index if dest.file is temp_file else dest] = result
-            elif isinstance(instr, SampleInstruction):
-                regs[key(instr.dest)] = arrays[instr.resource]
-            elif isinstance(instr, GlobalLoadInstruction):
-                regs[key(instr.dest)] = arrays[instr.offset]
-            elif isinstance(instr, ExportInstruction):
-                outputs[instr.target] = np.array(
-                    read(instr.source.register, instr.source.negate),
-                    dtype=np.float32,
-                )
-            elif isinstance(instr, GlobalStoreInstruction):
-                outputs[instr.offset] = np.array(
-                    read(instr.source.register, instr.source.negate),
-                    dtype=np.float32,
-                )
+            elif kind is SampleInstruction or kind is GlobalLoadInstruction:
+                dest = instr.dest
+                regs[dest.index if dest.file is temp_file else dest] = arrays[
+                    instr.resource if kind is SampleInstruction else instr.offset
+                ]
+            elif kind is ExportInstruction or kind is GlobalStoreInstruction:
+                target = instr.target if kind is ExportInstruction else instr.offset
+                outputs[target] = np.array(read(instr.source), dtype=np.float32)
             else:  # pragma: no cover - defensive
                 raise ExecutionError(f"unsupported instruction {instr!r}")
 

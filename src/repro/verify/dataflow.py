@@ -69,7 +69,7 @@ def dead_instruction_indices(kernel: ILKernel) -> list[int]:
 
 # ---- ISA level -------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class GPRInterval:
     """One live range of a physical GPR over the linearized program."""
 
@@ -97,34 +97,30 @@ def gpr_live_intervals(program: ISAProgram) -> list[GPRInterval]:
     closed: list[GPRInterval] = []
     pos = 0
 
-    def write(index: int) -> None:
+    def write(index: int, at: int) -> None:
         previous = live.pop(index, None)
         if previous is not None:
             closed.append(previous)
-        live[index] = GPRInterval(index, pos, pos)
+        live[index] = GPRInterval(index, at, at)
 
     for clause in program.clauses:
         if isinstance(clause, TEXClause):
             for fetch in clause.fetches:
                 if fetch.dest.location is gpr:
-                    write(fetch.dest.index)
+                    write(fetch.dest.index, pos)
                 pos += 1
         elif isinstance(clause, ALUClause):
-            for bundle in clause.bundles:
-                writes = []
-                for op in bundle.ops:
-                    for src in op.sources:
-                        if src.location is gpr:
-                            interval = live.get(src.index)
-                            if interval is not None:
-                                interval.end = pos
-                                interval.reads += 1
-                    dest = op.dest
-                    if dest is not None and dest.location is gpr:
-                        writes.append(dest.index)
+            # most bundles of a chain touch no GPR at all
+            for offset, reads, writes in gpr_events(clause):
+                at = pos + offset
+                for index in reads:
+                    interval = live.get(index)
+                    if interval is not None:
+                        interval.end = at
+                        interval.reads += 1
                 for index in writes:
-                    write(index)
-                pos += 1
+                    write(index, at)
+            pos += len(clause.bundles)
         elif isinstance(clause, ExportClause):
             for store in clause.stores:
                 if store.source.location is gpr:
@@ -135,6 +131,29 @@ def gpr_live_intervals(program: ISAProgram) -> list[GPRInterval]:
                 pos += 1
     closed.extend(live.values())
     return closed
+
+
+def gpr_events(clause: ALUClause) -> tuple:
+    """``(bundle offset, GPRs read, GPRs written)`` of each bundle of
+    ``clause`` that touches a GPR, in order.  A fact of the clause alone,
+    memoized on the (interned) clause."""
+    events = clause.__dict__.get("_gpr_events")
+    if events is None:
+        gpr = ValueLocation.GPR
+        events = []
+        for offset, bundle in enumerate(clause.bundles):
+            ops = bundle.ops
+            reads = [s.index for op in ops for s in op.sources if s.location is gpr]
+            writes = [
+                op.dest.index
+                for op in ops
+                if op.dest is not None and op.dest.location is gpr
+            ]
+            if reads or writes:
+                events.append((offset, tuple(reads), tuple(writes)))
+        events = tuple(events)
+        object.__setattr__(clause, "_gpr_events", events)
+    return events
 
 
 def max_live_gprs(

@@ -108,8 +108,9 @@ def lint_kernel(kernel: ILKernel, gpu=None, options=None) -> LintReport:
     from repro.compiler.pipeline import checked_compile
     from repro.verify.il_checks import check_kernel
 
+    # A ``lint`` span: the checked compile records its own ``verify``.
     with telemetry.span(
-        "verify", kernel=kernel.name, mode=kernel.mode.value
+        "lint", kernel=kernel.name, mode=kernel.mode.value
     ) as span:
         diagnostics = check_kernel(kernel)
         program: ISAProgram | None = None

@@ -30,6 +30,13 @@ from repro.verify.dataflow import dead_instruction_indices
 from repro.verify.diagnostics import Diagnostic, SourceLocation, diag, errors
 
 
+#: read once: on Python 3.11 each enum class attribute read goes through
+#: ``EnumType.__getattr__``, and the checks read these per declaration.
+_TEMP, _OUTPUT = RegisterFile.TEMP, RegisterFile.OUTPUT
+_TEXTURE, _COLOR_BUFFER = MemorySpace.TEXTURE, MemorySpace.COLOR_BUFFER
+_COMPUTE = ShaderMode.COMPUTE
+
+
 def _il_loc(index: int) -> SourceLocation:
     return SourceLocation("il", instruction=index)
 
@@ -54,7 +61,7 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
     V013, V004/V011, V005/V006, V007/V010, V009.  A kernel without
     errors is marked clean, so ``validate_kernel`` need not check it again.
     """
-    temp_file, output_file = RegisterFile.TEMP, RegisterFile.OUTPUT
+    temp_file, output_file = _TEMP, _OUTPUT
     unwritten = "before it is written"
     inputs = {decl.index for decl in kernel.inputs}
     outputs = {decl.index for decl in kernel.outputs}
@@ -87,13 +94,14 @@ def error_checks(kernel: ILKernel) -> list[Diagnostic]:
         kind = type(instr)
         if kind is ALUInstruction:
             for source in instr.sources:
-                reg = source.register
-                if reg.file is temp_file:
-                    index = reg.index
+                index = source.temp_index
+                if index is not None:
                     if index not in defined:
+                        reg = source.register
                         flag("V004", pos, reg, f"reads {reg} {unwritten}")
                     consume(index)
                 else:
+                    reg = source.register
                     if reg.file is output_file:
                         rule = "output registers are write-only"
                         flag("V011", pos, reg, f"reads {reg}; {rule}")
@@ -211,10 +219,8 @@ def _check_declarations(kernel: ILKernel) -> list[Diagnostic]:
                 "would eliminate it entirely (paper §III)",
             )
         )
-    color_outputs = [
-        d for d in kernel.outputs if d.space is MemorySpace.COLOR_BUFFER
-    ]
-    if kernel.mode is ShaderMode.COMPUTE:
+    color_outputs = [d for d in kernel.outputs if d.space is _COLOR_BUFFER]
+    if kernel.mode is _COMPUTE:
         for decl in color_outputs:
             diags.append(
                 diag(
@@ -259,7 +265,7 @@ def _check_inputs_used(
     """V005 (an input never fetched); V006 (its value never read)."""
     diags: list[Diagnostic] = []
     for decl in kernel.inputs:
-        texture = decl.space is MemorySpace.TEXTURE
+        texture = decl.space is _TEXTURE
         reg = (sampled if texture else loaded).get(decl.index)
         kind = "sampled" if texture else "loaded"
         if reg is None:
@@ -272,9 +278,7 @@ def _check_inputs_used(
                     input=decl.index,
                 )
             )
-        elif (
-            reg.index if reg.file is RegisterFile.TEMP else reg
-        ) not in consumed:
+        elif (reg.index if reg.file is _TEMP else reg) not in consumed:
             diags.append(
                 diag(
                     "V006",
@@ -293,7 +297,7 @@ def _check_outputs_written(
     """V007 (an output never written); V010 (written more than once)."""
     diags: list[Diagnostic] = []
     for decl in kernel.outputs:
-        color = decl.space is MemorySpace.COLOR_BUFFER
+        color = decl.space is _COLOR_BUFFER
         written = (exported if color else stored)[decl.index]
         kind = "color" if color else "global"
         if written == 0:

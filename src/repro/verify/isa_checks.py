@@ -27,9 +27,7 @@ from repro.verify.dataflow import (
 )
 from repro.verify.diagnostics import Diagnostic, SourceLocation, diag
 
-#: VLIW slot -> its bit in the bundle screen of :func:`_check_clause_content`
-_SLOT_BITS = {"x": 1, "y": 2, "z": 4, "w": 8, "t": 16}
-_T_BIT = _SLOT_BITS["t"]
+_SLOTS = frozenset("xyzwt")
 #: general slot -> its ``PV`` index
 _VECTOR_SLOTS = {"x": 0, "y": 1, "z": 2, "w": 3}
 _PREVIOUS = (ValueLocation.PREVIOUS_VECTOR, ValueLocation.PREVIOUS_SCALAR)
@@ -115,17 +113,10 @@ def _check_clause_content(program: ISAProgram) -> list[Diagnostic]:
     gpr = ValueLocation.GPR
     for ci, clause in enumerate(program.clauses):
         if isinstance(clause, ALUClause):
-            for bi, bundle in enumerate(clause.bundles):
-                # One pass over the slots: each valid, none taken twice, a
-                # transcendental only in t.  Five distinct valid slots also
-                # bound the width, so every V104 rule is screened here.
-                seen = 0
-                for op in bundle.ops:
-                    bit = _SLOT_BITS.get(op.slot, 0)
-                    if not bit or seen & bit or op.op.transcendental and bit != _T_BIT:
-                        diags += _bundle_violations(bundle, ci, bi)
-                        break
-                    seen |= bit
+            *_, slots_ok = _clause_screen(clause)
+            if not slots_ok:
+                for bi, bundle in enumerate(clause.bundles):
+                    diags += _bundle_violations(bundle, ci, bi)
         elif isinstance(clause, TEXClause):
             if _mixed(clause.fetches):
                 diags.append(
@@ -189,7 +180,7 @@ def _bundle_violations(bundle: Bundle, ci: int, bi: int) -> list[Diagnostic]:
                 )
             )
     for op in ops:
-        if op.slot not in _SLOT_BITS:
+        if op.slot not in _SLOTS:
             diags.append(
                 diag(
                     "V104",
@@ -214,10 +205,16 @@ def _check_value_flow(program: ISAProgram) -> list[Diagnostic]:
     """Uninitialized GPRs, clause-temp lifetimes, PV/PS adjacency."""
     diags: list[Diagnostic] = []
     gpr = ValueLocation.GPR
+    declared = program.clause_temp_count
+    usable_temps = (0, 1)[: max(declared, 0)]  # T0/T1 up to the count
     defined_gprs: set[int] = {0}  # R0 pre-loads the position/thread id
     for ci, clause in enumerate(program.clauses):
         if isinstance(clause, ALUClause):
-            _alu_value_flow(program, clause, ci, defined_gprs, diags)
+            needed, written, temps, sound, _ = _clause_screen(clause)
+            if sound and temps.issubset(usable_temps) and needed <= defined_gprs:
+                defined_gprs.update(written)  # no findings
+            else:
+                _alu_value_flow(declared, clause, ci, defined_gprs, diags)
         elif isinstance(clause, TEXClause):
             for fetch in clause.fetches:
                 if fetch.dest.location is gpr:
@@ -257,20 +254,53 @@ def _check_value_flow(program: ISAProgram) -> list[Diagnostic]:
     return diags
 
 
+def _clause_screen(clause: ALUClause) -> tuple:
+    """``(GPRs read before the clause writes them, GPRs it writes, clause
+    temporaries it names, sound, slots_ok)``: ``sound`` if it has no
+    value-flow finding once those GPRs are defined and T0/T1 exist (its
+    temporaries and PV/PS start empty), ``slots_ok`` if no V104 finding.
+    Facts of the clause alone, found by the walks that report the
+    findings and memoized on the (interned) clause."""
+    screen = clause.__dict__.get("_screen")
+    if screen is None:
+        gpr, temp = ValueLocation.GPR, ValueLocation.CLAUSE_TEMP
+        needed, written, temps = set(), set(), set()
+        for bundle in clause.bundles:
+            for value in [s for op in bundle.ops for s in op.sources]:
+                if value.location is gpr and value.index not in written:
+                    needed.add(value.index)
+                elif value.location is temp:
+                    temps.add(value.index)
+            for value in [op.dest for op in bundle.ops if op.dest is not None]:
+                if value.location is gpr:
+                    written.add(value.index)
+                elif value.location is temp:
+                    temps.add(value.index)
+        findings: list[Diagnostic] = []
+        _alu_value_flow(2, clause, 0, set(needed), findings)
+        slots = [_bundle_violations(b, 0, i) for i, b in enumerate(clause.bundles)]
+        screen = (
+            frozenset(needed), frozenset(written), frozenset(temps),
+            not findings, not any(slots),
+        )
+        object.__setattr__(clause, "_screen", screen)
+    return screen
+
+
 def _alu_value_flow(
-    program: ISAProgram,
+    declared: int,
     clause: ALUClause,
     ci: int,
     defined_gprs: set[int],
     diags: list[Diagnostic],
 ) -> None:
-    """:func:`_check_value_flow` over ALU clause ``ci``: appends its
-    findings to ``diags`` and its GPR writes to ``defined_gprs``."""
+    """:func:`_check_value_flow` over ALU clause ``ci`` of a program that
+    declares ``declared`` clause temporaries: appends its findings to
+    ``diags`` and its GPR writes to ``defined_gprs``."""
     gpr = ValueLocation.GPR
     clause_temp = ValueLocation.CLAUSE_TEMP
     previous_vector = ValueLocation.PREVIOUS_VECTOR
     previous_scalar = ValueLocation.PREVIOUS_SCALAR
-    declared = program.clause_temp_count
     usable_temps = (0, 1)[: max(declared, 0)]  # T0/T1 up to the count
     defined_temps: set[int] = set()
     prev_vector: list[int] = []

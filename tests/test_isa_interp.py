@@ -5,6 +5,8 @@ PV/PS forwarding with per-slot resolution, clause-temporary allocation
 and GPR reuse — by executing both forms numerically and comparing.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,7 +44,7 @@ from repro.kernels import (
     generate_generic,
     generate_register_usage,
 )
-from repro.sim.functional import execute_kernel
+from repro.sim.functional import execute_kernel, position_array
 
 
 def differential(kernel, n_inputs, constants=None, seed=0, domain=(4, 4)):
@@ -383,3 +385,199 @@ class TestHandBuiltReads:
                 program, self.inputs(), self.DOMAIN, self.CONSTANTS
             )
         assert str(excinfo.value) == message
+
+
+# ---- pinned outputs, one small kernel per ALU opcode ------------------------
+
+def opcode_kernel(op):
+    """``w = op(y[, x[, pos]]) + -pos + x`` with ``x = a + -b`` and
+    ``y = x * c``: once compiled, the program reads the constant, R0,
+    negated operands, ``x`` from a clause temporary and each result of
+    the previous bundle through PV, or PS for a transcendental op."""
+    builder = ILBuilder(f"pin_{op.mnemonic}", ShaderMode.PIXEL, DataType.FLOAT4)
+    a, b = builder.declare_input(), builder.declare_input()
+    out = builder.declare_output()
+    c = builder.declare_constant()
+    va, vb = builder.sample(a), builder.sample(b)
+    x = builder.add(va, Operand(vb, negate=True))
+    y = builder.mul(x, c)
+    r = builder.alu(op, *(y, x, builder.position)[: op.arity])
+    z = builder.add(r, Operand(builder.position, negate=True))
+    builder.store(out, builder.add(z, x))
+    return builder.build()
+
+
+#: SHA-256 (first 16 hex digits) of each opcode kernel's seeded output
+#: bytes.  A change to any ``ALU_OPS`` entry moves its pin, whichever
+#: executor runs it.
+OPCODE_PINS = {
+    "mov": "3c9b2c45b64f1805",
+    "add": "cb4d2542421397e0",
+    "sub": "a5192ef287e67dc3",
+    "mul": "84e69b8d9e24fcbb",
+    "mad": "cca7e85e07035073",
+    "min": "3f13fec690e130ff",
+    "max": "908ae18cd014b59a",
+    "dp4": "0fdc42ddb01c38d8",
+    "flr": "0bd5bf1e8f18bb9f",
+    "frc": "02690e96fcd57c36",
+    "rcp": "ecce0a791112f74b",
+    "rsq": "ac5a861282790dc3",
+    "sqrt": "460cebfc24fdb536",
+}
+#: exp, log, sin and cos are not correctly rounded, and NumPy picks
+#: their SIMD implementation by CPU, so their kernels are checked
+#: against the same expression with the op taken in float64 instead.
+LIBM = {
+    "exp": np.exp,
+    "log": lambda v: np.log(np.abs(v) + 1e-30),
+    "sin": np.sin,
+    "cos": np.cos,
+}
+
+
+class TestOpcodePins:
+    @pytest.mark.parametrize("op", list(ILOp), ids=lambda op: op.mnemonic)
+    def test_both_executors_give_the_pinned_outputs(self, op):
+        from repro.verify.differential import seeded_case
+
+        kernel = opcode_kernel(op)
+        program = compile_kernel(kernel)
+        locations = {
+            value.location
+            for clause in program.alu_clauses()
+            for bundle in clause.bundles
+            for alu in bundle.ops
+            for value in alu.sources
+        }
+        forwarded = PS if op.transcendental else PV
+        assert {forwarded, T, KC, R0} <= locations
+        case = seeded_case(kernel)
+        il_out = execute_kernel(kernel, case.inputs, case.domain, case.constants)
+        isa_out = execute_program(program, case.inputs, case.domain, case.constants)
+        assert il_out.keys() == isa_out.keys() == {0}
+        out = il_out[0]
+        assert out.dtype == np.float32
+        assert isa_out[0].tobytes() == out.tobytes()
+        if op.mnemonic in LIBM:
+            a, b = case.inputs[0], case.inputs[1]
+            x = a + -b
+            y = x * np.float32(case.constants[0])
+            r = LIBM[op.mnemonic](y.astype(np.float64)).astype(np.float32)
+            want = r + -position_array(out.shape) + x
+            np.testing.assert_allclose(out, want, rtol=4e-6, atol=2e-6)
+        else:
+            digest = hashlib.sha256(out.tobytes()).hexdigest()[:16]
+            assert digest == OPCODE_PINS[op.mnemonic]
+
+
+# ---- memos on interned clauses and bundles ---------------------------------
+
+def _fresh(program):
+    """``program`` rebuilt from new, un-interned clauses and bundles: the
+    same content, with no memo on any of it."""
+    return ISAProgram(
+        program.kernel,
+        tuple(
+            ALUClause(tuple(Bundle(b.ops) for b in c.bundles))
+            if isinstance(c, ALUClause)
+            else c
+            for c in program.clauses
+        ),
+        program.gpr_count,
+        program.clause_temp_count,
+    )
+
+
+def _outcome(program):
+    """The ISA checks' findings, and the seeded run's output bytes or
+    its error."""
+    from repro.verify.differential import seeded_case
+    from repro.verify.isa_checks import check_program
+
+    case = seeded_case(program.kernel)
+    try:
+        out = execute_program(program, case.inputs, case.domain, case.constants)
+        run = {key: array.tobytes() for key, array in out.items()}
+    except ISAExecutionError as exc:
+        run = str(exc)
+    return [str(d) for d in check_program(program)], run
+
+
+#: SHA-256 (first 16 hex digits) of the default-sweep fig11 programs,
+#: serialized, and of their seeded IL-executor outputs, in IL text order.
+FIG11_PINS = ("32fa7a73ed7e29c0", "21dea69b43efbd9e")
+
+
+class TestMemoSafety:
+    def test_a_shared_clause_behaves_as_a_fresh_one_in_any_context(self):
+        params = KernelParams(inputs=4, alu_ops=12)
+        scalar = compile_kernel(generate_generic(params))
+        vector = compile_kernel(
+            generate_generic(params.with_(dtype=DataType.FLOAT4))
+        )
+        shared = next(scalar.alu_clauses())
+        assert any(clause is shared for clause in vector.clauses)
+        # The same clause after fetches into other GPRs, so it reads
+        # unwritten ones; then also with no clause temporary declared.
+        tex = next(scalar.tex_clauses())
+        moved = TEXClause(
+            tuple(
+                FetchInstr(v(R, f.dest.index + 4), f.resource, f.space)
+                for f in tex.fetches
+            )
+        )
+        clauses = (moved, shared, *scalar.export_clauses())
+        elsewhere = [
+            ISAProgram(scalar.kernel, clauses, scalar.gpr_count + 4, temps)
+            for temps in (scalar.clause_temp_count, 0)
+        ]
+        for program in (scalar, vector, *elsewhere, scalar):
+            assert _outcome(program) == _outcome(_fresh(program))
+        for program in elsewhere:
+            findings, run = _outcome(program)
+            assert findings and run == "read of uninitialized R1"
+
+    def test_fig11_compiles_alike_with_tiny_intern_tables(self, monkeypatch):
+        import json
+
+        from repro.compiler.cache import CompileCache
+        from repro.il.text import emit_il
+        from repro.isa import clauses
+        from repro.isa.serialize import program_to_json
+        from repro.suite import run_suite
+        from repro.verify.differential import seeded_case
+
+        # Empty tables of two entries each: nearly every bundle and clause
+        # is built anew, and the memos of dropped ones are left behind.
+        monkeypatch.setattr(clauses, "_BUNDLES_MAX", 2)
+        monkeypatch.setattr(clauses, "_BUNDLES", {})
+        monkeypatch.setattr(clauses, "_ALU_CLAUSES", {})
+        compiled = {}
+        get_or_compile = CompileCache.get_or_compile
+
+        def recording(self, kernel, *args, **kwargs):
+            program = get_or_compile(self, kernel, *args, **kwargs)
+            compiled.setdefault(emit_il(kernel), (kernel, program))
+            return program
+
+        monkeypatch.setattr(CompileCache, "get_or_compile", recording)
+        run_suite(figures=["fig11"], fast=True)
+        assert len(compiled) == 24
+        assert len(clauses._BUNDLES) <= 2 and len(clauses._ALU_CLAUSES) <= 2
+        programs, outputs = hashlib.sha256(), hashlib.sha256()
+        for text in sorted(compiled):
+            kernel, program = compiled[text]
+            programs.update(
+                json.dumps(program_to_json(program), sort_keys=True).encode()
+            )
+            case = seeded_case(kernel)
+            run = (case.inputs, case.domain, case.constants)
+            il_out = execute_kernel(kernel, *run)
+            isa_out = execute_program(program, *run)
+            assert il_out.keys() == isa_out.keys()
+            for key in sorted(il_out):
+                assert isa_out[key].tobytes() == il_out[key].tobytes()
+                outputs.update(il_out[key].tobytes())
+        digests = (programs.hexdigest()[:16], outputs.hexdigest()[:16])
+        assert digests == FIG11_PINS

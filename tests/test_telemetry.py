@@ -303,6 +303,17 @@ class TestInstrumentationIntegration:
         assert registry.get("verify.errors").value == 0
         assert registry.get("verify.warnings").value == 0
 
+    def test_lint_records_one_verify_span(self):
+        from repro.kernels import KernelParams, generate_generic
+        from repro.verify import lint_kernel
+
+        with telemetry.recording() as tracer:
+            lint_kernel(generate_generic(KernelParams(inputs=4)))
+        names = [s.name for s in tracer.finished()]
+        assert names.count("verify") == 1
+        assert names.count("lint") == 1
+        assert telemetry.metrics().get("verify.kernels").value == 1
+
     def test_simulated_events_are_counted(self):
         # One event per clause execution: on a launch small enough to
         # simulate every wavefront, the count equals the number of
